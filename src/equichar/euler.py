@@ -256,7 +256,7 @@ def acyclicity_condition(action, force=False):
               if not h.is_trivial and h.order < k.order]
     uncovered = []
     for v in action.complex.vertices:
-        stab = set(action.vertex_stabilizer(v).key)
-        if not any(set(q.key) <= stab for q in proper):
+        stab = action.vertex_stabilizer(v)
+        if not any(q <= stab for q in proper):
             uncovered.append(v)
     return AcyclicityReport(not uncovered, sorted(uncovered), scope)

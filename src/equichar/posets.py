@@ -104,7 +104,6 @@ def subgroup_poset(g, which, p=None):
     if which not in FILTERS:
         raise InputError("unknown filter %r; expected one of %s" % (which, list(FILTERS)))
     subs = [h for h in all_subgroups(g) if not h.is_trivial]
-    total = len(_group_elements(g))
     if which == "nilpotent":
         subs = [h for h in subs if is_nilpotent(h)]
     elif which == "elementary-abelian":
@@ -113,28 +112,21 @@ def subgroup_poset(g, which, p=None):
         else:
             subs = [h for h in subs if is_elementary_abelian(h, p)]
     elif which == "proper-nontrivial":
-        subs = [h for h in subs if h.order < total]
+        subs = [h for h in subs if h.order < g.order]
     return _inclusion_poset(subs)
-
-
-def _group_elements(g):
-    return g.elements
 
 
 def _inclusion_poset(subs):
     subs = sorted(subs, key=lambda s: (s.order, s.key))
     labels = tuple("H%d" % i for i in range(len(subs)))
-    keys = [set(s.key) for s in subs]
-    pairs = {(i, j) for i in range(len(subs)) for j in range(len(subs))
-             if i != j and keys[i] < keys[j]}
+    pairs = {(i, j) for i in range(len(subs)) for j in range(i + 1, len(subs))
+             if subs[i] < subs[j]}
     return FinitePoset(subs, pairs, labels=labels, check=False)
 
 
 def poset_strictly_above(g, h):
     """Poset of subgroups K with h < K <= g."""
-    hkeys = set(h.key)
-    subs = [k for k in all_subgroups(g)
-            if hkeys < set(k.key)]
+    subs = [k for k in all_subgroups(g) if h < k]
     return _inclusion_poset(subs)
 
 

@@ -9,7 +9,7 @@ simplices; the empty simplex () is never stored but is accepted by link().
 from .errors import InputError, PreconditionError
 from .exactlin import ChainComplexZ, IntegerMatrix, cohomology, homology, homology_mod_p
 from .permgrp import (FiniteGroup, Permutation, QuotientGroup, Subgroup,
-                      _as_subgroup, normalizer)
+                      normalizer)
 
 
 class SimplicialComplex:
@@ -368,7 +368,7 @@ class GroupAction:
         """
         self.require_admissible()
         if not isinstance(h, Subgroup):
-            h = _as_subgroup(h)
+            h = h.whole()
         n = normalizer(self.group, h)
         q = QuotientGroup(n, h)
         fixed = self.fixed_subcomplex(h)

@@ -10,7 +10,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from equichar import Permutation, SimplicialComplex, group_from_generators
+from equichar import (Permutation, QuotientGroup, SimplicialComplex, Subgroup,
+                      center, group_from_generators)
 
 
 # ---------------------------------------------------------------- groups
@@ -69,6 +70,18 @@ def a4():
 
 def d12():
     return group("(1 2 3 4 5 6)", "(2 6)(3 5)")
+
+
+def d8xc2():
+    return group("(1 2 3 4)", "(1 3)", "(5 6)")
+
+
+def s3xs3():
+    return group("(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)")
+
+
+def symmetric(n):
+    return group("(1 2)", "(%s)" % " ".join(str(i) for i in range(1, n + 1)))
 
 
 # p-groups named in the vanishing-identity and poset criteria
@@ -218,21 +231,39 @@ def brute_subgroups(g):
     """Element-key sets of all subgroups, via closures of subsets of size <= 3.
 
     Valid for the test groups, whose subgroups all need at most three
-    generators; closure is done by repeated pairwise multiplication.
+    generators.  Products come from a table filled by Permutation
+    multiplication; each closure multiplies by the subset until nothing
+    new appears.
     """
     elems = list(g.elements)
+    pos = {x: i for i, x in enumerate(elems)}
+    table = [[pos[a * b] for b in elems] for a in elems]
+    ident = pos[Permutation.identity(g.points)]
     found = set()
     for r in (0, 1, 2, 3):
-        for combo in combinations(elems, r):
-            cur = {Permutation.identity(g.points)}
-            cur.update(combo)
-            while True:
-                nxt = {a * b for a in cur for b in cur}
-                if nxt <= cur:
-                    break
-                cur |= nxt
-            found.add(frozenset(x.key for x in cur))
+        for combo in combinations(range(len(elems)), r):
+            cur = {ident}
+            todo = [ident]
+            while todo:
+                row = table[todo.pop()]
+                for b in combo:
+                    if row[b] not in cur:
+                        cur.add(row[b])
+                        todo.append(row[b])
+            found.add(frozenset(elems[i].key for i in cur))
     return found
+
+
+def nilpotent_by_central_series(h):
+    """Nilpotency by the upper central series: divide out centers until the
+    group is exhausted or a center is trivial."""
+    g = h.as_group() if isinstance(h, Subgroup) else h
+    while g.order > 1:
+        z = center(g)
+        if z.is_trivial:
+            return False
+        g = QuotientGroup(g.whole(), z)
+    return True
 
 
 # ------------------------------------------------------------ poset oracles

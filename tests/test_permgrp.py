@@ -1,5 +1,7 @@
 """Permutation groups: enumeration, subgroup lattice, quotients, predicates."""
 
+import time
+
 import pytest
 
 import helpers
@@ -64,8 +66,10 @@ def test_closure_bound_enforced():
     pts = tuple(str(i) for i in range(1, 8))
     gens = [Permutation.from_cycles(pts, "(1 2 3 4 5 6 7)"),
             Permutation.from_cycles(pts, "(1 2)")]
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         group_from_generators(pts, gens, max_order=100)
+    assert "max_order=100" in str(info.value)
+    assert "elements found: 101" in str(info.value)
 
 
 def test_d8_subgroup_lattice():
@@ -79,12 +83,49 @@ def test_d8_subgroup_lattice():
 
 
 def test_subgroup_enumeration_against_brute_force():
-    for g in (helpers.s3(), helpers.cyclic(6), helpers.d8(), helpers.q8(),
-              helpers.c4xc2(), helpers.elem_ab(2, 3), helpers.a4(),
-              helpers.d12()):
+    groups = list(helpers.pgroup_corpus().values())
+    groups += [helpers.s3(), helpers.cyclic(6), helpers.s4(), helpers.a4(),
+               helpers.d12()]
+    for g in groups:
         ours = {frozenset(h.key) for h in all_subgroups(g)}
-        brute = {frozenset(k) for k in helpers.brute_subgroups(g)}
-        assert ours == brute
+        assert ours == helpers.brute_subgroups(g)
+
+
+def test_s5_lattice_and_classes():
+    g = helpers.symmetric(5)
+    start = time.perf_counter()
+    subs = all_subgroups(g)
+    classes = conjugacy_classes_of_subgroups(g)
+    elapsed = time.perf_counter() - start
+    assert len(subs) == 156
+    assert len(classes) == 19
+    assert sum(c.size for c in classes) == 156
+    assert elapsed < 5.0
+
+
+def test_lattice_memo_returns_fresh_lists():
+    g = helpers.s4()
+    first = all_subgroups(g)
+    second = all_subgroups(g)
+    assert first == second and first is not second
+    first.clear()
+    assert all_subgroups(g) == second
+    classes = conjugacy_classes_of_subgroups(g)
+    assert len(classes) == 11
+    classes.pop()
+    assert len(conjugacy_classes_of_subgroups(g)) == 11
+
+
+def test_subgroup_lattice_equals_lattice_of_as_group():
+    g = helpers.s4()
+    for h in all_subgroups(g):
+        alone = h.as_group()
+        ours = all_subgroups(h)
+        assert all(k.group is g for k in ours)
+        assert [k.key for k in ours] == [k.key for k in all_subgroups(alone)]
+        assert ([(c.rep.key, c.size) for c in conjugacy_classes_of_subgroups(h)]
+                == [(c.rep.key, c.size)
+                    for c in conjugacy_classes_of_subgroups(alone)])
 
 
 def test_conjugate_subgroup():
@@ -154,6 +195,12 @@ def test_nilpotency():
     assert not is_nilpotent(helpers.s4())
     assert not is_nilpotent(helpers.a4())
     assert not is_nilpotent(helpers.d12())
+
+
+@pytest.mark.parametrize("build", [helpers.s4, helpers.d8xc2, helpers.s3xs3])
+def test_nilpotency_matches_central_series(build):
+    for h in all_subgroups(build()):
+        assert is_nilpotent(h) == helpers.nilpotent_by_central_series(h)
 
 
 def test_elementary_abelian_fixed_prime():
