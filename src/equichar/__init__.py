@@ -8,7 +8,7 @@ construction, and verified acyclic extensions of Moore complexes.
 
 from .errors import (ConsistencyError, InputError, PreconditionError,
                      ResourceLimitError)
-from .exactlin import (ChainComplexZ, HomologyGroup, IntegerMatrix,
+from .exactlin import (ChainComplexZ, HomologyGroup, IntegerMatrix, augment,
                        cohomology, homology, homology_mod_p, is_prime,
                        prime_power_base, rank_mod_p, smith_normal_form)
 from .permgrp import (FiniteGroup, Permutation, QuotientGroup, Subgroup,

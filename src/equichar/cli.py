@@ -99,6 +99,12 @@ def load_group(path, complex=None):
     return group
 
 
+def _group_arg(args):
+    """The --group file, on the vertices of --complex when one is given."""
+    return load_group(args.group,
+                      complex=load_complex(args.complex) if args.complex else None)
+
+
 def build_action(complex_path, group_path):
     x = load_complex(complex_path)
     g = load_group(group_path, complex=x)
@@ -131,7 +137,7 @@ def _emit(args, doc, text_lines):
 
 
 def cmd_subgroups(args):
-    g = load_group(args.group, complex=load_complex(args.complex) if args.complex else None)
+    g = _group_arg(args)
     classes = conjugacy_classes_of_subgroups(g)
     subs = all_subgroups(g)
     doc = {"command": "subgroups", "ok": True, "order": g.order,
@@ -149,7 +155,7 @@ def cmd_subgroups(args):
 
 
 def cmd_poset_euler(args):
-    g = load_group(args.group, complex=load_complex(args.complex) if args.complex else None)
+    g = _group_arg(args)
     poset = subgroup_poset(g, args.filter)
     value = poset.augmented_euler()
     doc = {"command": "poset-euler", "ok": True, "filter": args.filter,
@@ -160,7 +166,7 @@ def cmd_poset_euler(args):
 
 
 def cmd_quillen_check(args):
-    g = load_group(args.group, complex=load_complex(args.complex) if args.complex else None)
+    g = _group_arg(args)
     report = quillen_thevenaz_check(g)
     doc = {"command": "quillen-check", "ok": report.equal,
            "nilpotent": {"size": report.left_size,
@@ -175,7 +181,7 @@ def cmd_quillen_check(args):
 
 
 def cmd_weyl_check(args):
-    g = load_group(args.group, complex=load_complex(args.complex) if args.complex else None)
+    g = _group_arg(args)
     checks = []
     for cls in conjugacy_classes_of_subgroups(g):
         checks.append(weyl_poset_check(g, cls.rep))

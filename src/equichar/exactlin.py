@@ -1,15 +1,11 @@
 """Exact integer linear algebra: Smith normal form and chain complex homology.
 
-Everything runs over Python integers and fractions.Fraction, so results are
-exact.  Arbitrary-precision arithmetic means entry growth can never wrap;
-the smallest-magnitude pivot rule keeps it tame in practice.
+Everything runs over Python integers, so results are exact.
+Arbitrary-precision arithmetic means entry growth can never wrap; the
+smallest-magnitude pivot rule keeps it tame in practice.
 """
 
-from fractions import Fraction
-
 from .errors import ConsistencyError, InputError
-
-Rational = Fraction
 
 
 def is_prime(n):
@@ -91,14 +87,6 @@ class IntegerMatrix:
 
     def __repr__(self):
         return "IntegerMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
-
-    def copy(self):
-        return IntegerMatrix(self.rows, self.cols, [row[:] for row in self.entries])
-
-    def transpose(self):
-        return IntegerMatrix(self.cols, self.rows,
-                             [[self.entries[i][j] for i in range(self.rows)]
-                              for j in range(self.cols)])
 
     def __mul__(self, other):
         if self.cols != other.rows:
@@ -279,9 +267,6 @@ class HomologyGroup:
         return " + ".join(parts)
 
 
-TRIVIAL_GROUP = HomologyGroup()
-
-
 class ChainComplexZ:
     """A bounded chain complex of free Z-modules over contiguous degrees.
 
@@ -350,6 +335,20 @@ class ChainComplexZ:
 
     def __hash__(self):
         return hash(tuple(sorted(self.ranks.items())))
+
+
+def augment(c):
+    """c with Z added in degree -1, the target of the all-ones map out of
+    degree 0 (no map when c has no degree 0); reduced homology is the
+    homology of the result."""
+    ranks = dict(c.ranks)
+    ranks[-1] = 1
+    boundaries = dict(c.boundaries)
+    if 0 in ranks:
+        boundaries[0] = IntegerMatrix(1, ranks[0], [[1] * ranks[0]])
+    labels = dict(c.labels)
+    labels[-1] = ("*",)
+    return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
 
 
 def _snf_by_degree(c):

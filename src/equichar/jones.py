@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ConsistencyError, InputError, PreconditionError
-from .exactlin import (ChainComplexZ, HomologyGroup, IntegerMatrix, homology,
-                       homology_mod_p)
+from .exactlin import ChainComplexZ, IntegerMatrix, augment, homology
 
 
 def moore_complex(m, q):
@@ -150,19 +149,8 @@ def fixed_part(equiv):
     return ChainComplexZ(ranks, boundaries, labels=labels)
 
 
-def _augment(c):
-    """Add Z in degree -1 with the all-ones augmentation out of degree 0."""
-    ranks = dict(c.ranks)
-    boundaries = dict(c.boundaries)
-    labels = dict(c.labels)
-    ranks[-1] = 1
-    labels[-1] = ("*",)
-    boundaries[0] = IntegerMatrix(1, ranks.get(0, 0), [[1] * ranks.get(0, 0)])
-    return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
-
-
 def reduced_homology_of(c):
-    return homology(_augment(c))
+    return homology(augment(c))
 
 
 def verify_acyclic(c):
@@ -226,8 +214,3 @@ def cyclic_extension(m, q, p):
     hom = reduced_homology_of(total)
     witness = {d: g for d, g in hom.items() if not g.is_trivial}
     return ExtensionResult(equiv, not witness, witness)
-
-
-def moore_mod_q_signature(m, q):
-    """Mod-q homology dimensions of the Moore complex, for prime q."""
-    return homology_mod_p(moore_complex(m, q), q)

@@ -110,9 +110,6 @@ class Permutation:
             n += 1
         return n
 
-    def fixed_points(self):
-        return tuple(p for p in self.points if self.mapping[p] == p)
-
     def cycles(self):
         """Non-singleton cycles, each starting at its least point."""
         seen = set()
@@ -321,9 +318,6 @@ class FiniteGroup:
     def __contains__(self, g):
         return isinstance(g, Permutation) and g.key in self._index
 
-    def subgroup(self, elements):
-        return Subgroup(self, elements)
-
     def subgroup_generated(self, gens):
         gens = list(gens)
         for g in gens:
@@ -345,6 +339,42 @@ class FiniteGroup:
 def group_from_generators(points, generators, max_order=DEFAULT_ORDER_BOUND):
     """Close a generator list into a FiniteGroup; the bound guards runaways."""
     return FiniteGroup(points, generators, max_order=max_order)
+
+
+def homomorphism_images(group, points, generator_images):
+    """{element key: Permutation of points} of the homomorphism extending
+    generator_images, a map from each generator of group to a permutation
+    of points (the vertices acted on); keys come in element-number order.
+
+    The pairs (g, image of g) act on the disjoint union of group.points and
+    points, and the subgroup they generate is the graph of a homomorphism
+    exactly when it has |group| elements with distinct first parts, one for
+    each element of the group.
+    """
+    points = tuple(sorted(points))
+    gens = group.generators
+    imgs = [generator_images[g] for g in gens]
+    for g, img in zip(gens, imgs):
+        if img.points != points:
+            raise InputError("image of %s does not permute the vertices" % g)
+    number = group._numbering()[1]
+    n = len(group.points)
+    pairs = [a + tuple(n + i for i in b)
+             for a, b in zip(_images_of(group.points, gens),
+                             _images_of(points, imgs))]
+    broken = "generator images do not define a homomorphism"
+    try:
+        graph = _close_under_products(n + len(points), pairs, group.order)
+    except ResourceLimitError:
+        raise InputError(broken) from None
+    second = {number[t[:n]]: t[n:] for t in graph}
+    if len(second) < len(graph):
+        raise InputError(broken)
+    if len(second) < group.order:
+        raise InputError("generators do not generate the group")
+    return {group.elements[i].key:
+            Permutation(points, dict(zip(points, [points[j - n] for j in second[i]])))
+            for i in sorted(second)}
 
 
 class Subgroup:
@@ -384,9 +414,6 @@ class Subgroup:
     @property
     def is_trivial(self):
         return self.order == 1
-
-    def element_keys(self):
-        return frozenset(self.key)
 
     def __iter__(self):
         return iter(self.elements)

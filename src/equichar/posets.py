@@ -6,6 +6,7 @@ nontrivial subgroups.  Euler characteristics are augmented (the empty
 chain counts with sign -1).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -14,7 +15,7 @@ from .exactlin import HomologyGroup
 from .permgrp import (all_subgroups, is_elementary_abelian,
                       is_elementary_abelian_any, is_nilpotent, normalizer,
                       quotient, require_p_group)
-from .simp import complex_of_chains
+from .simp import _adjacency, _cliques, complex_of_chains
 
 FILTERS = ("nontrivial", "nilpotent", "elementary-abelian", "proper-nontrivial")
 
@@ -66,22 +67,10 @@ class FinitePoset:
         return complex_of_chains(self.labels, pairs)
 
     def chain_counts(self):
-        """c[k] = number of chains with k + 1 elements, k >= 0."""
-        n = len(self.elements)
-        above = {i: sorted(j for j in range(n) if (i, j) in self.lt)
-                 for i in range(n)}
-        counts = []
-
-        def grow(last, size):
-            while len(counts) < size:
-                counts.append(0)
-            counts[size - 1] += 1
-            for j in above[last]:
-                grow(j, size + 1)
-
-        for i in range(n):
-            grow(i, 1)
-        return tuple(counts)
+        """c[k] = number of chains with k + 1 elements, k >= 0: the f-vector
+        of the order complex, counted without building it."""
+        sizes = Counter(map(len, _cliques(_adjacency(range(len(self)), self.lt))))
+        return tuple(sizes[k] for k in range(1, len(sizes) + 1))
 
     def augmented_euler(self):
         """-1 + sum over k of (-1)^k (number of k-chains)."""

@@ -7,9 +7,38 @@ simplices; the empty simplex () is never stored but is accepted by link().
 """
 
 from .errors import InputError, PreconditionError
-from .exactlin import ChainComplexZ, IntegerMatrix, cohomology, homology, homology_mod_p
+from .exactlin import (ChainComplexZ, IntegerMatrix, augment, cohomology,
+                       homology, homology_mod_p)
 from .permgrp import (FiniteGroup, Permutation, QuotientGroup, Subgroup,
-                      normalizer)
+                      homomorphism_images, normalizer)
+
+
+def _adjacency(vertices, edges):
+    """{vertex: set of neighbours} of a graph."""
+    adj = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _cliques(adj):
+    """Every nonempty clique of a graph, once each, as a sorted tuple.
+
+    Depth first from an explicit stack of (clique, candidates) entries,
+    where the candidates are the common neighbours of the clique that sort
+    after all of its vertices; a caller that stops early stops the search.
+    """
+    stack = [((), sorted(adj))]
+    while stack:
+        clique, candidates = stack.pop()
+        for i, v in enumerate(candidates):
+            s = clique + (v,)
+            yield s
+            nbrs = adj[v]
+            rest = [w for w in candidates[i + 1:] if w in nbrs]
+            if rest:
+                stack.append((s, rest))
 
 
 class SimplicialComplex:
@@ -71,27 +100,15 @@ class SimplicialComplex:
     def flag_from_graph(cls, vertices, edges):
         """The flag complex of a graph: simplices are the cliques."""
         vset = set(vertices)
-        adj = {v: set() for v in vset}
+        pairs = []
         for e in edges:
             pair = tuple(sorted(set(e)))
             if len(pair) != 2:
                 raise InputError("edge %r must join two distinct vertices" % (e,))
-            a, b = pair
-            if a not in vset or b not in vset:
+            if not set(pair) <= vset:
                 raise InputError("edge %r uses undeclared vertices" % (e,))
-            adj[a].add(b)
-            adj[b].add(a)
-        simplices = set()
-        order = sorted(vset)
-
-        def extend(clique, candidates):
-            for i, v in enumerate(candidates):
-                s = clique + (v,)
-                simplices.add(s)
-                extend(s, [w for w in candidates[i + 1:] if w in adj[v]])
-
-        extend((), order)
-        return cls(vset, simplices, check=False)
+            pairs.append(pair)
+        return cls(vset, _cliques(_adjacency(vset, pairs)), check=False)
 
     @property
     def dim(self):
@@ -126,25 +143,8 @@ class SimplicialComplex:
 
     def is_flag(self):
         """Whether every clique of the 1-skeleton is a simplex."""
-        adj = {v: set() for v in self.vertices}
-        for a, b in self.edges():
-            adj[a].add(b)
-            adj[b].add(a)
-
-        def extend(clique, candidates):
-            for i, v in enumerate(candidates):
-                s = clique + (v,)
-                if len(s) > 2 and s not in self.simplices:
-                    return False
-                if not extend(s, [w for w in candidates[i + 1:] if w in adj[v]]):
-                    return False
-            return True
-
-        return extend((), sorted(self.vertices))
-
-    def contains(self, simplex):
-        s = tuple(sorted(simplex))
-        return s == () or s in self.simplices
+        return all(len(s) < 3 or s in self.simplices
+                   for s in _cliques(_adjacency(self.vertices, self.edges())))
 
     def link(self, simplex):
         """Link of a simplex; the empty simplex gives the complex itself."""
@@ -172,11 +172,9 @@ class SimplicialComplex:
         simplices = {s for s in self.simplices if set(s) <= sub}
         return SimplicialComplex(sub, simplices, check=False)
 
-    def chain_complex(self, augmented=False):
-        """Simplicial chain complex; augmented adds Z in degree -1."""
+    def chain_complex(self):
+        """Simplicial chain complex; exactlin.augment adds Z in degree -1."""
         if self.is_empty:
-            if augmented:
-                return ChainComplexZ({-1: 1}, {}, labels={-1: ("*",)}, check=False)
             return ChainComplexZ({}, {}, check=False)
         by_dim = {d: self.simplices_of_dim(d) for d in range(self.dim + 1)}
         ranks = {d: len(by_dim[d]) for d in by_dim}
@@ -190,21 +188,17 @@ class SimplicialComplex:
                     face = s[:i] + s[i + 1:]
                     mat[index[d - 1][face], j] = (-1) ** i
             boundaries[d] = mat
-        if augmented:
-            ranks[-1] = 1
-            labels[-1] = ("*",)
-            boundaries[0] = IntegerMatrix(1, ranks[0], [[1] * ranks[0]])
         return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
 
     def reduced_homology(self):
         """{degree: HomologyGroup} of the augmented chain complex."""
-        return homology(self.chain_complex(augmented=True))
+        return homology(augment(self.chain_complex()))
 
     def reduced_cohomology(self):
-        return cohomology(self.chain_complex(augmented=True))
+        return cohomology(augment(self.chain_complex()))
 
     def reduced_homology_mod_p(self, p):
-        return homology_mod_p(self.chain_complex(augmented=True), p)
+        return homology_mod_p(augment(self.chain_complex()), p)
 
     def barycentric_subdivision(self):
         """Flag complex on the simplices, with chains of faces as simplices."""
@@ -238,23 +232,11 @@ def complex_of_chains(labels, strict_pairs):
     """Order complex of a strict relation: simplices are the chains.
 
     labels lists the vertices; strict_pairs are (smaller, larger) pairs of
-    an irreflexive transitive relation.
+    an irreflexive transitive relation, whose chains are exactly the
+    cliques of its comparability graph.
     """
-    below = {v: set() for v in labels}
-    for a, b in strict_pairs:
-        below[b].add(a)
-    order = sorted(labels)
-    simplices = set()
-
-    def grow(chain, candidates):
-        for i, v in enumerate(candidates):
-            s = tuple(sorted(chain + (v,)))
-            simplices.add(s)
-            grow(chain + (v,), [w for w in candidates[i + 1:]
-                                if v in below[w] or w in below[v]])
-
-    grow((), order)
-    return SimplicialComplex(labels, simplices, check=False)
+    return SimplicialComplex(labels, _cliques(_adjacency(labels, strict_pairs)),
+                             check=False)
 
 
 class GroupAction:
@@ -276,30 +258,9 @@ class GroupAction:
                 raise InputError("group points differ from complex vertices; "
                                  "supply generator images")
             generator_images = {g: g for g in group.generators}
-        images = {group.identity.key: Permutation.identity(verts)}
-        frontier = [group.identity]
-        pairs = [(g, generator_images[g]) for g in group.generators]
-        for g, img in pairs:
-            if img.points != verts:
-                raise InputError("image of %s does not permute the vertices" % g)
-        while frontier:
-            nxt = []
-            for g, img in pairs:
-                for h in frontier:
-                    prod = g * h
-                    pimg = img * images[h.key]
-                    if prod.key in images:
-                        if images[prod.key] != pimg:
-                            raise InputError("generator images do not define "
-                                             "a homomorphism")
-                    else:
-                        images[prod.key] = pimg
-                        nxt.append(prod)
-            frontier = nxt
-        if len(images) != group.order:
-            raise InputError("generators do not generate the group")
-        self.images = images
-        for g, img in pairs:
+        self.images = homomorphism_images(group, verts, generator_images)
+        for g in group.generators:
+            img = generator_images[g]
             for s in complex.simplices:
                 t = tuple(sorted(img(v) for v in s))
                 if t not in complex.simplices:
@@ -420,14 +381,8 @@ def find_full_subcomplex_isomorphic(host, pattern):
         return Embedding(pattern, host, {})
     pverts = list(pattern.vertices)
     hverts = list(host.vertices)
-    padj = {v: set() for v in pverts}
-    for a, b in pattern.edges():
-        padj[a].add(b)
-        padj[b].add(a)
-    hadj = {v: set() for v in hverts}
-    for a, b in host.edges():
-        hadj[a].add(b)
-        hadj[b].add(a)
+    padj = _adjacency(pverts, pattern.edges())
+    hadj = _adjacency(hverts, host.edges())
     assign = {}
     used = set()
 

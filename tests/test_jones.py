@@ -127,6 +127,15 @@ def test_verify_acyclic_examples():
     assert verify_acyclic(ChainComplexZ({0: 1}, {}))
 
 
+def test_reduced_homology_needs_degree_zero():
+    # the augmentation adds degree -1, so a complex starting in degree 1
+    # leaves a gap in the degrees
+    c = ChainComplexZ({1: 1, 2: 1}, {2: IntegerMatrix.from_rows([[2]])})
+    with pytest.raises(InputError, match="degrees must be contiguous"):
+        reduced_homology_of(c)
+    assert reduced_homology_of(ChainComplexZ({}, {})) == {-1: HomologyGroup(1)}
+
+
 def test_fixed_part_of_all_fixed_orbits():
     c = moore_complex(1, 2)
     orbits = {0: (("fixed", "pt"),), 1: (("fixed", "c"),),

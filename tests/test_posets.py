@@ -45,6 +45,7 @@ def test_antichain_poset():
 
 def test_empty_poset():
     p = FinitePoset((), set())
+    assert p.chain_counts() == () == tuple(helpers.count_chains(0, set()))
     assert p.augmented_euler() == -1
     assert p.reduced_homology() == {-1: HomologyGroup(1)}
 

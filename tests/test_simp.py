@@ -1,10 +1,14 @@
 """Simplicial complexes, group actions on them, subcomplex embeddings."""
 
+import time
+from itertools import combinations
+
 import pytest
 
 import helpers
-from equichar import (GroupAction, HomologyGroup, InputError,
-                      PreconditionError, SimplicialComplex, complex_of_chains,
+from equichar import (FiniteGroup, GroupAction, HomologyGroup, InputError,
+                      Permutation, PreconditionError, SimplicialComplex,
+                      complex_of_chains, double_along,
                       find_full_subcomplex_isomorphic)
 
 
@@ -124,6 +128,33 @@ def test_complex_of_chains():
     assert x.dim == 2
 
 
+def test_complex_of_chains_is_flag_complex_of_comparability_graph():
+    bary = helpers.octahedron().barycentric_subdivision()
+    faces = sorted(bary.simplices)
+    labels = ["/".join(s) for s in faces]
+    pairs = [("/".join(a), "/".join(b)) for a in faces for b in faces
+             if len(a) < len(b) and set(a) < set(b)]
+    chains = complex_of_chains(labels, pairs)
+    assert chains == SimplicialComplex.flag_from_graph(labels, pairs)
+    assert chains.f_vector() == (146, 432, 288)
+
+
+def test_is_flag_stops_at_first_missing_clique():
+    verts = ["v%02d" % i for i in range(20)]
+    skeleton = SimplicialComplex.from_maximal_simplices(
+        verts, combinations(verts, 2))
+    start = time.perf_counter()
+    assert not skeleton.is_flag()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_reduced_homology_of_empty_complex():
+    empty = SimplicialComplex.empty()
+    assert empty.reduced_homology() == {-1: HomologyGroup(1)}
+    assert empty.reduced_cohomology() == {-1: HomologyGroup(1)}
+    assert empty.reduced_homology_mod_p(2) == {-1: 1}
+
+
 def test_admissible_action():
     star = helpers.star5()
     act = GroupAction(star, helpers.group_on(star, "(1 2)", "(3 4)"))
@@ -145,6 +176,72 @@ def test_non_simplicial_image_rejected():
     edges = helpers.two_edges()
     with pytest.raises(InputError):
         GroupAction(edges, helpers.group_on(edges, "(1 3)"))
+
+
+def _triangle_action(*image_texts):
+    tri = SimplicialComplex.from_maximal_simplices("abc", [("a", "b", "c")])
+    g = helpers.group("(1 2)", "(3 4)")
+    images = {gen: Permutation.from_cycles(tri.vertices, t)
+              for gen, t in zip(g.generators, image_texts)}
+    return GroupAction(tri, g, generator_images=images)
+
+
+def test_images_of_wrong_order_rejected():
+    with pytest.raises(InputError, match="do not define a homomorphism"):
+        _triangle_action("(a b c)", "()")
+
+
+def test_non_commuting_images_rejected():
+    with pytest.raises(InputError, match="do not define a homomorphism"):
+        _triangle_action("(a b)", "(b c)")
+
+
+def test_image_on_wrong_points_rejected():
+    tri = SimplicialComplex.from_maximal_simplices("abc", [("a", "b", "c")])
+    g = helpers.group("(1 2)")
+    images = {g.generators[0]: Permutation.from_cycles("ab", "(a b)")}
+    with pytest.raises(InputError, match="does not permute the vertices"):
+        GroupAction(tri, g, generator_images=images)
+
+
+def test_generators_must_generate_the_group():
+    square = SimplicialComplex.from_maximal_simplices(
+        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    c2xc2 = helpers.group("(1 2)", "(3 4)")
+    g = FiniteGroup(c2xc2.points, c2xc2.generators[:1], elements=c2xc2.elements)
+    gen = g.generators[0]
+    with pytest.raises(InputError, match="do not generate the group"):
+        GroupAction(square, g, {gen: Permutation.from_cycles("abcd", "(a c)")})
+    # a 4-cycle image of an involution fits in |g| elements but repeats
+    # the involution's first part
+    with pytest.raises(InputError, match="do not define a homomorphism"):
+        GroupAction(square, g, {gen: Permutation.from_cycles("abcd", "(a b c d)")})
+
+
+def _assert_homomorphism(act):
+    images = act.images
+    assert list(images) == [g.key for g in act.group.elements]
+    for g in act.group.elements:
+        for h in act.group.elements:
+            assert images[(g * h).key] == images[g.key] * images[h.key]
+
+
+def test_images_form_a_homomorphism():
+    octa = helpers.octahedron()
+    bary = octa.barycentric_subdivision()
+    sylow = helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)")
+    assert sylow.order == 16
+    images = {}
+    for gen in sylow.generators:
+        images[gen] = Permutation(bary.vertices, {
+            v: "|".join(sorted(gen(p) for p in v.split("|")))
+            for v in bary.vertices})
+    _assert_homomorphism(GroupAction(bary, sylow, generator_images=images))
+    tri = helpers.tetra_boundary().barycentric_subdivision()
+    emb = find_full_subcomplex_isomorphic(tri, helpers.t_complex())
+    doubled, swap = double_along(tri, emb.mapping.values())
+    assert swap.group.order == 2
+    _assert_homomorphism(swap)
 
 
 def test_fixed_subcomplex():
