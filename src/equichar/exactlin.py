@@ -1,9 +1,18 @@
 """Exact integer linear algebra: Smith normal form and chain complex homology.
 
-Everything runs over Python integers, so results are exact.
-Arbitrary-precision arithmetic means entry growth can never wrap; the
-smallest-magnitude pivot rule keeps it tame in practice.
+Everything runs over Python integers, so results are exact.  Both the
+Smith normal form and the rank over GF(p) start with one sparse eliminator
+that pivots in Markowitz order (sparsest row, then sparsest column).  Over
+Z it takes only entries +-1 as pivots, each an invariant factor 1;
+simplicial boundary matrices are nearly all +-1, so what is left without a
+unit entry is small, and a dense Smith normal form finishes it, pivoting on
+a smallest-magnitude entry.  Arbitrary-precision arithmetic means entry
+growth can never wrap; that pivot rule keeps it tame in practice.  Over
+GF(p) every nonzero entry is a pivot and the rank is the pivot count.
 """
+
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .errors import ConsistencyError, InputError
 
@@ -107,6 +116,79 @@ class IntegerMatrix:
         return all(v == 0 for row in self.entries for v in row)
 
 
+def _eliminate(m, p=None):
+    """Sparse elimination with Markowitz-ordered pivots.
+
+    Reads the dense rows once into {row: {col: value}} with a {col: set of
+    rows} index.  Over Z (p is None) only entries +-1 may pivot; over GF(p)
+    any entry nonzero mod p may, and all arithmetic is reduced mod p.  The
+    next pivot comes from a sparsest row holding a candidate, in its
+    candidate column with the fewest entries, which keeps fill-in low.  Each
+    pivot clears its column from the other rows (the Schur complement
+    update), then its row and column are dropped.
+
+    Returns (pivots, rows): the pivot count and the rows left, all of them
+    free of +-1 entries over Z and empty over GF(p).
+    """
+    span = range(m.cols)
+    rows = {}
+    cols = [set() for _ in span]
+    for i, dense in enumerate(m.entries):
+        if p is None:
+            row = {j: dense[j] for j in compress(span, dense)}
+        else:
+            row = {j: v for j in compress(span, dense) if (v := dense[j] % p)}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols[j].add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        n, i = heappop(heap)
+        row = rows.get(i)
+        if row is None or len(row) != n:
+            continue
+        if p is None:
+            candidates = [j for j, v in row.items() if v == 1 or v == -1]
+            if not candidates:
+                continue  # an update to the row pushes it again
+        else:
+            candidates = row
+        j = min(candidates, key=lambda c: len(cols[c]))
+        v = row.pop(j)
+        # Over Z a unit pivot is its own inverse.
+        inv = v if p is None else pow(v, p - 2, p)
+        for k in cols[j]:
+            if k == i:
+                continue
+            other = rows[k]
+            f = other.pop(j) * inv
+            if p is not None:
+                f %= p
+            for c, w in row.items():
+                x = other.get(c, 0) - f * w
+                if p is not None:
+                    x %= p
+                if x:
+                    if c not in other:
+                        cols[c].add(k)
+                    other[c] = x
+                else:
+                    del other[c]
+                    cols[c].discard(k)
+            if other:
+                heappush(heap, (len(other), k))
+            else:
+                del rows[k]
+        for c in row:
+            cols[c].discard(i)
+        del rows[i]
+        pivots += 1
+    return pivots, rows
+
+
 def _smallest_nonzero(a, t, nr, nc):
     best = None
     best_abs = None
@@ -124,13 +206,11 @@ def _smallest_nonzero(a, t, nr, nc):
     return best
 
 
-def smith_normal_form(m):
-    """Diagonalize by unimodular row and column operations.
+def _dense_snf(m):
+    """Dense Smith normal form, returned like smith_normal_form.
 
-    Returns (diagonal, rank): diagonal has length min(rows, cols), starts
-    with the positive invariant factors d1 | d2 | ... | dr and is padded
-    with zeros; rank = r.  The pivot is always a smallest-magnitude nonzero
-    entry of the remaining block, which limits entry growth.
+    The pivot is always a smallest-magnitude nonzero entry of the remaining
+    block, which limits entry growth.
     """
     a = [row[:] for row in m.entries]
     nr, nc = m.rows, m.cols
@@ -190,33 +270,32 @@ def smith_normal_form(m):
     return diagonal, t
 
 
+def smith_normal_form(m):
+    """Diagonalize by unimodular row and column operations.
+
+    Returns (diagonal, rank): diagonal has length min(rows, cols), starts
+    with the positive invariant factors d1 | d2 | ... | dr and is padded
+    with zeros; rank = r.  Sparse elimination first pivots out entries +-1,
+    each an invariant factor 1; the residue left without unit entries goes
+    through a dense Smith normal form that pivots on a smallest-magnitude
+    entry.  Invariant factors are unique, so the order does not matter.
+    """
+    units, rows = _eliminate(m)
+    factors = [1] * units
+    if rows:
+        cols = sorted({j for row in rows.values() for j in row})
+        residue = IntegerMatrix(len(rows), len(cols),
+                                [[row.get(j, 0) for j in cols] for row in rows.values()])
+        diagonal, rank = _dense_snf(residue)
+        factors += diagonal[:rank]
+    return factors + [0] * (min(m.rows, m.cols) - len(factors)), len(factors)
+
+
 def rank_mod_p(m, p):
-    """Rank over the field with p elements, by Gaussian elimination."""
+    """Rank over the field with p elements, by sparse Gaussian elimination."""
     if not is_prime(p):
         raise InputError("p must be prime, got %r" % (p,))
-    a = [[v % p for v in row] for row in m.entries]
-    nr, nc = m.rows, m.cols
-    rank = 0
-    for j in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][j], p - 2, p)
-        a[rank] = [(v * inv) % p for v in a[rank]]
-        for i in range(nr):
-            if i != rank and a[i][j]:
-                c = a[i][j]
-                ar = a[rank]
-                a[i] = [(v - c * w) % p for v, w in zip(a[i], ar)]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return _eliminate(m, p)[0]
 
 
 class HomologyGroup:
@@ -339,9 +418,12 @@ class ChainComplexZ:
 
 def augment(c):
     """c with Z added in degree -1, the target of the all-ones map out of
-    degree 0 (no map when c has no degree 0); reduced homology is the
-    homology of the result."""
+    degree 0 (no map when c is empty); reduced homology is the homology of
+    the result.  Degrees 0..lo-1 below the lowest degree lo of c are padded
+    with rank 0, so the augmentation is zero there."""
     ranks = dict(c.ranks)
+    for d in range(min(ranks, default=0)):
+        ranks[d] = 0
     ranks[-1] = 1
     boundaries = dict(c.boundaries)
     if 0 in ranks:

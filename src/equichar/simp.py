@@ -153,14 +153,10 @@ class SimplicialComplex:
             return self
         if s not in self.simplices:
             raise InputError("simplex %r not in complex" % (s,))
+        # lk(s) = {t - s : s a proper face of t in K}
         sset = set(s)
-        simplices = set()
-        for t in self.simplices:
-            tset = set(t)
-            if tset & sset:
-                continue
-            if tuple(sorted(tset | sset)) in self.simplices:
-                simplices.add(t)
+        simplices = {tuple(v for v in t if v not in sset) for t in self.simplices
+                     if len(t) > len(s) and sset.issubset(t)}
         verts = set(v for t in simplices for v in t)
         return SimplicialComplex(verts, simplices, check=False)
 

@@ -1,14 +1,16 @@
 """Integer linear algebra: Smith normal form, homology engines."""
 
 import random
+import time
 
 import pytest
 
 import helpers
 from equichar import (ChainComplexZ, ConsistencyError, HomologyGroup,
-                      InputError, IntegerMatrix, augment, cohomology, homology,
-                      homology_mod_p, is_prime, prime_power_base,
-                      rank_mod_p, smith_normal_form)
+                      InputError, IntegerMatrix, augment, cohomology,
+                      cyclic_extension, exactlin, homology, homology_mod_p,
+                      is_prime, moore_complex, prime_power_base, rank_mod_p,
+                      smith_normal_form)
 
 
 def test_is_prime():
@@ -89,6 +91,59 @@ def test_rank_mod_p():
     assert rank_mod_p(m, 3) == 2
     with pytest.raises(InputError):
         rank_mod_p(m, 4)
+
+
+def _sparse_matrices():
+    """Seeded random matrices with entries in {0, +-1, +-2, 3, 6}, mostly
+    zero, including 0 x n and n x 0 shapes."""
+    rng = random.Random(20261018)
+    values = [0] * 8 + [1, -1, 2, -2, 3, 6]
+    out = [IntegerMatrix(0, 4), IntegerMatrix(5, 0)]
+    for _ in range(300):
+        nr, nc = rng.randrange(0, 9), rng.randrange(0, 9)
+        out.append(IntegerMatrix(nr, nc, [[rng.choice(values) for _ in range(nc)]
+                                          for _ in range(nr)]))
+    return out
+
+
+def _boundary_matrices():
+    """Every boundary matrix of the complex corpus (RP^2 included),
+    bary(octahedron), the Moore complexes and a Moore extension, augmented
+    where it applies."""
+    complexes = [augment(x.chain_complex()) for x in helpers.complex_corpus().values()]
+    complexes.append(augment(helpers.octahedron().barycentric_subdivision().chain_complex()))
+    complexes.extend(moore_complex(m, q) for m, q in ((1, 2), (2, 3), (3, 4)))
+    complexes.append(cyclic_extension(1, 2, 3).complex)
+    return [c.boundary(d) for c in complexes for d in c.degrees()]
+
+
+def test_snf_matches_dense_snf_on_sparse_matrices():
+    for m in _sparse_matrices():
+        assert smith_normal_form(m) == exactlin._dense_snf(m)
+
+
+def test_snf_matches_dense_snf_on_boundary_matrices():
+    torsion = set()
+    for m in _boundary_matrices():
+        diag, rank = smith_normal_form(m)
+        assert (diag, rank) == exactlin._dense_snf(m)
+        torsion.update(d for d in diag if d > 1)
+    # non-unit residues were exercised, and their torsion kept exact
+    assert {2, 3, 4} <= torsion
+
+
+def test_rank_mod_p_matches_oracle():
+    rng = random.Random(7)
+    matrices = _sparse_matrices() + _boundary_matrices()
+    # negative entries and entries >= p
+    for _ in range(100):
+        nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)
+        matrices.append(IntegerMatrix(nr, nc, [[rng.randrange(-20, 21) for _ in range(nc)]
+                                               for _ in range(nr)]))
+    for m in matrices:
+        rows = helpers.matrix_rows(m)
+        for p in (2, 3, 5, 7):
+            assert rank_mod_p(m, p) == helpers.modp_rank(rows, p)
 
 
 def test_matrix_multiplication():
@@ -185,3 +240,26 @@ def test_euler_poincare_on_corpus():
         lhs = sum((-1) ** d * c.rank(d) for d in c.degrees())
         rhs = sum((-1) ** d * h[d].betti for d in c.degrees())
         assert lhs == rhs == x.euler_characteristic()
+
+
+def test_sparse_homology_at_scale():
+    x = helpers.octahedron()
+    for _ in range(3):
+        x = x.barycentric_subdivision()
+    assert x.f_vector() == (866, 2592, 1728)
+    start = time.perf_counter()
+    h = x.reduced_homology()
+    dims = x.reduced_homology_mod_p(2)
+    elapsed = time.perf_counter() - start
+    assert {d: g for d, g in h.items() if not g.is_trivial} == {2: HomologyGroup(1)}
+    assert {d: v for d, v in dims.items() if v} == {2: 1}
+    assert elapsed < 5.0
+
+
+def test_torsion_survives_the_residue():
+    x = helpers.rp2_triangulation().barycentric_subdivision().barycentric_subdivision()
+    c = augment(x.chain_complex())
+    # the top boundary keeps entries that no unit pivot clears
+    assert exactlin._eliminate(c.boundary(2))[1]
+    h = homology(c)
+    assert {d: g for d, g in h.items() if not g.is_trivial} == {1: HomologyGroup(0, (2,))}

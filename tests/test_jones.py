@@ -127,12 +127,13 @@ def test_verify_acyclic_examples():
     assert verify_acyclic(ChainComplexZ({0: 1}, {}))
 
 
-def test_reduced_homology_needs_degree_zero():
-    # the augmentation adds degree -1, so a complex starting in degree 1
-    # leaves a gap in the degrees
+def test_reduced_homology_pads_missing_low_degrees():
+    # a complex starting in degree 1 gets a zero degree 0, so the
+    # augmentation out of it is the zero map
     c = ChainComplexZ({1: 1, 2: 1}, {2: IntegerMatrix.from_rows([[2]])})
-    with pytest.raises(InputError, match="degrees must be contiguous"):
-        reduced_homology_of(c)
+    assert reduced_homology_of(c) == {
+        -1: HomologyGroup(1), 0: HomologyGroup(), 1: HomologyGroup(0, (2,)),
+        2: HomologyGroup()}
     assert reduced_homology_of(ChainComplexZ({}, {})) == {-1: HomologyGroup(1)}
 
 

@@ -1,4 +1,5 @@
-"""Property tests: random small permutation groups against brute-force oracles."""
+"""Property tests: random small permutation groups and integer matrices
+against brute-force oracles."""
 
 import pytest
 
@@ -6,8 +7,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
-from equichar import (Permutation, all_subgroups,  # noqa: E402
-                      group_from_generators, normalizer)
+from equichar import (IntegerMatrix, Permutation,  # noqa: E402
+                      all_subgroups, exactlin, group_from_generators,
+                      normalizer, smith_normal_form)
 
 
 @st.composite
@@ -32,3 +34,20 @@ def test_lattice_lagrange_and_normalizers(g):
         fixing = {x.key for x in g.elements
                   if {x.inverse() * y * x for y in h.elements} == members}
         assert set(normalizer(g, h).key) == fixing
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 8 x 8, entries in {0, +-1, +-2, 3, 6}, empty shapes included."""
+    nr = draw(st.integers(0, 8))
+    nc = draw(st.integers(0, 8))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 6])
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    return IntegerMatrix(nr, nc, rows)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(sparse_matrices())
+def test_sparse_snf_equals_dense_snf(m):
+    assert smith_normal_form(m) == exactlin._dense_snf(m)

@@ -73,6 +73,18 @@ def test_link_of_vertex_in_octahedron():
     assert lk.reduced_homology()[1] == HomologyGroup(1)
 
 
+def test_link_matches_join_definition():
+    # lk(s) = {t : t and s disjoint, t u s in K}, scanned the long way
+    for x in (helpers.octahedron().barycentric_subdivision(),
+              helpers.rp2_triangulation(), helpers.t_complex()):
+        for s in x.simplices:
+            expected = {t for t in x.simplices if not set(t) & set(s)
+                        and tuple(sorted(set(t) | set(s))) in x.simplices}
+            lk = x.link(s)
+            assert lk.simplices == expected
+            assert set(lk.vertices) == {v for t in expected for v in t}
+
+
 def test_link_conventions():
     x = helpers.t_complex()
     assert x.link(()) == x
