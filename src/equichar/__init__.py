@@ -25,10 +25,9 @@ from .posets import (FinitePoset, PosetComparison, WeylPosetReport,
                      poset_strictly_above, quillen_thevenaz_check,
                      subgroup_poset, weyl_poset_check)
 from .euler import (AcyclicityReport, EulerClass, acyclicity_condition,
-                    chi_fixed_table, elementary_abelian_classes, euler_class,
+                    elementary_abelian_classes, euler_class,
                     euler_class_coefficient, euler_class_cyclic,
-                    euler_class_cyclic_abstract, free_coefficient,
-                    vanishing_identity)
+                    free_coefficient, vanishing_identity)
 from .duality import (CMReport, DualityReport, GradedProfile,
                       ObstructionReport, cohen_macaulay, double_along,
                       duality_obstruction_scan, flag_duality,

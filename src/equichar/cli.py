@@ -37,10 +37,14 @@ def _load_json(path):
         raise InputError("invalid JSON in %s: %s" % (path, exc))
 
 
-def _names(values, what):
+def _list(values, what):
     if not isinstance(values, list):
         raise InputError("%s must be a list" % what)
-    return [str(v) for v in values]
+    return values
+
+
+def _names(values, what):
+    return [str(v) for v in _list(values, what)]
 
 
 def load_complex(path):
@@ -58,11 +62,12 @@ def load_complex(path):
     if has_graph:
         if doc.get("flag") is not True:
             raise InputError("graph input requires \"flag\": true")
-        edges = [_names(e, "edge") for e in doc["graph_edges"]]
+        edges = [_names(e, "edge") for e in _list(doc["graph_edges"], "graph_edges")]
         return SimplicialComplex.flag_from_graph(vertices, edges)
     if doc.get("flag"):
         raise InputError("flag mode applies to graph input only")
-    facets = [_names(s, "simplex") for s in doc["maximal_simplices"]]
+    facets = [_names(s, "simplex")
+              for s in _list(doc["maximal_simplices"], "maximal_simplices")]
     return SimplicialComplex.from_maximal_simplices(vertices, facets)
 
 

@@ -115,15 +115,6 @@ def vanishing_identity(k):
     return free_coefficient(k, {cls.rep: 1 for cls in classes})
 
 
-def chi_fixed_table(action):
-    """Euler characteristics of fixed subcomplexes, one per subgroup class."""
-    action.require_admissible()
-    table = {}
-    for cls in conjugacy_classes_of_subgroups(action.group):
-        table[cls.rep] = action.fixed_subcomplex(cls.rep).euler_characteristic()
-    return table
-
-
 def euler_class_coefficient(action, h):
     """Coefficient of the class of h; any member of the class may be passed.
 
@@ -188,31 +179,6 @@ def euler_class_cyclic(action):
     for i in range(1, n + 1):
         coeffs[towers[i]] = Fraction(chis[i - 1] - chis[i], p ** i)
     return EulerClass(coeffs)
-
-
-def euler_class_cyclic_abstract(table):
-    """Evaluate the cyclic-case formula from user-supplied characteristics.
-
-    table is a list of (label, chi_weyl, q_terms) triples, one per class:
-    chi_weyl is the Euler characteristic attached to the class itself and
-    q_terms lists (q_label, chi_value) pairs for the elementary abelian
-    classes below it.  Returns [(label, coefficient)] in input order.
-    """
-    out = []
-    for entry in table:
-        try:
-            label, chi_w, q_terms = entry
-        except (TypeError, ValueError):
-            raise InputError("table entries must be (label, chi, q_terms) triples")
-        if chi_w is None:
-            raise InputError("missing chi value for %r" % (label,))
-        coeff = Fraction(chi_w)
-        for q_label, chi_q in q_terms:
-            if chi_q is None:
-                raise InputError("missing chi value for %r under %r" % (q_label, label))
-            coeff -= Fraction(chi_q)
-        out.append((label, coeff))
-    return out
 
 
 class AcyclicityReport:

@@ -1,18 +1,19 @@
 """Exact integer linear algebra: Smith normal form and chain complex homology.
 
-Everything runs over Python integers, so results are exact.  Both the
-Smith normal form and the rank over GF(p) start with one sparse eliminator
-that pivots in Markowitz order (sparsest row, then sparsest column).  Over
-Z it takes only entries +-1 as pivots, each an invariant factor 1;
-simplicial boundary matrices are nearly all +-1, so what is left without a
-unit entry is small, and a dense Smith normal form finishes it, pivoting on
-a smallest-magnitude entry.  Arbitrary-precision arithmetic means entry
-growth can never wrap; that pivot rule keeps it tame in practice.  Over
-GF(p) every nonzero entry is a pivot and the rank is the pivot count.
+Everything runs over Python integers, so results are exact.  A matrix
+keeps only its nonzero entries, one {col: value} dict per row, and the
+Smith normal form and the rank over GF(p) both start with one sparse
+eliminator on those rows that pivots in Markowitz order (sparsest row,
+then sparsest column).  Over Z it takes only entries +-1 as pivots, each
+an invariant factor 1; simplicial boundary matrices are nearly all +-1,
+so what is left without a unit entry is small, and a dense Smith normal
+form finishes it, pivoting on a smallest-magnitude entry.
+Arbitrary-precision arithmetic means entry growth can never wrap; that
+pivot rule keeps it tame in practice.  Over GF(p) every nonzero entry is a
+pivot and the rank is the pivot count.
 """
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
 
 from .errors import ConsistencyError, InputError
 
@@ -47,7 +48,13 @@ def prime_power_base(n):
 
 
 class IntegerMatrix:
-    """Dense matrix with integer entries, stored as a list of rows."""
+    """Matrix with integer entries, stored sparsely.
+
+    entries[i] is a {col: value} dict holding the nonzero entries of row i;
+    a zero is never stored, so writing 0 deletes the entry.  The
+    constructor takes dense rows; indices outside the shape raise
+    IndexError.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -55,7 +62,7 @@ class IntegerMatrix:
         if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be non-negative")
         if entries is None:
-            entries = [[0] * cols for _ in range(rows)]
+            entries = [{} for _ in range(rows)]
         else:
             if len(entries) != rows:
                 raise InputError("row count does not match shape")
@@ -67,7 +74,7 @@ class IntegerMatrix:
                 for v in row:
                     if not isinstance(v, int):
                         raise InputError("matrix entries must be integers")
-                fixed.append(row)
+                fixed.append({j: v for j, v in enumerate(row) if v})
             entries = fixed
         self.rows = rows
         self.cols = cols
@@ -79,65 +86,74 @@ class IntegerMatrix:
         nc = len(rows[0]) if rows else 0
         return cls(len(rows), nc, rows)
 
+    def _check(self, i, j):
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("index (%r, %r) outside a %d x %d matrix"
+                             % (i, j, self.rows, self.cols))
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        self._check(i, j)
+        return self.entries[i].get(j, 0)
 
     def __setitem__(self, ij, v):
         i, j = ij
-        self.entries[i][j] = v
+        self._check(i, j)
+        if v:
+            self.entries[i][j] = v
+        else:
+            self.entries[i].pop(j, None)
 
     def __eq__(self, other):
         return (isinstance(other, IntegerMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.entries)))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.entries)))
 
     def __repr__(self):
-        return "IntegerMatrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
+        dense = [[row.get(j, 0) for j in range(self.cols)] for row in self.entries]
+        return "IntegerMatrix(%d, %d, %r)" % (self.rows, self.cols, dense)
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise InputError("matrix shapes do not compose")
         out = IntegerMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            orow = out.entries[i]
-            for k in range(self.cols):
-                v = row[k]
-                if v:
-                    oth = other.entries[k]
-                    for j in range(other.cols):
-                        orow[j] += v * oth[j]
+        for row, orow in zip(self.entries, out.entries):
+            for k, v in row.items():
+                for j, w in other.entries[k].items():
+                    orow[j] = orow.get(j, 0) + v * w
+            for j in [j for j, v in orow.items() if not v]:
+                del orow[j]
         return out
 
     def is_zero(self):
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(self.entries)
 
 
 def _eliminate(m, p=None):
     """Sparse elimination with Markowitz-ordered pivots.
 
-    Reads the dense rows once into {row: {col: value}} with a {col: set of
-    rows} index.  Over Z (p is None) only entries +-1 may pivot; over GF(p)
-    any entry nonzero mod p may, and all arithmetic is reduced mod p.  The
-    next pivot comes from a sparsest row holding a candidate, in its
-    candidate column with the fewest entries, which keeps fill-in low.  Each
-    pivot clears its column from the other rows (the Schur complement
-    update), then its row and column are dropped.
+    Copies the {col: value} rows of m (reduced mod p over GF(p)), leaving
+    m itself untouched, and indexes them by column.  Over Z (p is None)
+    only entries +-1 may pivot; over GF(p) any entry nonzero mod p may,
+    and all arithmetic is reduced mod p.  The next pivot comes from a
+    sparsest row holding a candidate, in its candidate column with the
+    fewest entries, which keeps fill-in low.  Each pivot clears its column
+    from the other rows (the Schur complement update), then its row and
+    column are dropped.
 
     Returns (pivots, rows): the pivot count and the rows left, all of them
     free of +-1 entries over Z and empty over GF(p).
     """
-    span = range(m.cols)
     rows = {}
-    cols = [set() for _ in span]
-    for i, dense in enumerate(m.entries):
+    cols = [set() for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
         if p is None:
-            row = {j: dense[j] for j in compress(span, dense)}
+            row = dict(row)
         else:
-            row = {j: v for j in compress(span, dense) if (v := dense[j] % p)}
+            row = {j: x for j, v in row.items() if (x := v % p)}
         if row:
             rows[i] = row
             for j in row:
@@ -212,8 +228,8 @@ def _dense_snf(m):
     The pivot is always a smallest-magnitude nonzero entry of the remaining
     block, which limits entry growth.
     """
-    a = [row[:] for row in m.entries]
     nr, nc = m.rows, m.cols
+    a = [[row.get(j, 0) for j in range(nc)] for row in m.entries]
     limit = min(nr, nc)
     t = 0
     while t < limit:

@@ -92,9 +92,12 @@ class EquivariantComplex:
             b = self.complex.boundary(d)
             pd = self.generator_perm[d]
             pd1 = self.generator_perm[d - 1]
-            for j in range(b.cols):
-                for i in range(b.rows):
-                    if b[i, j] != b[pd1[i], pd[j]]:
+            # The permutations biject the entries, so matching every
+            # nonzero entry also matches every zero one.
+            for i, row in enumerate(b.entries):
+                image = b.entries[pd1[i]]
+                for j, v in row.items():
+                    if image.get(pd[j], 0) != v:
                         raise InputError("boundary is not equivariant at "
                                          "degree %d" % d)
 
@@ -126,13 +129,16 @@ def fixed_part(equiv):
             continue
         b = c.boundary(d)
         keep_rows = set(idx[d - 1])
-        for j in idx[d]:
-            for i in range(b.rows):
-                if b[i, j] and i not in keep_rows:
-                    raise ConsistencyError("boundary of a fixed cell leaves "
-                                           "the fixed span at degree %d" % d)
-        boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d],
-                                      [[b[i, j] for j in idx[d]] for i in idx[d - 1]])
+        keep_cols = {j: k for k, j in enumerate(idx[d])}
+        for i, row in enumerate(b.entries):
+            if i not in keep_rows and not keep_cols.keys().isdisjoint(row):
+                raise ConsistencyError("boundary of a fixed cell leaves "
+                                       "the fixed span at degree %d" % d)
+        mat = IntegerMatrix(ranks[d - 1], ranks[d])
+        for row, i in zip(mat.entries, idx[d - 1]):
+            row.update((keep_cols[j], v) for j, v in b.entries[i].items()
+                       if j in keep_cols)
+        boundaries[d] = mat
     keep = list(degs)
     while keep and ranks[keep[-1]] == 0:
         boundaries.pop(keep[-1], None)
@@ -197,11 +203,12 @@ def cyclic_extension(m, q, p):
     # column of t_i: +1 on l, -1 on the window s_i, s_(i+1), ..., s_(i+q-1)
     # window entries accumulate: for q > p a cell can be hit more than once
     mat = IntegerMatrix(1 + p, p)
+    rows = mat.entries
     for i in range(p):
-        mat[0, i] = 1
+        rows[0][i] = 1
         for off in range(q):
-            r = 1 + (i + off) % p
-            mat[r, i] = mat[r, i] - 1
+            row = rows[1 + (i + off) % p]
+            row[i] = row.get(i, 0) - 1
     boundaries[m + 2] = mat
     total = ChainComplexZ(ranks, boundaries,
                           labels={d: tuple(v) for d, v in labels.items()})

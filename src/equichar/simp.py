@@ -6,6 +6,8 @@ declared vertex is kept as a 0-simplex, so the vertex list and the
 simplices; the empty simplex () is never stored but is accepted by link().
 """
 
+from itertools import combinations
+
 from .errors import InputError, PreconditionError
 from .exactlin import (ChainComplexZ, IntegerMatrix, augment, cohomology,
                        homology, homology_mod_p)
@@ -43,11 +45,12 @@ def _cliques(adj):
 
 class SimplicialComplex:
 
-    __slots__ = ("vertices", "simplices")
+    __slots__ = ("vertices", "simplices", "_star")
 
     def __init__(self, vertices, simplices, check=True):
         self.vertices = tuple(sorted(set(vertices)))
         self.simplices = frozenset(tuple(s) for s in simplices)
+        self._star = None  # {vertex: simplices containing it}, built by link()
         if check:
             self._validate()
 
@@ -147,16 +150,30 @@ class SimplicialComplex:
                    for s in _cliques(_adjacency(self.vertices, self.edges())))
 
     def link(self, simplex):
-        """Link of a simplex; the empty simplex gives the complex itself."""
+        """Link of a simplex; the empty simplex gives the complex itself.
+
+        lk(s) = {t - s : s a proper face of t}.  Every such t lies in the
+        star of each vertex of s, so only the star of the vertex of s with
+        the fewest cofaces is read, from a vertex -> cofaces index built on
+        the first call (the complex is immutable, so it never goes stale).
+        """
         s = tuple(sorted(set(simplex)))
         if s == ():
             return self
         if s not in self.simplices:
             raise InputError("simplex %r not in complex" % (s,))
-        # lk(s) = {t - s : s a proper face of t in K}
+        star = self._star
+        if star is None:
+            star = {v: [] for v in self.vertices}
+            for t in self.simplices:
+                for v in t:
+                    star[v].append(t)
+            self._star = star
         sset = set(s)
-        simplices = {tuple(v for v in t if v not in sset) for t in self.simplices
-                     if len(t) > len(s) and sset.issubset(t)}
+        n = len(s)
+        simplices = {tuple(v for v in t if v not in sset)
+                     for t in min((star[v] for v in s), key=len)
+                     if len(t) > n and sset.issubset(t)}
         verts = set(v for t in simplices for v in t)
         return SimplicialComplex(verts, simplices, check=False)
 
@@ -172,17 +189,23 @@ class SimplicialComplex:
         """Simplicial chain complex; exactlin.augment adds Z in degree -1."""
         if self.is_empty:
             return ChainComplexZ({}, {}, check=False)
-        by_dim = {d: self.simplices_of_dim(d) for d in range(self.dim + 1)}
-        ranks = {d: len(by_dim[d]) for d in by_dim}
-        labels = {d: tuple("|".join(s) for s in by_dim[d]) for d in by_dim}
-        index = {d: {s: i for i, s in enumerate(by_dim[d])} for d in by_dim}
+        by_dim = [[] for _ in range(self.dim + 1)]
+        for s in self.simplices:
+            by_dim[len(s) - 1].append(s)
+        for cells in by_dim:
+            cells.sort()
+        ranks = {d: len(cells) for d, cells in enumerate(by_dim)}
+        labels = {d: tuple("|".join(s) for s in cells) for d, cells in enumerate(by_dim)}
         boundaries = {}
-        for d in range(1, self.dim + 1):
+        for d in range(1, len(by_dim)):
+            index = {s: i for i, s in enumerate(by_dim[d - 1])}
             mat = IntegerMatrix(ranks[d - 1], ranks[d])
+            rows = mat.entries
             for j, s in enumerate(by_dim[d]):
+                sign = 1
                 for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    mat[index[d - 1][face], j] = (-1) ** i
+                    rows[index[s[:i] + s[i + 1:]]][j] = sign
+                    sign = -sign
             boundaries[d] = mat
         return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
 
@@ -200,8 +223,8 @@ class SimplicialComplex:
         """Flag complex on the simplices, with chains of faces as simplices."""
         simps = sorted(self.simplices)
         names = {s: "|".join(s) for s in simps}
-        pairs = [(names[a], names[b]) for a in simps for b in simps
-                 if len(a) < len(b) and set(a) < set(b)]
+        pairs = [(names[a], names[b]) for b in simps for k in range(1, len(b))
+                 for a in combinations(b, k)]
         return complex_of_chains([names[s] for s in simps], pairs)
 
     def relabel(self, mapping):

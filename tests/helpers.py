@@ -122,6 +122,15 @@ def octahedron():
     return SimplicialComplex.flag_from_graph(verts, edges)
 
 
+def cross_polytope(n):
+    """Boundary of the n-dimensional cross-polytope, a flag (n-1)-sphere;
+    vertex i is antipodal to vertex i + n."""
+    verts = [str(i) for i in range(1, 2 * n + 1)]
+    edges = [(a, b) for a, b in combinations(verts, 2)
+             if abs(int(a) - int(b)) != n]
+    return SimplicialComplex.flag_from_graph(verts, edges)
+
+
 def tetra_boundary():
     return SimplicialComplex.from_maximal_simplices(
         ["a", "b", "c", "d"],
@@ -224,6 +233,12 @@ def matrix_rows(m):
     return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
 
 
+def dense_product(a, b, ncols):
+    """Product of dense row lists; b has ncols columns."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(ncols)]
+            for i in range(len(a))]
+
+
 # ------------------------------------------------------------ group oracles
 
 
@@ -320,3 +335,20 @@ def simplicial_reduced_betti(x, d):
 
     cells = len(by_dim.get(d, []))
     return cells - rational_rank(boundary(d)) - rational_rank(boundary(d + 1))
+
+
+def barycentric_by_pair_scan(x):
+    """Barycentric subdivision from a scan over every pair of faces, with
+    each chain of faces grown one larger face at a time from its least
+    element; quadratic in the number of simplices."""
+    simps = sorted(x.simplices)
+    names = {s: "|".join(s) for s in simps}
+    above = {a: [b for b in simps if len(a) < len(b) and set(a) < set(b)]
+             for a in simps}
+    chains = set()
+    stack = [(a,) for a in simps]
+    while stack:
+        chain = stack.pop()
+        chains.add(tuple(sorted(names[s] for s in chain)))
+        stack.extend(chain + (b,) for b in above[chain[-1]])
+    return SimplicialComplex([names[s] for s in simps], chains)

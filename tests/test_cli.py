@@ -163,6 +163,15 @@ def test_exit_2_unusable_input(capsys, tmp_path):
     assert run(capsys, "cm-check", "--complex", unflagged)[0] == 2
 
 
+def test_exit_2_complex_fields_not_lists(capsys, tmp_path):
+    for field, extra in (("maximal_simplices", {}), ("graph_edges", {"flag": True})):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"vertices": ["a"], field: 5, **extra}))
+        code, out, err = run(capsys, "cm-check", "--complex", bad)
+        assert code == 2 and out == ""
+        assert "%s must be a list" % field in err
+
+
 def test_exit_2_bad_group_files(capsys, tmp_path):
     nolist = tmp_path / "nolist.json"
     nolist.write_text(json.dumps({"generators": "(1 2)"}))

@@ -1,5 +1,7 @@
 """Cohen-Macaulay checks, cohomology profiles, doubling, obstruction scans."""
 
+import time
+
 import pytest
 
 import helpers
@@ -24,6 +26,18 @@ def test_cm_octahedron():
 def test_cm_barycentric_sphere():
     report = cohen_macaulay(helpers.tetra_boundary().barycentric_subdivision())
     assert report.is_cm and report.dimension == 2
+
+
+def test_cm_at_scale():
+    # 5,186 links, each read from the star of one vertex
+    x = helpers.octahedron()
+    for _ in range(3):
+        x = x.barycentric_subdivision()
+    start = time.process_time()
+    report = cohen_macaulay(x)
+    elapsed = time.process_time() - start
+    assert report.is_cm and report.dimension == 2
+    assert elapsed < 1.0
 
 
 def test_cm_t_fails_at_u():

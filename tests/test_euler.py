@@ -6,10 +6,10 @@ import pytest
 
 import helpers
 from equichar import (GroupAction, InputError, Permutation, PreconditionError,
-                      acyclicity_condition, all_subgroups, chi_fixed_table,
-                      double_along, elementary_abelian_classes, euler_class,
+                      acyclicity_condition, all_subgroups, double_along,
+                      elementary_abelian_classes, euler_class,
                       euler_class_coefficient, euler_class_cyclic,
-                      euler_class_cyclic_abstract, find_full_subcomplex_isomorphic,
+                      find_full_subcomplex_isomorphic,
                       free_coefficient, group_from_generators,
                       vanishing_identity)
 
@@ -109,13 +109,6 @@ def test_star_actions_all_zero():
             assert euler_class_cyclic(act) == cls
 
 
-def test_chi_fixed_table_star_d8():
-    act = star_action("(1 2 3 4)", "(1 3)")
-    table = chi_fixed_table(act)
-    assert len(table) == 8
-    assert all(v == 1 for v in table.values())
-
-
 def test_trivial_action_on_point_is_zero():
     point = helpers.SimplicialComplex.from_maximal_simplices(["x"], [("x",)])
     g = group_from_generators(("a", "b"),
@@ -156,22 +149,6 @@ def test_euler_class_requires_admissible():
     act = GroupAction(edge, helpers.group_on(edge, "(1 2)"))
     with pytest.raises(PreconditionError):
         euler_class(act)
-
-
-def test_cyclic_abstract_evaluation():
-    table = [("K", 1, []), ("1", 1, [("q1", 1), ("q2", 1)])]
-    assert euler_class_cyclic_abstract(table) == [
-        ("K", Fraction(1)), ("1", Fraction(-1))]
-    assert euler_class_cyclic_abstract([]) == []
-
-
-def test_cyclic_abstract_rejects_bad_tables():
-    with pytest.raises(InputError):
-        euler_class_cyclic_abstract([("K", None, [])])
-    with pytest.raises(InputError):
-        euler_class_cyclic_abstract([("K", 1, [("q", None)])])
-    with pytest.raises(InputError):
-        euler_class_cyclic_abstract([("K",)])
 
 
 def test_acyclicity_k1_holds():

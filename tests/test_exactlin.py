@@ -152,6 +152,84 @@ def test_matrix_multiplication():
     assert (a * b) == IntegerMatrix.from_rows([[2, 1], [4, 3]])
 
 
+def test_matrix_stores_no_zeros():
+    a = IntegerMatrix(2, 3)
+    a[1, 0] = 4
+    a[0, 1] = 5
+    a[1, 2] = -1
+    a[1, 0] = 0
+    a[0, 1] = 0
+    a[0, 0] = 0
+    b = IntegerMatrix.from_rows([[0, 0, 0], [0, 0, -1]])
+    assert a.entries == b.entries == [{}, {2: -1}]
+    assert a == b and hash(a) == hash(b)
+    assert a[0, 1] == 0 and a[1, 2] == -1
+    # the same entries written in another order
+    c, d = IntegerMatrix(1, 3), IntegerMatrix(1, 3)
+    c[0, 2], c[0, 0] = 7, 3
+    d[0, 0], d[0, 2] = 3, 7
+    assert c == d and hash(c) == hash(d)
+    assert IntegerMatrix.from_rows([[0, 0], [0, 0]]).is_zero()
+    assert not b.is_zero()
+    assert b != IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 1]])
+
+
+def test_matrix_constructor_errors():
+    with pytest.raises(InputError, match="non-negative"):
+        IntegerMatrix(-1, 2)
+    with pytest.raises(InputError, match="row count"):
+        IntegerMatrix(2, 1, [[1]])
+    with pytest.raises(InputError, match="column count"):
+        IntegerMatrix(1, 2, [[1]])
+    with pytest.raises(InputError, match="integers"):
+        IntegerMatrix(1, 2, [[1, 0.5]])
+
+
+def test_matrix_index_outside_shape():
+    m = IntegerMatrix.from_rows([[1, 0], [0, 2], [3, 0]])
+    for i, j in ((3, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            m[i, j]
+        with pytest.raises(IndexError):
+            m[i, j] = 1
+    assert m == IntegerMatrix.from_rows([[1, 0], [0, 2], [3, 0]])
+
+
+def test_matrix_repr_is_dense():
+    assert repr(IntegerMatrix.from_rows([[1, 0], [0, -2]])) == \
+        "IntegerMatrix(2, 2, [[1, 0], [0, -2]])"
+    assert repr(IntegerMatrix(0, 3)) == "IntegerMatrix(0, 3, [])"
+    assert repr(IntegerMatrix(2, 0)) == "IntegerMatrix(2, 0, [[], []])"
+
+
+def test_matrix_product_matches_dense_product():
+    rng = random.Random(314)
+    values = [0] * 6 + [1, -1, 2, -2, 3]
+    for _ in range(200):
+        n, k, c = rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(0, 6)
+        a = [[rng.choice(values) for _ in range(k)] for _ in range(n)]
+        b = [[rng.choice(values) for _ in range(c)] for _ in range(k)]
+        prod = IntegerMatrix(n, k, a) * IntegerMatrix(k, c, b)
+        assert (prod.rows, prod.cols) == (n, c)
+        assert helpers.matrix_rows(prod) == helpers.dense_product(a, b, c)
+        # cancelled sums are not stored
+        assert all(v for row in prod.entries for v in row.values())
+    with pytest.raises(InputError):
+        IntegerMatrix(2, 3) * IntegerMatrix(2, 3)
+
+
+def test_elimination_leaves_its_argument_unchanged():
+    for m in _sparse_matrices() + _boundary_matrices():
+        before = [dict(row) for row in m.entries]
+        smith_normal_form(m)
+        rank_mod_p(m, 3)
+        assert m.entries == before
+    c = augment(helpers.rp2_triangulation().chain_complex())
+    assert homology(c)[1] == HomologyGroup(0, (2,))
+    assert cohomology(c)[2] == HomologyGroup(0, (2,))
+    assert homology(c)[1] == HomologyGroup(0, (2,))
+
+
 def test_homology_group_repr():
     assert repr(HomologyGroup()) == "0"
     assert repr(HomologyGroup(2)) == "Z^2"
@@ -253,6 +331,19 @@ def test_sparse_homology_at_scale():
     elapsed = time.perf_counter() - start
     assert {d: g for d, g in h.items() if not g.is_trivial} == {2: HomologyGroup(1)}
     assert {d: v for d, v in dims.items() if v} == {2: 1}
+    assert elapsed < 5.0
+
+
+def test_sparse_homology_of_bary2_cross_polytope():
+    # S^3 with 40,256 simplices
+    x = helpers.cross_polytope(4).barycentric_subdivision().barycentric_subdivision()
+    assert x.f_vector() == (1696, 10912, 18432, 9216)
+    start = time.process_time()
+    h = x.reduced_homology()
+    dims = x.reduced_homology_mod_p(2)
+    elapsed = time.process_time() - start
+    assert {d: g for d, g in h.items() if not g.is_trivial} == {3: HomologyGroup(1)}
+    assert {d: v for d, v in dims.items() if v} == {3: 1}
     assert elapsed < 5.0
 
 

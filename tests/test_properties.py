@@ -1,5 +1,7 @@
-"""Property tests: random small permutation groups and integer matrices
-against brute-force oracles."""
+"""Property tests: random small permutation groups, integer matrices and
+flag complexes against brute-force oracles and theorems."""
+
+from itertools import combinations
 
 import pytest
 
@@ -8,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
 from equichar import (IntegerMatrix, Permutation,  # noqa: E402
-                      all_subgroups, exactlin, group_from_generators,
-                      normalizer, smith_normal_form)
+                      SimplicialComplex, all_subgroups, exactlin,
+                      group_from_generators, normalizer, smith_normal_form)
 
 
 @st.composite
@@ -51,3 +53,28 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_sparse_snf_equals_dense_snf(m):
     assert smith_normal_form(m) == exactlin._dense_snf(m)
+
+
+@st.composite
+def flag_complexes(draw):
+    """The flag complex of a graph on at most nine vertices."""
+    n = draw(st.integers(0, 9))
+    verts = [str(i) for i in range(n)]
+    pairs = list(combinations(verts, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimplicialComplex.flag_from_graph(
+        verts, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(flag_complexes())
+def test_universal_coefficients_on_flag_complexes(x):
+    # dim H~_d(X; GF(p)) = betti_d + #{p | t in torsion_d} + #{p | t in torsion_(d-1)}
+    h = x.reduced_homology()
+    for p in (2, 3):
+        dims = x.reduced_homology_mod_p(p)
+        assert sorted(dims) == sorted(h)
+        for d, g in h.items():
+            below = h[d - 1].torsion if d - 1 in h else ()
+            assert dims[d] == (g.betti + sum(1 for t in g.torsion if t % p == 0)
+                               + sum(1 for t in below if t % p == 0))

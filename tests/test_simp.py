@@ -1,5 +1,6 @@
 """Simplicial complexes, group actions on them, subcomplex embeddings."""
 
+import random
 import time
 from itertools import combinations
 
@@ -73,16 +74,28 @@ def test_link_of_vertex_in_octahedron():
     assert lk.reduced_homology()[1] == HomologyGroup(1)
 
 
+def _random_flag_complexes():
+    rng = random.Random(20261018)
+    for n, density in ((8, 0.5), (10, 0.6), (12, 0.4)):
+        verts = [str(i) for i in range(n)]
+        yield SimplicialComplex.flag_from_graph(
+            verts, [e for e in combinations(verts, 2) if rng.random() < density])
+
+
 def test_link_matches_join_definition():
     # lk(s) = {t : t and s disjoint, t u s in K}, scanned the long way
     for x in (helpers.octahedron().barycentric_subdivision(),
-              helpers.rp2_triangulation(), helpers.t_complex()):
-        for s in x.simplices:
+              helpers.rp2_triangulation(), helpers.t_complex(),
+              helpers.cross_polytope(4), *_random_flag_complexes()):
+        for s in sorted(x.simplices):
             expected = {t for t in x.simplices if not set(t) & set(s)
                         and tuple(sorted(set(t) | set(s))) in x.simplices}
             lk = x.link(s)
             assert lk.simplices == expected
             assert set(lk.vertices) == {v for t in expected for v in t}
+            # a second call on the same complex reads the same answer
+            assert x.link(s) == lk
+            assert x.link(reversed(s)) == lk
 
 
 def test_link_conventions():
@@ -131,6 +144,13 @@ def test_barycentric_subdivision():
     assert bary.euler_characteristic() == 2
     assert bary.is_flag()
     assert bary.reduced_homology()[2] == HomologyGroup(1)
+
+
+def test_barycentric_subdivision_matches_pair_scan():
+    for x in (*helpers.complex_corpus().values(), helpers.cross_polytope(4),
+              helpers.octahedron().barycentric_subdivision(),
+              SimplicialComplex.empty(), *_random_flag_complexes()):
+        assert x.barycentric_subdivision() == helpers.barycentric_by_pair_scan(x)
 
 
 def test_complex_of_chains():
