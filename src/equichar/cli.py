@@ -16,12 +16,13 @@ from .errors import InputError, PreconditionError, ResourceLimitError
 from .euler import acyclicity_condition, euler_class, euler_class_coefficient
 from .duality import (cohen_macaulay, double_along, duality_obstruction_scan,
                       flag_duality, graded_cohomology_profile)
-from .exactlin import homology_mod_p
+from .exactlin import homology_mod_p, is_prime
 from .jones import cyclic_extension, fixed_part, moore_complex, reduced_homology_of
 from .permgrp import (Permutation, all_subgroups,
                       conjugacy_classes_of_subgroups, group_from_generators,
                       is_p_group)
-from .posets import (quillen_thevenaz_check, subgroup_poset, weyl_poset_check)
+from .posets import (FILTERS, quillen_thevenaz_check, subgroup_poset,
+                     weyl_poset_check)
 from .simp import GroupAction, SimplicialComplex, find_full_subcomplex_isomorphic
 
 SCHEMA = "equichar/1"
@@ -323,11 +324,9 @@ def cmd_double(args):
 
 
 def _maximal_simplices(x):
-    maximal = []
-    for s in sorted(x.simplices):
-        if not any(set(s) < set(t) for t in x.simplices):
-            maximal.append(list(s))
-    return maximal
+    """Simplices that are no other simplex's codimension-1 face."""
+    faces = {s[:i] + s[i + 1:] for s in x.simplices for i in range(len(s))}
+    return [list(s) for s in sorted(x.simplices - faces)]
 
 
 def cmd_jones_verify(args):
@@ -338,7 +337,7 @@ def cmd_jones_verify(args):
     fixed_hom = reduced_homology_of(fixed)
     mod_q = None
     expect_mod_q = None
-    if args.q >= 2 and all(args.q % k for k in range(2, args.q)):
+    if is_prime(args.q):
         mod_q = homology_mod_p(fixed, args.q).get(args.m, 0)
         expect_mod_q = mod_q > 0
     verified = result.acyclic and fixed_ok and (expect_mod_q is None or expect_mod_q)
@@ -385,9 +384,7 @@ def make_parser():
 
     add("subgroups", cmd_subgroups, group=True, optional_complex=True)
     p = add("poset-euler", cmd_poset_euler, group=True, optional_complex=True)
-    p.add_argument("--filter", default="nontrivial",
-                   choices=["nontrivial", "nilpotent", "elementary-abelian",
-                            "proper-nontrivial"])
+    p.add_argument("--filter", default="nontrivial", choices=FILTERS)
     add("quillen-check", cmd_quillen_check, group=True, optional_complex=True)
     add("weyl-check", cmd_weyl_check, group=True, optional_complex=True)
     add("euler-class", cmd_euler_class, complex=True, group=True)

@@ -449,17 +449,9 @@ def augment(c):
     return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
 
 
-def _snf_by_degree(c):
-    degs = c.degrees()
-    out = {}
-    for d in degs:
-        out[d] = smith_normal_form(c.boundary(d))
-    return out
-
-
 def homology(c):
     """Homology groups by Smith normal form, as {degree: HomologyGroup}."""
-    snf = _snf_by_degree(c)
+    snf = {d: smith_normal_form(c.boundary(d)) for d in c.degrees()}
     out = {}
     for d in c.degrees():
         r_here = snf[d][1]
@@ -471,20 +463,11 @@ def homology(c):
 
 
 def cohomology(c):
-    """Cohomology of the dual complex Hom(C, Z).
-
-    Free parts agree with homology; the torsion of H^d equals the torsion
-    of H_(d-1), read off the same Smith normal forms.
-    """
-    snf = _snf_by_degree(c)
-    out = {}
-    for d in c.degrees():
-        diag_here, r_here = snf[d]
-        r_up = snf.get(d + 1, ([], 0))[1]
-        betti = c.rank(d) - r_here - r_up
-        torsion = tuple(v for v in diag_here if v > 1)
-        out[d] = HomologyGroup(betti, torsion)
-    return out
+    """Cohomology of the dual complex Hom(C, Z), by universal coefficients:
+    H^d has the free part of H_d and the torsion of H_(d-1)."""
+    h = homology(c)
+    return {d: HomologyGroup(h[d].betti, h[d - 1].torsion if d - 1 in h else ())
+            for d in h}
 
 
 def homology_mod_p(c, p):

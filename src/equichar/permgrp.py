@@ -1,12 +1,15 @@
 """Finite permutation groups on numbered elements.
 
-A group is closed once from its generators.  Its elements sort by their
-image tuple on the sorted point list, which makes every listing
-deterministic and puts the identity first, and each element is numbered by
-its place in that order.  On first use a group builds an index from int
-image tuples to numbers, a multiplication table and an inverse table over
-the numbers, and keeps them on the instance; a group that is only asked for
-its order never pays for a table.
+An element is stored once, as its int image tuple on the sorted point
+list: key[i] is the position of the image of points[i].  The positions are
+monotone in the point names, so these keys sort exactly like the tuples of
+image names would.  A group is always closed from its generators, and its
+elements sort by key, which makes every listing deterministic, puts the
+identity first and numbers each element by its place in that order.  One
+index maps keys to numbers; on first use a group also builds a
+multiplication table and an inverse table over the numbers and keeps them
+on the instance, so a group that is only asked for its order never pays
+for a table.
 
 A subgroup is an int bitmask over element numbers (bit i set when element
 i belongs to it); a FiniteGroup is its own whole subgroup, with ``group``
@@ -30,9 +33,15 @@ DEFAULT_ORDER_BOUND = 20000
 
 
 class Permutation:
-    """A permutation of a fixed finite set of named points."""
+    """A permutation of a fixed finite set of named points.
 
-    __slots__ = ("points", "mapping", "key")
+    key is the int image tuple on the sorted points, the one encoding that
+    products, inverses, orders, equality and sorting work on; mapping,
+    {point: image}, is the named view behind calling and cycle notation,
+    built on first use.
+    """
+
+    __slots__ = ("points", "key", "_mapping")
 
     def __init__(self, points, mapping):
         points = tuple(sorted(points))
@@ -40,13 +49,24 @@ class Permutation:
             raise InputError("permutation domain does not match point set")
         if set(mapping.values()) != set(points):
             raise InputError("permutation is not a bijection")
+        pos = {p: i for i, p in enumerate(points)}
         self.points = points
-        self.mapping = dict(mapping)
-        self.key = tuple(mapping[p] for p in points)
+        self.key = tuple(pos[mapping[p]] for p in points)
+        self._mapping = dict(mapping)
+
+    @classmethod
+    def _of(cls, points, key):
+        """The permutation of the sorted point tuple with int image tuple key."""
+        g = object.__new__(cls)
+        g.points = points
+        g.key = key
+        g._mapping = None
+        return g
 
     @classmethod
     def identity(cls, points):
-        return cls(points, {p: p for p in points})
+        points = tuple(sorted(points))
+        return cls._of(points, tuple(range(len(points))))
 
     @classmethod
     def from_cycles(cls, points, text):
@@ -74,6 +94,13 @@ class Permutation:
             mapping[names[-1]] = names[0]
         return cls(points, mapping)
 
+    @property
+    def mapping(self):
+        if self._mapping is None:
+            pts = self.points
+            self._mapping = dict(zip(pts, map(pts.__getitem__, self.key)))
+        return self._mapping
+
     def __call__(self, x):
         return self.mapping[x]
 
@@ -81,10 +108,13 @@ class Permutation:
         """Composition: (g * h)(x) = g(h(x))."""
         if self.points != other.points:
             raise InputError("permutations act on different point sets")
-        return Permutation(self.points, {p: self.mapping[other.mapping[p]] for p in self.points})
+        return Permutation._of(self.points, tuple(map(self.key.__getitem__, other.key)))
 
     def inverse(self):
-        return Permutation(self.points, {v: k for k, v in self.mapping.items()})
+        inv = [0] * len(self.key)
+        for i, j in enumerate(self.key):
+            inv[j] = i
+        return Permutation._of(self.points, tuple(inv))
 
     def __pow__(self, n):
         if n < 0:
@@ -100,30 +130,26 @@ class Permutation:
 
     @property
     def is_identity(self):
-        return all(k == v for k, v in self.mapping.items())
+        return all(i == j for i, j in enumerate(self.key))
 
     def order(self):
-        n = 1
-        g = self
-        while not g.is_identity:
-            g = g * self
-            n += 1
-        return n
+        return _cycle_order(self.key)
 
     def cycles(self):
         """Non-singleton cycles, each starting at its least point."""
+        mapping = self.mapping
         seen = set()
         out = []
         for p in self.points:
-            if p in seen or self.mapping[p] == p:
+            if p in seen or mapping[p] == p:
                 continue
             cyc = [p]
             seen.add(p)
-            q = self.mapping[p]
+            q = mapping[p]
             while q != p:
                 cyc.append(q)
                 seen.add(q)
-                q = self.mapping[q]
+                q = mapping[q]
             out.append(tuple(cyc))
         return out
 
@@ -184,11 +210,6 @@ def _bits(mask):
     return out
 
 
-def _images_of(points, perms):
-    pos = {p: i for i, p in enumerate(points)}
-    return [tuple(pos[q] for q in g.key) for g in perms]
-
-
 def _cycle_order(images):
     """Order of a permutation from the lengths of its cycles."""
     order = 1
@@ -207,92 +228,58 @@ def _cycle_order(images):
 
 
 class FiniteGroup:
-    """A permutation group given by its full (or generated) element list."""
+    """A permutation group, closed from its generators.
 
-    def __init__(self, points, generators, elements=None,
-                 max_order=DEFAULT_ORDER_BOUND, check=True):
-        self.points = tuple(sorted(points))
+    elements lists every element sorted by key, the identity first; _index
+    maps each key to its element number.
+    """
+
+    def __init__(self, points, generators, max_order=DEFAULT_ORDER_BOUND):
+        self.points = pts = tuple(sorted(points))
         gens = []
         for g in generators:
-            if g.points != self.points:
+            if g.points != pts:
                 raise InputError("generator acts on the wrong point set")
             if not g.is_identity:
                 gens.append(g)
         self.generators = tuple(gens)
-        self._images = None
-        if elements is None:
-            pts = self.points
-            images = sorted(_close_under_products(
-                len(pts), _images_of(pts, self.generators), max_order))
-            self.elements = tuple(
-                Permutation(pts, dict(zip(pts, map(pts.__getitem__, t))))
-                for t in images)
-            self._images = images
-        else:
-            self.elements = tuple(sorted(set(elements)))
-            if check:
-                self._verify_closed()
-        self.identity = Permutation.identity(self.points)
-        self._index = {g.key: i for i, g in enumerate(self.elements)}
-        if self.identity.key not in self._index:
-            raise InputError("element list omits the identity")
-        self._number = None
+        keys = sorted(_close_under_products(
+            len(pts), [g.key for g in gens], max_order))
+        self.elements = tuple(Permutation._of(pts, t) for t in keys)
+        self.identity = self.elements[0]
+        self._index = {t: i for i, t in enumerate(keys)}
         self._mul = None
         self._inv = None
         self._orders = None
         self._lattices = {}
 
-    def _verify_closed(self):
-        keys = {g.key for g in self.elements}
-        for g in self.elements:
-            if g.points != self.points:
-                raise InputError("element acts on the wrong point set")
-            if g.inverse().key not in keys:
-                raise InputError("element list is not closed under inverses")
-        images = set(_images_of(self.points, self.elements))
-        for a in images:
-            step = a.__getitem__
-            for b in images:
-                if tuple(map(step, b)) not in images:
-                    raise InputError("element list is not closed under products")
-
     # ------------------------------------------------ numbered elements
-
-    def _numbering(self):
-        """(images, number): the int image tuple of each element, and the
-        element number of each image tuple."""
-        if self._number is None:
-            if self._images is None:
-                self._images = _images_of(self.points, self.elements)
-            self._number = {t: i for i, t in enumerate(self._images)}
-        return self._images, self._number
 
     def _tables(self):
         """(mul, inv): mul[a][b] numbers elements[a] * elements[b]."""
         if self._mul is None:
-            images, number = self._numbering()
-            try:
-                self._mul = [[number[tuple(map(a.__getitem__, b))] for b in images]
-                             for a in images]
-            except KeyError:
-                raise InputError("element list is not closed under products")
+            index = self._index
+            keys = list(index)
+            self._mul = [[index[tuple(map(a.__getitem__, b))] for b in keys]
+                         for a in keys]
             self._inv = [row.index(0) for row in self._mul]
         return self._mul, self._inv
 
     def _element_orders(self):
         if self._orders is None:
-            self._orders = [_cycle_order(t) for t in self._numbering()[0]]
+            self._orders = [_cycle_order(t) for t in self._index]
         return self._orders
 
     def _generate(self, numbers, bound, base=1):
         """Mask of the subgroup generated by the numbered elements and the
         subgroup mask base, whose generators must be among them."""
-        images, number = self._numbering()
+        elements = self.elements
+        index = self._index
         mask = base
         for t in _close_under_products(len(self.points),
-                                       [images[i] for i in numbers], bound,
-                                       [images[i] for i in _bits(base)]):
-            mask |= 1 << number[t]
+                                       [elements[i].key for i in numbers], bound,
+                                       [elements[i].key for i in _bits(base)]):
+            mask |= 1 << index[t]
         return mask
 
     # ------------------------------------------------ public interface
@@ -316,7 +303,8 @@ class FiniteGroup:
         return len(self.elements)
 
     def __contains__(self, g):
-        return isinstance(g, Permutation) and g.key in self._index
+        return (isinstance(g, Permutation) and g.points == self.points
+                and g.key in self._index)
 
     def subgroup_generated(self, gens):
         gens = list(gens)
@@ -348,32 +336,33 @@ def homomorphism_images(group, points, generator_images):
 
     The pairs (g, image of g) act on the disjoint union of group.points and
     points, and the subgroup they generate is the graph of a homomorphism
-    exactly when it has |group| elements with distinct first parts, one for
-    each element of the group.
+    exactly when its elements have distinct first parts.  The group is
+    closed from the same generators, so the first parts then cover it.
     """
     points = tuple(sorted(points))
     gens = group.generators
-    imgs = [generator_images[g] for g in gens]
-    for g, img in zip(gens, imgs):
+    imgs = []
+    for g in gens:
+        img = generator_images.get(g)
+        if img is None:
+            raise InputError("no image given for generator %s" % g)
+        if not isinstance(img, Permutation):
+            raise InputError("image of %s is not a permutation" % g)
         if img.points != points:
             raise InputError("image of %s does not permute the vertices" % g)
-    number = group._numbering()[1]
+        imgs.append(img)
     n = len(group.points)
-    pairs = [a + tuple(n + i for i in b)
-             for a, b in zip(_images_of(group.points, gens),
-                             _images_of(points, imgs))]
+    pairs = [g.key + tuple(n + i for i in img.key) for g, img in zip(gens, imgs)]
     broken = "generator images do not define a homomorphism"
     try:
         graph = _close_under_products(n + len(points), pairs, group.order)
     except ResourceLimitError:
         raise InputError(broken) from None
-    second = {number[t[:n]]: t[n:] for t in graph}
+    index = group._index
+    second = {index[t[:n]]: tuple(j - n for j in t[n:]) for t in graph}
     if len(second) < len(graph):
         raise InputError(broken)
-    if len(second) < group.order:
-        raise InputError("generators do not generate the group")
-    return {group.elements[i].key:
-            Permutation(points, dict(zip(points, [points[j - n] for j in second[i]])))
+    return {group.elements[i].key: Permutation._of(points, second[i])
             for i in sorted(second)}
 
 
@@ -387,10 +376,9 @@ class Subgroup:
         index = group._index
         mask = 0
         for g in elements:
-            i = index.get(g.key) if isinstance(g, Permutation) else None
-            if i is None:
+            if g not in group:
                 raise InputError("subgroup element lies outside the group")
-            mask |= 1 << i
+            mask |= 1 << index[g.key]
         if not mask & 1:
             raise InputError("subgroup must contain the identity")
         self._fill(group, mask)
@@ -419,10 +407,8 @@ class Subgroup:
         return iter(self.elements)
 
     def __contains__(self, g):
-        if not isinstance(g, Permutation):
-            return False
-        i = self.group._index.get(g.key)
-        return i is not None and bool(self.mask >> i & 1)
+        group = self.group
+        return g in group and bool(self.mask >> group._index[g.key] & 1)
 
     def __le__(self, other):
         if self.group is other.group:
@@ -433,20 +419,11 @@ class Subgroup:
         return self.order < other.order and self <= other
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.key == other.key
+        return (isinstance(other, Subgroup) and self.key == other.key
+                and self.group.points == other.group.points)
 
     def __hash__(self):
         return hash(self.key)
-
-    def conjugate(self, g):
-        """The subgroup g^-1 H g."""
-        x = self.group._index.get(g.key)
-        if x is None:
-            gi = g.inverse()
-            return Subgroup(self.group, tuple(gi * h * g for h in self.elements))
-        mul, inv = self.group._tables()
-        return Subgroup._of(self.group,
-                            _conjugate_mask(mul, inv, _bits(self.mask), x))
 
     def generating_set(self):
         """Greedy deterministic generating list (empty for the trivial subgroup)."""
@@ -458,11 +435,6 @@ class Subgroup:
         if self.is_trivial:
             return "1"
         return "⟨" + ", ".join(str(g) for g in self.generating_set()) + "⟩"
-
-    def as_group(self, check=False):
-        """View this subgroup as a standalone FiniteGroup on the same points."""
-        return FiniteGroup(self.group.points, self.generating_set(),
-                           elements=self.elements, check=check)
 
     def __repr__(self):
         return "Subgroup(order=%d, %s)" % (self.order, self.describe())
@@ -490,10 +462,9 @@ def _inner_mask(g, h):
     else:
         mask = 0
         for x in h.elements:
-            i = group._index.get(x.key)
-            if i is None:
+            if x not in group:
                 raise InputError("not a subgroup of the ambient group")
-            mask |= 1 << i
+            mask |= 1 << group._index[x.key]
     if mask & ~g.mask:
         raise InputError("not a subgroup of the ambient group")
     return mask
@@ -659,10 +630,9 @@ class QuotientGroup(FiniteGroup):
     """The quotient N/H realized as a permutation group on coset labels.
 
     N acts on the left cosets of H by left multiplication; since H is
-    normal in N the kernel of that action is exactly H, so the label
-    permutations form a faithful copy of N/H.  Extra bookkeeping keeps the
-    projection from N, a section picking the least representative of each
-    coset, and preimages of subgroups.
+    normal in N the kernel of that action is exactly H, so the group
+    closed from the label permutations of N's generators is a faithful
+    copy of N/H.  A section picks the least representative of each coset.
     """
 
     def __init__(self, source, kernel):
@@ -670,55 +640,37 @@ class QuotientGroup(FiniteGroup):
         if not is_normal(source, kernel):
             raise InputError("kernel is not normal in the source group")
         parent = source.group
-        source = Subgroup._of(parent, source.mask)
-        self.source = source
-        self.kernel = kernel
         mul = parent._tables()[0]
         ks = _bits(kmask)
         coset_of = {}
-        members = []
+        reps = []
         for x in _bits(source.mask):
             if x not in coset_of:
                 row = mul[x]
-                coset = sorted(row[y] for y in ks)
-                for y in coset:
-                    coset_of[y] = len(members)
-                members.append(coset)
-        labels = tuple("c%d" % i for i in range(len(members)))
-        perms = [Permutation(labels, {lab: labels[coset_of[mul[c[0]][d[0]]]]
-                                      for lab, d in zip(labels, members)})
-                 for c in members]
-        gens = _generating_numbers(parent, source.mask)
-        super().__init__(labels, [perms[coset_of[x]] for x in gens],
-                         elements=perms, check=False)
-        self.cosets = tuple(tuple(parent.elements[y] for y in c) for c in members)
-        self.project = {parent.elements[x].key: perms[c]
-                        for x, c in sorted(coset_of.items())}
-        self.section = {perm.key: coset[0]
-                        for perm, coset in zip(perms, self.cosets)}
-        self._preimages = [(perm, sum(1 << y for y in c))
-                           for perm, c in zip(perms, members)]
-        if self.order * kernel.order != source.order:
-            raise InputError("coset action is not faithful; kernel not normal")
+                for y in ks:
+                    coset_of[row[y]] = len(reps)
+                reps.append(x)
+        # label "c<i>" names the i-th coset found, but labels sort as
+        # strings: at[j] represents the coset at sorted position j, and
+        # key(x) is the image tuple of left multiplication by x
+        points = tuple(sorted("c%d" % i for i in range(len(reps))))
+        at = [reps[int(p[1:])] for p in points]
+        pos = {coset_of[x]: i for i, x in enumerate(at)}
 
-    def project_element(self, x):
-        if x.key not in self.project:
-            raise InputError("element lies outside the source group")
-        return self.project[x.key]
+        def key(x):
+            row = mul[x]
+            return tuple(pos[coset_of[row[y]]] for y in at)
+
+        gens = _generating_numbers(parent, source.mask)
+        super().__init__(points, [Permutation._of(points, key(x)) for x in gens],
+                         max_order=len(reps))
+        self.section = {key(x): parent.elements[x] for x in reps}
 
     def section_of(self, q):
         """Least source representative of a quotient element."""
-        if q.key not in self.section:
+        if q not in self:
             raise InputError("not an element of the quotient")
         return self.section[q.key]
-
-    def preimage(self, sub):
-        """Preimage in the source of a subgroup of the quotient."""
-        mask = 0
-        for perm, cmask in self._preimages:
-            if perm in sub:
-                mask |= cmask
-        return Subgroup._of(self.source.group, mask)
 
 
 def quotient(n, h):

@@ -287,7 +287,7 @@ class GroupAction:
         self._admissible = None
 
     def image(self, g):
-        if g.key not in self.images:
+        if g not in self.group:
             raise InputError("element lies outside the acting group")
         return self.images[g.key]
 
@@ -322,7 +322,7 @@ class GroupAction:
         else:
             elems = tuple(h)
         for g in elems:
-            if g.key not in self.images:
+            if g not in self.group:
                 raise InputError("subgroup lies outside the acting group")
         return elems
 

@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from equichar import (Permutation, QuotientGroup, SimplicialComplex, Subgroup,
-                      center, group_from_generators)
+from equichar import (Permutation, QuotientGroup, SimplicialComplex, center,
+                      group_from_generators)
 
 
 # ---------------------------------------------------------------- groups
@@ -270,9 +270,10 @@ def brute_subgroups(g):
 
 
 def nilpotent_by_central_series(h):
-    """Nilpotency by the upper central series: divide out centers until the
-    group is exhausted or a center is trivial."""
-    g = h.as_group() if isinstance(h, Subgroup) else h
+    """Nilpotency of the subgroup h by the upper central series: divide out
+    centers of a standalone copy until the group is exhausted or a center
+    is trivial."""
+    g = group_from_generators(h.group.points, h.generating_set())
     while g.order > 1:
         z = center(g)
         if z.is_trivial:

@@ -119,7 +119,7 @@ def test_lattice_memo_returns_fresh_lists():
 def test_subgroup_lattice_equals_lattice_of_as_group():
     g = helpers.s4()
     for h in all_subgroups(g):
-        alone = h.as_group()
+        alone = group_from_generators(h.group.points, h.generating_set())
         ours = all_subgroups(h)
         assert all(k.group is g for k in ours)
         assert [k.key for k in ours] == [k.key for k in all_subgroups(alone)]
@@ -128,11 +128,24 @@ def test_subgroup_lattice_equals_lattice_of_as_group():
                     for c in conjugacy_classes_of_subgroups(alone)])
 
 
-def test_conjugate_subgroup():
+def test_foreign_point_set_is_not_a_member():
     g = helpers.d8()
-    h = g.subgroup_generated([perm("(1 3)")])
-    x = perm("(1 2 3 4)")
-    assert h.conjugate(x) == g.subgroup_generated([perm("(2 4)")])
+    r = perm("(1 2 3 4)")
+    foreign = perm("(w x y z)", ("w", "x", "y", "z"))
+    assert foreign.key == r.key and foreign != r
+    assert r in g and foreign not in g
+    assert foreign not in g.whole()
+    with pytest.raises(InputError, match="lies outside the group"):
+        Subgroup(g, [g.identity, foreign, foreign ** 2, foreign ** 3])
+    with pytest.raises(InputError, match="lies outside the group"):
+        g.subgroup_generated([foreign])
+    twin = group_from_generators(
+        ("w", "x", "y", "z"), [foreign, perm("(w y)", ("w", "x", "y", "z"))])
+    assert [h.key for h in all_subgroups(twin)] == [h.key for h in all_subgroups(g)]
+    assert twin.whole() != g.whole()
+    assert not twin.whole() <= g.whole()
+    with pytest.raises(InputError, match="not a subgroup of the ambient group"):
+        normalizer(g, twin.whole())
 
 
 def test_normalizer_centralizer_center():
@@ -163,12 +176,13 @@ def test_quotient_is_klein_four():
 
 def test_quotient_projection_and_section():
     g = helpers.d8()
-    q = QuotientGroup(g.whole(), center(g))
-    for x in g.elements:
-        bar = q.project_element(x)
-        assert q.project_element(q.section_of(bar)) == bar
-    pre = q.preimage(q.whole())
-    assert pre.order == 8
+    z = center(g)
+    q = QuotientGroup(g.whole(), z)
+    cosets = [{r * k for k in z} for r in map(q.section_of, q.elements)]
+    assert sorted(x for c in cosets for x in c) == list(g.elements)
+    assert q.section_of(q.identity) == g.identity
+    with pytest.raises(InputError, match="not an element of the quotient"):
+        q.section_of(perm("(1 2)"))
 
 
 def test_quotient_requires_normal():

@@ -39,6 +39,33 @@ def test_lattice_lagrange_and_normalizers(g):
 
 
 @st.composite
+def permutation_lists(draw):
+    """Two to six permutations of the points "1" .. "n" for n up to 12, so
+    that for n >= 10 the points' string order ("1", "10", "11", "2", ...)
+    differs from their numeric order."""
+    n = draw(st.integers(1, 12))
+    points = [str(i) for i in range(1, n + 1)]
+    images = draw(st.lists(st.permutations(points), min_size=2, max_size=6))
+    return [Permutation(points, dict(zip(points, img))) for img in images]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(permutation_lists(), st.integers(0, 7))
+def test_permutation_arithmetic_on_named_points(perms, k):
+    a, b = perms[0], perms[1]
+    ident = Permutation.identity(a.points)
+    assert all((a * b)(x) == a(b(x)) for x in a.points)
+    assert (a.inverse() * a).is_identity and a.inverse() * a == ident
+    assert a ** -k == (a ** k).inverse()
+    power, n = a, 1
+    while power != ident:
+        power, n = power * a, n + 1
+    assert a.order() == n
+    assert (sorted(perms)
+            == sorted(perms, key=lambda g: tuple(g(p) for p in g.points)))
+
+
+@st.composite
 def sparse_matrices(draw):
     """Up to 8 x 8, entries in {0, +-1, +-2, 3, 6}, empty shapes included."""
     nr = draw(st.integers(0, 8))

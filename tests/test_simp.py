@@ -7,10 +7,9 @@ from itertools import combinations
 import pytest
 
 import helpers
-from equichar import (FiniteGroup, GroupAction, HomologyGroup, InputError,
-                      Permutation, PreconditionError, SimplicialComplex,
-                      complex_of_chains, double_along,
-                      find_full_subcomplex_isomorphic)
+from equichar import (GroupAction, HomologyGroup, InputError, Permutation,
+                      PreconditionError, SimplicialComplex, complex_of_chains,
+                      double_along, find_full_subcomplex_isomorphic)
 
 
 def test_face_closure():
@@ -236,14 +235,40 @@ def test_image_on_wrong_points_rejected():
         GroupAction(tri, g, generator_images=images)
 
 
+def test_missing_generator_image_rejected():
+    tri = SimplicialComplex.from_maximal_simplices("abc", [("a", "b", "c")])
+    g = helpers.group("(1 2)", "(3 4)")
+    images = {g.generators[0]: Permutation.from_cycles(tri.vertices, "(a b)")}
+    with pytest.raises(InputError, match=r"no image given for generator \(3 4\)"):
+        GroupAction(tri, g, generator_images=images)
+
+
+def test_non_permutation_generator_image_rejected():
+    tri = SimplicialComplex.from_maximal_simplices("abc", [("a", "b", "c")])
+    g = helpers.group("(1 2)")
+    for bad in ({"a": "b", "b": "a", "c": "c"}, "(a b)", 5):
+        with pytest.raises(InputError,
+                           match=r"image of \(1 2\) is not a permutation"):
+            GroupAction(tri, g, generator_images={g.generators[0]: bad})
+
+
+def test_foreign_point_set_is_outside_the_acting_group():
+    square = SimplicialComplex.from_maximal_simplices(
+        "1234", [("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
+    act = GroupAction(square, helpers.d8())
+    foreign = Permutation.from_cycles("wxyz", "(w x y z)")
+    assert foreign.key == Permutation.from_cycles("1234", "(1 2 3 4)").key
+    with pytest.raises(InputError, match="outside the acting group"):
+        act.image(foreign)
+    with pytest.raises(InputError, match="outside the acting group"):
+        act.fixed_vertices([foreign])
+
+
 def test_generators_must_generate_the_group():
     square = SimplicialComplex.from_maximal_simplices(
         "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    c2xc2 = helpers.group("(1 2)", "(3 4)")
-    g = FiniteGroup(c2xc2.points, c2xc2.generators[:1], elements=c2xc2.elements)
+    g = helpers.group("(1 2)")
     gen = g.generators[0]
-    with pytest.raises(InputError, match="do not generate the group"):
-        GroupAction(square, g, {gen: Permutation.from_cycles("abcd", "(a c)")})
     # a 4-cycle image of an involution fits in |g| elements but repeats
     # the involution's first part
     with pytest.raises(InputError, match="do not define a homomorphism"):
