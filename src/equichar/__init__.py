@@ -11,13 +11,12 @@ from .errors import (ConsistencyError, InputError, PreconditionError,
 from .exactlin import (ChainComplexZ, HomologyGroup, IntegerMatrix, augment,
                        cohomology, homology, homology_mod_p, is_prime,
                        prime_power_base, rank_mod_p, smith_normal_form)
-from .permgrp import (FiniteGroup, Permutation, QuotientGroup, Subgroup,
-                      SubgroupClass, all_subgroups, center, centralizer,
+from .permgrp import (FiniteGroup, Permutation, Subgroup, SubgroupClass,
+                      all_subgroups, center, centralizer,
                       conjugacy_classes_of_subgroups, elementary_abelian_rank,
                       group_from_generators, is_abelian, is_cyclic,
                       is_elementary_abelian, is_elementary_abelian_any,
-                      is_nilpotent, is_normal, is_p_group, normalizer,
-                      quotient)
+                      is_nilpotent, is_normal, is_p_group, normalizer)
 from .simp import (Embedding, GroupAction, SimplicialComplex,
                    complex_of_chains, find_full_subcomplex_isomorphic)
 from .posets import (FinitePoset, PosetComparison, WeylPosetReport,

@@ -12,8 +12,9 @@ group everything lands in a single k.
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .permgrp import conjugacy_classes_of_subgroups, group_from_generators
-from .simp import GroupAction, Permutation, SimplicialComplex
+from .permgrp import (Permutation, conjugacy_classes_of_subgroups,
+                      group_from_generators)
+from .simp import GroupAction, SimplicialComplex
 
 
 @dataclass

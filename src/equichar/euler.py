@@ -9,13 +9,13 @@ weighted-sum formula (euler_class) and a telescope for cyclic K
 """
 
 from fractions import Fraction
-from math import comb
 
 from .errors import InputError, PreconditionError
-from .exactlin import prime_power_base
-from .permgrp import (Subgroup, all_subgroups, conjugacy_classes_of_subgroups,
-                      elementary_abelian_rank, is_cyclic,
-                      is_elementary_abelian_any, normalizer, require_p_group)
+from .permgrp import (Subgroup, _prime_of_order, _weyl_classes, all_subgroups,
+                      conjugacy_classes_of_subgroups, elementary_abelian_rank,
+                      is_cyclic, is_elementary_abelian_any, normalizer,
+                      require_p_group)
+from .posets import elementary_abelian_euler_formula
 
 
 class EulerClass:
@@ -44,7 +44,7 @@ class EulerClass:
         return all(self.coefficient(h) == other.coefficient(h) for h in keys)
 
     def __hash__(self):
-        return hash(frozenset((h.key, c) for h, c in self.coefficients.items()))
+        return hash(frozenset((h.key, c) for h, c in self.coefficients.items() if c))
 
     def format_text(self, include_zero=True):
         parts = []
@@ -85,21 +85,10 @@ def free_coefficient(k, chi):
     chi maps class representatives (any member works) to integers, usually
     Euler characteristics of centralizer pieces.  Each class of rank n for
     the prime p contributes (-1)^n p^(n choose 2) / |N_k(H)| times its chi
-    value; the rank 0 and 1 classes carry no power of p.
+    value.  This is the Weyl sum of euler_class_coefficient for h = 1.
     """
     require_p_group(k)
-    total = Fraction(0)
-    for cls in elementary_abelian_classes(k):
-        h = cls.rep
-        if h.is_trivial:
-            weight = Fraction(1, len(k.elements))
-        else:
-            p = prime_power_base(h.order)
-            n = elementary_abelian_rank(h, p)
-            nrm = normalizer(k, h)
-            weight = Fraction((-1) ** n * p ** comb(n, 2), nrm.order)
-        total += weight * _chi_lookup(chi, cls)
-    return total
+    return _weyl_sum(k, k.group.trivial_subgroup(), lambda cls: _chi_lookup(chi, cls))
 
 
 def vanishing_identity(k):
@@ -118,10 +107,11 @@ def vanishing_identity(k):
 def euler_class_coefficient(action, h):
     """Coefficient of the class of h; any member of the class may be passed.
 
-    With W the quotient of the normalizer of h by h acting on the fixed
-    complex of h: if W is trivial the coefficient is 1 - chi(fixed);
-    otherwise it is the free coefficient of W against the table of
-    1 - chi of the W-fixed complexes.
+    It is the free coefficient of the Weyl group N/h, N the normalizer of
+    h, acting on L^h.  Its subgroups are the E with h <= E <= N, and
+    (L^h)^(E/h) = L^E, so the sum runs over the N-classes of E with E/h
+    elementary abelian of rank n, weighted (-1)^n p^(n choose 2) |h| /
+    |N_N(E)| against 1 - chi(L^E); for N = h it is 1 - chi(L^h).
     """
     action.require_admissible()
     k = action.group
@@ -129,17 +119,27 @@ def euler_class_coefficient(action, h):
         if h is not k:
             raise InputError("h must be a subgroup of the acting group")
         h = k.whole()
+
+    def chi(cls):
+        return 1 - action.fixed_subcomplex(cls.rep).euler_characteristic()
+    return _weyl_sum(k, h, chi)
+
+
+def _weyl_sum(k, h, chi):
+    """Sum over the classes (E) of elementary abelian subgroups E/h of the
+    Weyl group N_k(h)/h of their weight times chi(class of E)."""
     n = normalizer(k, h)
-    if n.order == h.order:
-        fixed = action.fixed_subcomplex(h)
-        return Fraction(1 - fixed.euler_characteristic())
-    qact = action.quotient_action(h)
-    w = qact.group
-    table = {}
-    for cls in elementary_abelian_classes(w):
-        fixed = qact.fixed_subcomplex(cls.rep)
-        table[cls.rep] = 1 - fixed.euler_characteristic()
-    return free_coefficient(w, table)
+    p = _prime_of_order(n.order // h.order)
+    total = Fraction(0)
+    for cls in _weyl_classes(k, h, n, p):
+        index = cls.rep.order // h.order
+        rank = 0
+        while index > 1:
+            index //= p
+            rank += 1
+        weight = elementary_abelian_euler_formula(p, rank) if rank else 1
+        total += Fraction(weight * h.order * cls.size, n.order) * chi(cls)
+    return total
 
 
 def euler_class(action):

@@ -14,14 +14,16 @@ for a table.
 A subgroup is an int bitmask over element numbers (bit i set when element
 i belongs to it); a FiniteGroup is its own whole subgroup, with ``group``
 itself and ``mask`` covering every element, so every function below takes
-either.  Conjugation, normalizers, centralizers, commutation tests and
-coset maps are table lookups.  The subgroup lattice comes from cyclic
+either.  Conjugation, normalizers, centralizers and commutation tests are
+table lookups.  The subgroup lattice comes from cyclic
 extension (Neubüser 1960; Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005): every subgroup is a join of cyclic subgroups of
 prime-power order, so joining one member of each known conjugacy class
 with each such cyclic subgroup not already inside it reaches all of them.
 The lattice and its conjugacy classes are memoised on the group, per
-subgroup mask; callers always get a fresh list.
+subgroup mask; callers always get a fresh list.  A Weyl group N(H)/H is
+never built: by the correspondence theorem its subgroups are the interval
+of subgroups between H and N(H), and its conjugacy is conjugacy by N(H).
 """
 
 from math import lcm
@@ -238,6 +240,8 @@ class FiniteGroup:
         self.points = pts = tuple(sorted(points))
         gens = []
         for g in generators:
+            if not isinstance(g, Permutation):
+                raise InputError("generator %r is not a permutation" % (g,))
             if g.points != pts:
                 raise InputError("generator acts on the wrong point set")
             if not g.is_identity:
@@ -549,25 +553,11 @@ def _cyclic_extension(group, top):
             y = row[y]
         cyclic.setdefault(mask, x)
     seen = set()
-    orbits = []
-
-    def new_class(mask):
-        orbit = [mask]
-        seen.add(mask)
-        for h in orbit:
-            hs = _bits(h)
-            for x in conjugators:
-                k = _conjugate_mask(mul, inv, hs, x)
-                if k not in seen:
-                    seen.add(k)
-                    orbit.append(k)
-        orbits.append(orbit)
-
-    new_class(1)
+    orbits = [_conjugates(mul, inv, 1, conjugators, seen)]
     frontier = []
     for mask, x in cyclic.items():
         if mask not in seen:
-            new_class(mask)
+            orbits.append(_conjugates(mul, inv, mask, conjugators, seen))
             frontier.append((mask, (x,)))
     while frontier:
         fresh = []
@@ -577,7 +567,7 @@ def _cyclic_extension(group, top):
                     continue
                 joined = group._generate(gens + (x,), bound, h)
                 if joined not in seen:
-                    new_class(joined)
+                    orbits.append(_conjugates(mul, inv, joined, conjugators, seen))
                     fresh.append((joined, gens + (x,)))
         frontier = fresh
     by_mask = {mask: Subgroup._of(group, mask) for mask in seen}
@@ -588,6 +578,73 @@ def _cyclic_extension(group, top):
         classes.append(SubgroupClass(members[0], members))
     classes.sort(key=lambda c: (c.rep.order, c.rep.key))
     return tuple(subs), tuple(classes)
+
+
+def _conjugates(mul, inv, mask, conjugators, seen):
+    """Orbit of the subgroup mask under conjugation by the group that the
+    numbered conjugators generate, mask first; each member joins seen."""
+    orbit = [mask]
+    seen.add(mask)
+    for h in orbit:
+        hs = _bits(h)
+        for x in conjugators:
+            k = _conjugate_mask(mul, inv, hs, x)
+            if k not in seen:
+                seen.add(k)
+                orbit.append(k)
+    return orbit
+
+
+def _weyl_classes(g, h, n, p):
+    """Classes of the elementary abelian subgroups of the Weyl group n/h,
+    for n = N_g(h) and p the prime of |n : h| (None when n = h).
+
+    By the correspondence theorem these are the subgroups E of g with
+    h <= E <= n and E/h elementary abelian, E = h included, so they are
+    read from g's memoised lattice; conjugacy in n/h is conjugacy under n.
+    Returns SubgroupClass objects of the preimages E, in lattice order.
+    """
+    group = g.group
+    hmask = _inner_mask(g, h)
+    hs = _bits(hmask)
+    nmask = n.mask
+    mul, inv = group._tables()
+    conjugators = _generating_numbers(group, nmask)
+    seen = set()
+    classes = []
+    for e in _lattice(g)[0]:
+        m = e.mask
+        if (m in seen or hmask & ~m or m & ~nmask
+                or m != hmask and not _elementary_over(mul, inv, m, hs, hmask, p)):
+            continue
+        orbit = _conjugates(mul, inv, m, conjugators, seen)
+        members = sorted((Subgroup._of(group, k) for k in orbit), key=lambda s: s.key)
+        classes.append(SubgroupClass(members[0], members))
+    return classes
+
+
+def _elementary_over(mul, inv, emask, hs, hmask, p):
+    """Whether E/H is elementary abelian for p, H normal in E and listed by
+    its element numbers hs: every p-th power and every commutator of E
+    lies in H, tested on one element of each coset of H."""
+    reps = []
+    covered = 0
+    for x in _bits(emask):
+        if covered >> x & 1:
+            continue
+        row = mul[x]
+        for y in hs:
+            covered |= 1 << row[y]
+        y = x
+        for _ in range(p - 1):
+            y = row[y]
+        if not hmask >> y & 1:
+            return False
+        for r in reps:
+            if not hmask >> mul[inv[mul[r][x]]][row[r]] & 1:
+                return False
+        reps.append(x)
+    return True
 
 
 def normalizer(g, h):
@@ -624,58 +681,6 @@ def is_normal(n, h):
     mul, inv = n.group._tables()
     hs = _bits(hmask)
     return all(_conjugate_mask(mul, inv, hs, x) == hmask for x in _bits(n.mask))
-
-
-class QuotientGroup(FiniteGroup):
-    """The quotient N/H realized as a permutation group on coset labels.
-
-    N acts on the left cosets of H by left multiplication; since H is
-    normal in N the kernel of that action is exactly H, so the group
-    closed from the label permutations of N's generators is a faithful
-    copy of N/H.  A section picks the least representative of each coset.
-    """
-
-    def __init__(self, source, kernel):
-        kmask = _inner_mask(source, kernel)
-        if not is_normal(source, kernel):
-            raise InputError("kernel is not normal in the source group")
-        parent = source.group
-        mul = parent._tables()[0]
-        ks = _bits(kmask)
-        coset_of = {}
-        reps = []
-        for x in _bits(source.mask):
-            if x not in coset_of:
-                row = mul[x]
-                for y in ks:
-                    coset_of[row[y]] = len(reps)
-                reps.append(x)
-        # label "c<i>" names the i-th coset found, but labels sort as
-        # strings: at[j] represents the coset at sorted position j, and
-        # key(x) is the image tuple of left multiplication by x
-        points = tuple(sorted("c%d" % i for i in range(len(reps))))
-        at = [reps[int(p[1:])] for p in points]
-        pos = {coset_of[x]: i for i, x in enumerate(at)}
-
-        def key(x):
-            row = mul[x]
-            return tuple(pos[coset_of[row[y]]] for y in at)
-
-        gens = _generating_numbers(parent, source.mask)
-        super().__init__(points, [Permutation._of(points, key(x)) for x in gens],
-                         max_order=len(reps))
-        self.section = {key(x): parent.elements[x] for x in reps}
-
-    def section_of(self, q):
-        """Least source representative of a quotient element."""
-        if q not in self:
-            raise InputError("not an element of the quotient")
-        return self.section[q.key]
-
-
-def quotient(n, h):
-    """The quotient group n/h; h must be normal in n."""
-    return QuotientGroup(n, h)
 
 
 def is_p_group(h, p):
@@ -770,10 +775,11 @@ def elementary_abelian_rank(h, p):
 
 def require_p_group(k):
     """Return the prime p with |k| a power of p (None for the trivial group)."""
-    n = len(k.elements)
-    if n == 1:
-        return None
+    return _prime_of_order(len(k.elements))
+
+
+def _prime_of_order(n):
     p = prime_power_base(n)
-    if p is None:
+    if p is None and n > 1:
         raise PreconditionError("group of order %d is not a p-group" % n)
     return p

@@ -14,7 +14,7 @@ from .errors import InputError
 from .exactlin import HomologyGroup
 from .permgrp import (all_subgroups, is_elementary_abelian,
                       is_elementary_abelian_any, is_nilpotent, normalizer,
-                      quotient, require_p_group)
+                      require_p_group)
 from .simp import _adjacency, _cliques, complex_of_chains
 
 FILTERS = ("nontrivial", "nilpotent", "elementary-abelian", "proper-nontrivial")
@@ -158,13 +158,16 @@ class WeylPosetReport:
 
 def weyl_poset_check(g, h):
     """For a p-group g: compare the poset above h with the nontrivial
-    subgroup poset of N_g(h)/h, in reduced homology."""
+    subgroup poset of the Weyl group N_g(h)/h, in reduced homology.
+
+    By the correspondence theorem that poset is the interval of subgroups
+    K with h < K <= N_g(h), so it is read from the lattice of N_g(h).
+    """
     require_p_group(g)
     above = poset_strictly_above(g, h)
-    w = quotient(normalizer(g, h), h)
-    f1 = subgroup_poset(w, "nontrivial")
+    weyl = poset_strictly_above(normalizer(g, h), h)
     ha = above.reduced_homology()
-    hf = f1.reduced_homology()
-    cmp = PosetComparison(len(above), len(f1), ha, hf,
-                          homology_tables_equal(ha, hf))
+    hw = weyl.reduced_homology()
+    cmp = PosetComparison(len(above), len(weyl), ha, hw,
+                          homology_tables_equal(ha, hw))
     return WeylPosetReport(h, cmp)

@@ -11,8 +11,7 @@ from itertools import combinations
 from .errors import InputError, PreconditionError
 from .exactlin import (ChainComplexZ, IntegerMatrix, augment, cohomology,
                        homology, homology_mod_p)
-from .permgrp import (FiniteGroup, Permutation, QuotientGroup, Subgroup,
-                      homomorphism_images, normalizer)
+from .permgrp import FiniteGroup, Subgroup, homomorphism_images
 
 
 def _adjacency(vertices, edges):
@@ -339,26 +338,6 @@ class GroupAction:
     def vertex_stabilizer(self, v):
         elems = [g for g in self.group.elements if self.images[g.key](v) == v]
         return Subgroup(self.group, elems)
-
-    def quotient_action(self, h):
-        """Action of N(h)/h on the fixed subcomplex of h.
-
-        Well defined because h fixes its subcomplex pointwise and the
-        normalizer preserves it.
-        """
-        self.require_admissible()
-        if not isinstance(h, Subgroup):
-            h = h.whole()
-        n = normalizer(self.group, h)
-        q = QuotientGroup(n, h)
-        fixed = self.fixed_subcomplex(h)
-        fverts = fixed.vertices
-        gen_images = {}
-        for qg in q.generators:
-            src = q.section_of(qg)
-            img = self.images[src.key]
-            gen_images[qg] = Permutation(fverts, {v: img(v) for v in fverts})
-        return GroupAction(fixed, q, gen_images)
 
 
 class Embedding:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from equichar import (Permutation, QuotientGroup, SimplicialComplex, center,
+from equichar import (GroupAction, Permutation, SimplicialComplex, center,
                       group_from_generators)
 
 
@@ -144,6 +144,17 @@ def rp2_triangulation():
         [str(i) for i in range(1, 7)], [tuple(f) for f in facets])
 
 
+def subdivided_action(x, g):
+    """The action of g, a group permuting the vertices of x, carried to
+    the barycentric subdivision, whose vertex "a|b" is the simplex (a, b)
+    of x.  An induced action on a subdivision is always admissible."""
+    bary = x.barycentric_subdivision()
+    images = {gen: Permutation(bary.vertices, {
+        v: "|".join(sorted(gen(p) for p in v.split("|"))) for v in bary.vertices})
+        for gen in g.generators}
+    return GroupAction(bary, g, generator_images=images)
+
+
 def complex_corpus():
     return {
         "two_edges": two_edges(), "star5": star5(), "T": t_complex(),
@@ -269,6 +280,21 @@ def brute_subgroups(g):
     return found
 
 
+def coset_quotient(n, h):
+    """The quotient n/h, for subgroups h normal in n, as the group of left
+    multiplications by n on the left cosets of h, which are numbered in
+    order of their least element; built with Permutation arithmetic."""
+    cosets = []
+    for x in n.elements:
+        if not any(x in c for c in cosets):
+            cosets.append({x * y for y in h.elements})
+    points = [str(i) for i in range(len(cosets))]
+    label = {y: p for p, c in zip(points, cosets) for y in c}
+    gens = [Permutation(points, {p: label[x * min(c)] for p, c in zip(points, cosets)})
+            for x in n.generating_set()]
+    return group_from_generators(points, gens)
+
+
 def nilpotent_by_central_series(h):
     """Nilpotency of the subgroup h by the upper central series: divide out
     centers of a standalone copy until the group is exhausted or a center
@@ -278,8 +304,48 @@ def nilpotent_by_central_series(h):
         z = center(g)
         if z.is_trivial:
             return False
-        g = QuotientGroup(g.whole(), z)
+        g = coset_quotient(g.whole(), z)
     return True
+
+
+# ------------------------------------------------------- equivariant oracles
+
+
+def orbit_count_euler_class(action):
+    """{class representative key: signed orbit count} for a p-group action.
+
+    For each conjugacy class (H) of subgroups, the sum of (-1)^|s| over the
+    orbits of simplices s of the complex (the empty simplex included, with
+    sign +1) whose stabilizer is conjugate to H.  Stabilizers and their
+    classes come from Permutation arithmetic on the action's images; a
+    class is named by the key of its least member, as Subgroup.key would
+    order it.  Classes that no simplex reaches are left out.
+    """
+    elems = list(action.group.elements)
+    imgs = [action.image(x) for x in elems]
+
+    def moved(i, s):
+        return tuple(sorted(imgs[i](v) for v in s))
+
+    classes = {}
+
+    def class_key(stab):
+        if stab not in classes:
+            members = [elems[i] for i in stab]
+            classes[stab] = min(
+                tuple(sorted((x.inverse() * y * x).key for y in members))
+                for x in elems)
+        return classes[stab]
+
+    counts = {}
+    seen = set()
+    for s in [()] + sorted(action.complex.simplices):
+        if s in seen:
+            continue
+        seen.update(moved(i, s) for i in range(len(elems)))
+        key = class_key(tuple(i for i in range(len(elems)) if moved(i, s) == s))
+        counts[key] = counts.get(key, 0) + (-1) ** len(s)
+    return counts
 
 
 # ------------------------------------------------------------ poset oracles

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from equichar import (GroupAction, InputError, Permutation, PreconditionError,
-                      acyclicity_condition, all_subgroups, double_along,
-                      elementary_abelian_classes, euler_class,
+from equichar import (EulerClass, GroupAction, InputError, Permutation,
+                      PreconditionError, acyclicity_condition, all_subgroups,
+                      double_along, elementary_abelian_classes, euler_class,
                       euler_class_coefficient, euler_class_cyclic,
-                      find_full_subcomplex_isomorphic,
-                      free_coefficient, group_from_generators,
-                      vanishing_identity)
+                      find_full_subcomplex_isomorphic, free_coefficient,
+                      group_from_generators, vanishing_identity)
 
 
 def star_action(*texts):
@@ -100,6 +99,16 @@ def test_two_edges_format():
     assert text == "-1·[Γ/1] + 1·[Γ/⟨(1 3)(2 4)⟩]"
 
 
+def test_hash_ignores_zero_coefficients():
+    g = helpers.d8()
+    trivial, whole = by_order(g, 1)[0], by_order(g, 8)[0]
+    with_zero = EulerClass({trivial: 0, whole: 1})
+    without = EulerClass({whole: 1})
+    assert with_zero == without
+    assert hash(with_zero) == hash(without)
+    assert len({with_zero, without}) == 1
+
+
 def test_star_actions_all_zero():
     for texts in (("(1 3)",), ("(1 2 3 4)",), ("(1 2 3 4)", "(1 3)")):
         act = star_action(*texts)
@@ -129,6 +138,31 @@ def test_doubled_swap_class_both_routes():
     whole = by_order(act.group, 2)[0]
     assert cls.coefficient(trivial) == -1
     assert cls.coefficient(whole) == 0
+
+
+def oracle_actions():
+    """The worked actions the orbit-count oracle is checked on."""
+    for texts in (("(1 3)",), ("(1 2 3 4)",), ("(1 2 3 4)", "(1 3)")):
+        yield "star5 %s" % "".join(texts), star_action(*texts)
+    edges = helpers.two_edges()
+    yield "two-edge swap", GroupAction(edges, helpers.group_on(edges, "(1 3)(2 4)"))
+    cross = helpers.cross_polytope(3)
+    yield "sign flips", GroupAction(
+        cross, helpers.group_on(cross, "(1 4)", "(2 5)", "(3 6)"))
+    octa = helpers.octahedron()
+    sylow = helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)")
+    yield "Sylow on bary(octahedron)", helpers.subdivided_action(octa, sylow)
+    bary = helpers.tetra_boundary().barycentric_subdivision()
+    emb = find_full_subcomplex_isomorphic(bary, helpers.t_complex())
+    yield "doubled swap", double_along(bary, emb.mapping.values())[1]
+
+
+def test_euler_class_equals_orbit_count():
+    for name, act in oracle_actions():
+        counts = helpers.orbit_count_euler_class(act)
+        coeffs = {h.key: c for h, c in euler_class(act).entries()}
+        assert set(counts) <= set(coeffs), name
+        assert coeffs == {k: counts.get(k, 0) for k in coeffs}, name
 
 
 def test_cyclic_route_needs_cyclic_p_group():

@@ -1,17 +1,17 @@
-"""Permutation groups: enumeration, subgroup lattice, quotients, predicates."""
+"""Permutation groups: enumeration, subgroup lattice, predicates."""
 
 import time
 
 import pytest
 
 import helpers
-from equichar import (InputError, Permutation, QuotientGroup,
-                      ResourceLimitError, Subgroup, all_subgroups, center,
-                      centralizer, conjugacy_classes_of_subgroups,
+from equichar import (InputError, Permutation, ResourceLimitError, Subgroup,
+                      all_subgroups, center, centralizer,
+                      conjugacy_classes_of_subgroups,
                       elementary_abelian_rank, group_from_generators,
                       is_abelian, is_cyclic, is_elementary_abelian,
                       is_elementary_abelian_any, is_nilpotent, is_normal,
-                      is_p_group, normalizer, quotient)
+                      is_p_group, normalizer)
 
 PTS = ("1", "2", "3", "4")
 
@@ -60,6 +60,13 @@ def test_group_closure_and_membership():
     assert g.order == 8
     assert perm("(1 3)") in g
     assert perm("(1 2)") not in g
+
+
+def test_generators_must_be_permutations_of_the_points():
+    with pytest.raises(InputError, match="not a permutation"):
+        group_from_generators(["1", "2"], ["(1 2)"])
+    with pytest.raises(InputError, match="wrong point set"):
+        group_from_generators(["1", "2"], [perm("(1 2)")])
 
 
 def test_closure_bound_enforced():
@@ -164,32 +171,6 @@ def test_is_normal():
     reflection = g.subgroup_generated([perm("(1 3)")])
     assert not is_normal(g.whole(), reflection)
     assert is_normal(normalizer(g, reflection), reflection)
-
-
-def test_quotient_is_klein_four():
-    g = helpers.d8()
-    q = quotient(g.whole(), center(g))
-    assert q.order == 4
-    assert all(x.order() in (1, 2) for x in q.elements)
-    assert is_elementary_abelian(q, 2)
-
-
-def test_quotient_projection_and_section():
-    g = helpers.d8()
-    z = center(g)
-    q = QuotientGroup(g.whole(), z)
-    cosets = [{r * k for k in z} for r in map(q.section_of, q.elements)]
-    assert sorted(x for c in cosets for x in c) == list(g.elements)
-    assert q.section_of(q.identity) == g.identity
-    with pytest.raises(InputError, match="not an element of the quotient"):
-        q.section_of(perm("(1 2)"))
-
-
-def test_quotient_requires_normal():
-    g = helpers.d8()
-    reflection = g.subgroup_generated([perm("(1 3)")])
-    with pytest.raises(InputError):
-        QuotientGroup(g.whole(), reflection)
 
 
 def test_predicates():

@@ -5,8 +5,9 @@ import pytest
 import helpers
 from equichar import (FinitePoset, HomologyGroup, InputError,
                       PreconditionError, all_subgroups, center,
+                      conjugacy_classes_of_subgroups,
                       elementary_abelian_euler_formula, homology_tables_equal,
-                      poset_strictly_above, quillen_thevenaz_check,
+                      normalizer, poset_strictly_above, quillen_thevenaz_check,
                       subgroup_poset, weyl_poset_check)
 
 
@@ -150,6 +151,20 @@ def test_weyl_poset_check_extremes():
     trivial = [h for h in all_subgroups(g) if h.order == 1][0]
     rep = weyl_poset_check(g, trivial)
     assert rep.comparison.left_size == rep.comparison.right_size == 9
+
+
+def test_weyl_interval_matches_coset_quotient():
+    # correspondence theorem: the subgroups strictly above h in N(h) are
+    # the nontrivial subgroups of N(h)/h, built here as a separate group
+    for name, g in helpers.pgroup_corpus().items():
+        for cls in conjugacy_classes_of_subgroups(g):
+            n = normalizer(g, cls.rep)
+            interval = poset_strictly_above(n, cls.rep)
+            q = helpers.coset_quotient(n, cls.rep)
+            assert len(interval) == len(helpers.brute_subgroups(q)) - 1, name
+            assert homology_tables_equal(
+                interval.reduced_homology(),
+                subgroup_poset(q, "nontrivial").reduced_homology()), name
 
 
 def test_weyl_poset_check_needs_p_group():

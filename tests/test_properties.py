@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
 from equichar import (IntegerMatrix, Permutation,  # noqa: E402
-                      SimplicialComplex, all_subgroups, exactlin,
+                      SimplicialComplex, all_subgroups, euler_class, exactlin,
                       group_from_generators, normalizer, smith_normal_form)
 
 
@@ -105,3 +105,33 @@ def test_universal_coefficients_on_flag_complexes(x):
             below = h[d - 1].torsion if d - 1 in h else ()
             assert dims[d] == (g.betti + sum(1 for t in g.torsion if t % p == 0)
                                + sum(1 for t in below if t % p == 0))
+
+
+# p-groups on the points 1 .. 6, as generator cycles
+P_GROUPS = (("(1 2)",), ("(1 2)(3 4)",), ("(1 2)", "(3 4)"), ("(1 2 3 4)",),
+            ("(1 2 3 4)", "(1 3)"), ("(1 2)(3 4)", "(5 6)"), ("(1 2 3)",),
+            ("(1 2 3)(4 5 6)",), ("(1 2 3)", "(4 5 6)"))
+
+
+@st.composite
+def admissible_actions(draw):
+    """A p-group acting on a complex over six points whose facets are
+    closed under it, carried to the barycentric subdivision."""
+    points = [str(i) for i in range(1, 7)]
+    g = group_from_generators(points, [Permutation.from_cycles(points, t)
+                                       for t in draw(st.sampled_from(P_GROUPS))])
+    seeds = draw(st.lists(st.lists(st.sampled_from(points), min_size=1,
+                                   max_size=3, unique=True),
+                          min_size=1, max_size=4))
+    facets = {tuple(sorted(x(v) for v in f)) for f in seeds for x in g.elements}
+    x = SimplicialComplex.from_maximal_simplices(points, facets)
+    return helpers.subdivided_action(x, g)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(admissible_actions())
+def test_euler_class_equals_orbit_count(act):
+    counts = helpers.orbit_count_euler_class(act)
+    coeffs = {h.key: c for h, c in euler_class(act).entries()}
+    assert set(counts) <= set(coeffs)
+    assert coeffs == {k: counts.get(k, 0) for k in coeffs}

@@ -285,15 +285,9 @@ def _assert_homomorphism(act):
 
 def test_images_form_a_homomorphism():
     octa = helpers.octahedron()
-    bary = octa.barycentric_subdivision()
     sylow = helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)")
     assert sylow.order == 16
-    images = {}
-    for gen in sylow.generators:
-        images[gen] = Permutation(bary.vertices, {
-            v: "|".join(sorted(gen(p) for p in v.split("|")))
-            for v in bary.vertices})
-    _assert_homomorphism(GroupAction(bary, sylow, generator_images=images))
+    _assert_homomorphism(helpers.subdivided_action(octa, sylow))
     tri = helpers.tetra_boundary().barycentric_subdivision()
     emb = find_full_subcomplex_isomorphic(tri, helpers.t_complex())
     doubled, swap = double_along(tri, emb.mapping.values())
@@ -323,17 +317,6 @@ def test_vertex_stabilizer():
     act = GroupAction(star, helpers.group_on(star, "(1 2 3 4)", "(1 3)"))
     assert act.vertex_stabilizer("5").order == 8
     assert act.vertex_stabilizer("1").order == 2
-
-
-def test_quotient_action():
-    star = helpers.star5()
-    act = GroupAction(star, helpers.group_on(star, "(1 2 3 4)", "(1 3)"))
-    g = act.group
-    h = g.subgroup_generated(
-        [helpers.group_on(star, "(1 3)(2 4)").generators[0]])
-    qact = act.quotient_action(h)
-    assert qact.group.order == 4
-    assert qact.complex.vertices == ("5",)
 
 
 def test_find_pattern_in_barycentric_sphere():
