@@ -12,6 +12,7 @@ group everything lands in a single k.
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
+from .exactlin import _universal_coefficients
 from .permgrp import (Permutation, conjugacy_classes_of_subgroups,
                       group_from_generators)
 from .simp import GroupAction, SimplicialComplex
@@ -27,10 +28,17 @@ class CMReport:
         return not self.failures
 
 
-def _links_with_empty(x):
-    yield (), x
-    for s in sorted(x.simplices):
-        yield s, x.link(s)
+def _link_table(x):
+    """{simplex: reduced homology of its link}, the empty simplex first and
+    then the simplices in sorted order.  Built once per complex and kept in
+    its _link_table slot; complexes are immutable, so it never goes stale."""
+    table = x._link_table
+    if table is None:
+        table = {(): x.reduced_homology()}
+        for s in sorted(x.simplices):
+            table[s] = x.link(s).reduced_homology()
+        x._link_table = table
+    return table
 
 
 def cohen_macaulay(x):
@@ -39,9 +47,8 @@ def cohen_macaulay(x):
         raise InputError("the empty complex has no dimension to test against")
     n = x.dim
     failures = []
-    for s, lk in _links_with_empty(x):
+    for s, hom in _link_table(x).items():
         allowed = n - len(s)
-        hom = lk.reduced_homology()
         for d in sorted(hom):
             if d != allowed and not hom[d].is_trivial:
                 failures.append((s, d, hom[d]))
@@ -90,8 +97,8 @@ def graded_cohomology_profile(x, max_degree=None):
     if max_degree < 0:
         raise InputError("max_degree must be non-negative")
     rows = {k: [] for k in range(max_degree + 1)}
-    for s, lk in _links_with_empty(x):
-        coh = lk.reduced_cohomology()
+    for s, hom in _link_table(x).items():
+        coh = _universal_coefficients(hom)
         for k in range(max_degree + 1):
             d = k - len(s) - 1
             group = coh.get(d)

@@ -145,11 +145,17 @@ def _weyl_sum(k, h, chi):
 def euler_class(action):
     """Equivariant Euler class of a p-group action, over all subgroup classes."""
     action.require_admissible()
-    require_p_group(action.group)
-    coeffs = {}
-    for cls in conjugacy_classes_of_subgroups(action.group):
-        coeffs[cls.rep] = euler_class_coefficient(action, cls.rep)
-    return EulerClass(coeffs)
+    k = action.group
+    require_p_group(k)
+    chis = {}  # subgroup E -> 1 - chi(L^E), shared by every Weyl sum
+
+    def chi(cls):
+        e = cls.rep
+        if e not in chis:
+            chis[e] = 1 - action.fixed_subcomplex(e).euler_characteristic()
+        return chis[e]
+    return EulerClass({cls.rep: _weyl_sum(k, cls.rep, chi)
+                       for cls in conjugacy_classes_of_subgroups(k)})
 
 
 def euler_class_cyclic(action):

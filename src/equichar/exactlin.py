@@ -450,11 +450,14 @@ def augment(c):
 
 
 def homology(c):
-    """Homology groups by Smith normal form, as {degree: HomologyGroup}."""
-    snf = {d: smith_normal_form(c.boundary(d)) for d in c.degrees()}
+    """Homology groups by Smith normal form, as {degree: HomologyGroup}.
+
+    Only the boundaries c holds are diagonalized; a missing one is zero."""
+    snf = {d: smith_normal_form(c.boundaries[d]) for d in c.degrees()
+           if d in c.boundaries}
     out = {}
     for d in c.degrees():
-        r_here = snf[d][1]
+        _, r_here = snf.get(d, ([], 0))
         diag_up, r_up = snf.get(d + 1, ([], 0))
         betti = c.rank(d) - r_here - r_up
         torsion = tuple(v for v in diag_up if v > 1)
@@ -463,9 +466,13 @@ def homology(c):
 
 
 def cohomology(c):
-    """Cohomology of the dual complex Hom(C, Z), by universal coefficients:
-    H^d has the free part of H_d and the torsion of H_(d-1)."""
-    h = homology(c)
+    """Cohomology of the dual complex Hom(C, Z), as {degree: HomologyGroup}."""
+    return _universal_coefficients(homology(c))
+
+
+def _universal_coefficients(h):
+    """Cohomology from the homology table h: H^d has the free part of H_d
+    and the torsion of H_(d-1)."""
     return {d: HomologyGroup(h[d].betti, h[d - 1].torsion if d - 1 in h else ())
             for d in h}
 
@@ -474,10 +481,11 @@ def homology_mod_p(c, p):
     """Dimensions of homology with coefficients in the field of order p."""
     if not is_prime(p):
         raise InputError("p must be prime, got %r" % (p,))
-    ranks = {d: rank_mod_p(c.boundary(d), p) for d in c.degrees()}
+    ranks = {d: rank_mod_p(c.boundaries[d], p) for d in c.degrees()
+             if d in c.boundaries}
     out = {}
     for d in c.degrees():
-        out[d] = c.rank(d) - ranks[d] - ranks.get(d + 1, 0)
+        out[d] = c.rank(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if out[d] < 0:
             raise ConsistencyError("negative mod-p dimension")
     return out

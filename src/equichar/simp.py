@@ -3,14 +3,15 @@
 Vertices are strings; a simplex is a sorted tuple of vertices.  Every
 declared vertex is kept as a 0-simplex, so the vertex list and the
 0-skeleton always agree.  The empty complex has no vertices and no
-simplices; the empty simplex () is never stored but is accepted by link().
+simplices; the empty simplex () is never stored but is accepted by link(),
+and it is the single (-1)-cell of the reduced chain complex.
 """
 
 from itertools import combinations
 
 from .errors import InputError, PreconditionError
-from .exactlin import (ChainComplexZ, IntegerMatrix, augment, cohomology,
-                       homology, homology_mod_p)
+from .exactlin import (ChainComplexZ, IntegerMatrix, cohomology, homology,
+                       homology_mod_p)
 from .permgrp import FiniteGroup, Subgroup, homomorphism_images
 
 
@@ -44,12 +45,14 @@ def _cliques(adj):
 
 class SimplicialComplex:
 
-    __slots__ = ("vertices", "simplices", "_star")
+    __slots__ = ("vertices", "simplices", "_dim", "_star", "_link_table")
 
     def __init__(self, vertices, simplices, check=True):
         self.vertices = tuple(sorted(set(vertices)))
         self.simplices = frozenset(tuple(s) for s in simplices)
+        self._dim = None
         self._star = None  # {vertex: simplices containing it}, built by link()
+        self._link_table = None  # {simplex: link homology}, filled by duality
         if check:
             self._validate()
 
@@ -114,9 +117,9 @@ class SimplicialComplex:
 
     @property
     def dim(self):
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        if self._dim is None:
+            self._dim = max(map(len, self.simplices), default=0) - 1
+        return self._dim
 
     @property
     def is_empty(self):
@@ -177,46 +180,58 @@ class SimplicialComplex:
         return SimplicialComplex(verts, simplices, check=False)
 
     def full_subcomplex(self, vertex_subset):
-        """All simplices whose vertices lie in the subset."""
+        """All simplices whose vertices lie in the subset; the complex itself
+        when the subset holds every vertex."""
         sub = set(vertex_subset)
         if not sub <= set(self.vertices):
             raise InputError("subset contains undeclared vertices")
+        if len(sub) == len(self.vertices):
+            return self
         simplices = {s for s in self.simplices if set(s) <= sub}
         return SimplicialComplex(sub, simplices, check=False)
 
     def chain_complex(self):
-        """Simplicial chain complex; exactlin.augment adds Z in degree -1."""
-        if self.is_empty:
-            return ChainComplexZ({}, {}, check=False)
-        by_dim = [[] for _ in range(self.dim + 1)]
+        """Simplicial chain complex, cells labelled "a|b|..."."""
+        return self._chains(reduced=False)
+
+    def _chains(self, reduced):
+        """The chain complex on the simplices grouped by dimension, each
+        group sorted.  When reduced, the empty simplex is the single
+        (-1)-cell, so the boundary formula writes the augmentation out of
+        degree 0 and no labels are built."""
+        lo = -1 if reduced else 0
+        cells = {d: [] for d in range(lo, self.dim + 1)}
+        if reduced:
+            cells[-1].append(())
         for s in self.simplices:
-            by_dim[len(s) - 1].append(s)
-        for cells in by_dim:
-            cells.sort()
-        ranks = {d: len(cells) for d, cells in enumerate(by_dim)}
-        labels = {d: tuple("|".join(s) for s in cells) for d, cells in enumerate(by_dim)}
+            cells[len(s) - 1].append(s)
+        for group in cells.values():
+            group.sort()
+        ranks = {d: len(group) for d, group in cells.items()}
         boundaries = {}
-        for d in range(1, len(by_dim)):
-            index = {s: i for i, s in enumerate(by_dim[d - 1])}
+        for d in range(lo + 1, self.dim + 1):
+            index = {s: i for i, s in enumerate(cells[d - 1])}
             mat = IntegerMatrix(ranks[d - 1], ranks[d])
             rows = mat.entries
-            for j, s in enumerate(by_dim[d]):
+            for j, s in enumerate(cells[d]):
                 sign = 1
                 for i in range(len(s)):
                     rows[index[s[:i] + s[i + 1:]]][j] = sign
                     sign = -sign
             boundaries[d] = mat
+        labels = None if reduced else {
+            d: tuple("|".join(s) for s in group) for d, group in cells.items()}
         return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
 
     def reduced_homology(self):
         """{degree: HomologyGroup} of the augmented chain complex."""
-        return homology(augment(self.chain_complex()))
+        return homology(self._chains(reduced=True))
 
     def reduced_cohomology(self):
-        return cohomology(augment(self.chain_complex()))
+        return cohomology(self._chains(reduced=True))
 
     def reduced_homology_mod_p(self, p):
-        return homology_mod_p(augment(self.chain_complex()), p)
+        return homology_mod_p(self._chains(reduced=True), p)
 
     def barycentric_subdivision(self):
         """Flag complex on the simplices, with chains of faces as simplices."""
@@ -277,9 +292,10 @@ class GroupAction:
                                  "supply generator images")
             generator_images = {g: g for g in group.generators}
         self.images = homomorphism_images(group, verts, generator_images)
+        simplices = sorted(complex.simplices)
         for g in group.generators:
             img = generator_images[g]
-            for s in complex.simplices:
+            for s in simplices:
                 t = tuple(sorted(img(v) for v in s))
                 if t not in complex.simplices:
                     raise InputError("generator %s breaks simplex %r" % (g, s))
@@ -298,11 +314,10 @@ class GroupAction:
 
     def admissibility_witness(self):
         """A (group element, simplex) pair violating admissibility, or None."""
+        simplices = sorted(s for s in self.complex.simplices if len(s) > 1)
         for g in self.group.elements:
             img = self.images[g.key]
-            for s in self.complex.simplices:
-                if len(s) == 1:
-                    continue
+            for s in simplices:
                 t = tuple(sorted(img(v) for v in s))
                 if t == s and any(img(v) != v for v in s):
                     return g, s

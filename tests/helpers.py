@@ -5,6 +5,7 @@ numbers from first principles so that library results are checked against
 code that shares none of the library's internals.
 """
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -153,6 +154,15 @@ def subdivided_action(x, g):
         v: "|".join(sorted(gen(p) for p in v.split("|"))) for v in bary.vertices})
         for gen in g.generators}
     return GroupAction(bary, g, generator_images=images)
+
+
+def random_flag_complexes():
+    """Three seeded G(n, p) flag complexes on 8, 10 and 12 vertices."""
+    rng = random.Random(20261018)
+    for n, density in ((8, 0.5), (10, 0.6), (12, 0.4)):
+        verts = [str(i) for i in range(n)]
+        yield SimplicialComplex.flag_from_graph(
+            verts, [e for e in combinations(verts, 2) if rng.random() < density])
 
 
 def complex_corpus():

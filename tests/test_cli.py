@@ -1,6 +1,7 @@
 """Command line interface: documented invocations, exit codes, JSON output."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -187,6 +188,20 @@ def test_exit_2_non_simplicial_generators(capsys):
                        "--group", data("c2.json"))
     assert code == 2
     assert "breaks simplex" in err
+
+
+def test_diagnostics_do_not_depend_on_hash_seed():
+    # the broken simplex is the first in sorted order, not in set order
+    argv = [sys.executable, "-m", "equichar.cli", "euler-class", "--complex",
+            str(data("octahedron.json")), "--group", str(data("c2swap.json"))]
+    errs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 2
+        errs.add(proc.stderr)
+    assert len(errs) == 1
+    assert "breaks simplex" in errs.pop()
 
 
 def test_exit_3_non_admissible_action(capsys, tmp_path):

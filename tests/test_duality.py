@@ -6,10 +6,11 @@ import pytest
 
 import helpers
 from equichar import (GroupAction, HomologyGroup, InputError,
-                      PreconditionError, SimplicialComplex, cohen_macaulay,
-                      double_along, duality_obstruction_scan,
+                      PreconditionError, SimplicialComplex, augment,
+                      cohen_macaulay, double_along, duality,
+                      duality_obstruction_scan,
                       find_full_subcomplex_isomorphic, flag_duality,
-                      graded_cohomology_profile)
+                      graded_cohomology_profile, homology)
 
 
 def doubled_pipeline():
@@ -38,6 +39,42 @@ def test_cm_at_scale():
     elapsed = time.process_time() - start
     assert report.is_cm and report.dimension == 2
     assert elapsed < 1.0
+
+
+def test_link_table_matches_augmented_link_homology():
+    for x in (*helpers.complex_corpus().values(), helpers.cross_polytope(4),
+              helpers.octahedron().barycentric_subdivision(),
+              *helpers.random_flag_complexes()):
+        table = duality._link_table(x)
+        assert list(table) == [()] + sorted(x.simplices)
+        assert table[()] == homology(augment(x.chain_complex()))
+        for s in sorted(x.simplices):
+            assert table[s] == homology(augment(x.link(s).chain_complex()))
+        assert duality._link_table(x) is table
+
+
+def test_each_link_computed_once_per_complex(monkeypatch):
+    # the duality verdict, the profile and the scan's trivial class share
+    # one link table; every other class reads the table of its own complex
+    octa = helpers.octahedron()
+    act = helpers.subdivided_action(
+        octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
+    x = act.complex
+    log = []  # (complex, simplex); holding the complex keeps its id unique
+    link = SimplicialComplex.link
+
+    def counting_link(self, simplex):
+        log.append((self, tuple(sorted(simplex))))
+        return link(self, simplex)
+    monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+    assert flag_duality(x).is_duality
+    graded_cohomology_profile(x)
+    scan = duality_obstruction_scan(act)
+    calls = [(id(c), s) for c, s in log]
+    assert len(calls) == len(set(calls))
+    # the trivial class's fixed complex is x itself, so nothing is redone
+    assert sorted(s for c, s in log if c == x) == sorted(x.simplices)
+    assert 1 < len({i for i, _ in calls}) <= len(scan.classes)
 
 
 def test_cm_t_fails_at_u():

@@ -165,6 +165,20 @@ def test_euler_class_equals_orbit_count():
         assert coeffs == {k: counts.get(k, 0) for k in coeffs}, name
 
 
+def test_euler_class_reads_each_fixed_complex_once(monkeypatch):
+    octa = helpers.octahedron()
+    act = helpers.subdivided_action(
+        octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
+    by_class = {h: euler_class_coefficient(act, h)
+                for h in euler_class(act).coefficients}
+    calls = []
+    fixed = GroupAction.fixed_subcomplex
+    monkeypatch.setattr(GroupAction, "fixed_subcomplex",
+                        lambda self, h: calls.append(h.key) or fixed(self, h))
+    assert euler_class(act).coefficients == by_class
+    assert len(calls) == len(set(calls))
+
+
 def test_cyclic_route_needs_cyclic_p_group():
     with pytest.raises(PreconditionError):
         euler_class_cyclic(star_action("(1 2 3 4)", "(1 3)"))

@@ -271,6 +271,26 @@ def test_zero_complex():
     assert all(v == 0 for v in homology_mod_p(c, 2).values())
 
 
+def test_missing_boundary_is_zero(monkeypatch):
+    # no elimination runs on a boundary the complex does not hold
+    held = {1: IntegerMatrix.from_rows([[1], [-1]]),
+            3: IntegerMatrix.from_rows([[2]])}
+    ranks = {0: 2, 1: 1, 2: 1, 3: 1}
+    missing = ChainComplexZ(ranks, held, check=False)
+    explicit = ChainComplexZ(ranks, {**held, 0: IntegerMatrix(0, 2),
+                                     2: IntegerMatrix(1, 1)})
+    calls = []
+    snf = exactlin.smith_normal_form
+    monkeypatch.setattr(exactlin, "smith_normal_form",
+                        lambda m: calls.append(m) or snf(m))
+    h = homology(missing)
+    assert calls == list(held.values())
+    assert h == homology(explicit)
+    assert h[2] == HomologyGroup(0, (2,))
+    for p in (2, 3):
+        assert homology_mod_p(missing, p) == homology_mod_p(explicit, p)
+
+
 def test_boundary_composition_checked():
     with pytest.raises(ConsistencyError):
         ChainComplexZ(

@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
 from equichar import (IntegerMatrix, Permutation,  # noqa: E402
-                      SimplicialComplex, all_subgroups, euler_class, exactlin,
-                      group_from_generators, normalizer, smith_normal_form)
+                      SimplicialComplex, all_subgroups, augment, cohomology,
+                      euler_class, exactlin, group_from_generators, homology,
+                      homology_mod_p, normalizer, smith_normal_form)
 
 
 @st.composite
@@ -105,6 +106,15 @@ def test_universal_coefficients_on_flag_complexes(x):
             below = h[d - 1].torsion if d - 1 in h else ()
             assert dims[d] == (g.betti + sum(1 for t in g.torsion if t % p == 0)
                                + sum(1 for t in below if t % p == 0))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(flag_complexes())
+def test_reduced_chains_match_augmented_route(x):
+    augmented = augment(x.chain_complex())
+    assert x.reduced_homology() == homology(augmented)
+    assert x.reduced_cohomology() == cohomology(augmented)
+    assert x.reduced_homology_mod_p(2) == homology_mod_p(augmented, 2)
 
 
 # p-groups on the points 1 .. 6, as generator cycles

@@ -1,6 +1,5 @@
 """Simplicial complexes, group actions on them, subcomplex embeddings."""
 
-import random
 import time
 from itertools import combinations
 
@@ -8,8 +7,9 @@ import pytest
 
 import helpers
 from equichar import (GroupAction, HomologyGroup, InputError, Permutation,
-                      PreconditionError, SimplicialComplex, complex_of_chains,
-                      double_along, find_full_subcomplex_isomorphic)
+                      PreconditionError, SimplicialComplex, augment,
+                      complex_of_chains, double_along,
+                      find_full_subcomplex_isomorphic)
 
 
 def test_face_closure():
@@ -73,19 +73,11 @@ def test_link_of_vertex_in_octahedron():
     assert lk.reduced_homology()[1] == HomologyGroup(1)
 
 
-def _random_flag_complexes():
-    rng = random.Random(20261018)
-    for n, density in ((8, 0.5), (10, 0.6), (12, 0.4)):
-        verts = [str(i) for i in range(n)]
-        yield SimplicialComplex.flag_from_graph(
-            verts, [e for e in combinations(verts, 2) if rng.random() < density])
-
-
 def test_link_matches_join_definition():
     # lk(s) = {t : t and s disjoint, t u s in K}, scanned the long way
     for x in (helpers.octahedron().barycentric_subdivision(),
               helpers.rp2_triangulation(), helpers.t_complex(),
-              helpers.cross_polytope(4), *_random_flag_complexes()):
+              helpers.cross_polytope(4), *helpers.random_flag_complexes()):
         for s in sorted(x.simplices):
             expected = {t for t in x.simplices if not set(t) & set(s)
                         and tuple(sorted(set(t) | set(s))) in x.simplices}
@@ -111,6 +103,7 @@ def test_full_subcomplex():
     assert ("1", "2", "3") in sub.simplices
     path = oct_.full_subcomplex(["1", "6"])
     assert path.f_vector() == (2,)
+    assert oct_.full_subcomplex(reversed(oct_.vertices)) is oct_
 
 
 def test_reduced_homology_spheres():
@@ -128,6 +121,21 @@ def test_reduced_homology_rp2():
     assert h[2] == HomologyGroup()
     mod2 = helpers.rp2_triangulation().reduced_homology_mod_p(2)
     assert (mod2[0], mod2[1], mod2[2]) == (0, 1, 1)
+
+
+def test_reduced_chains_equal_augmented_chain_complex():
+    # the empty simplex as the (-1)-cell writes the augmentation row itself
+    for x in (*helpers.complex_corpus().values(), helpers.cross_polytope(4),
+              helpers.octahedron().barycentric_subdivision(),
+              SimplicialComplex.empty()):
+        chains = x.chain_complex()
+        assert chains.labels == {d: tuple("|".join(s) for s in x.simplices_of_dim(d))
+                                 for d in chains.degrees()}
+        reduced = x._chains(reduced=True)
+        augmented = augment(chains)
+        assert reduced.ranks == augmented.ranks
+        assert reduced.boundaries == augmented.boundaries
+        assert reduced.labels == {}
 
 
 def test_reduced_homology_against_oracle():
@@ -148,7 +156,7 @@ def test_barycentric_subdivision():
 def test_barycentric_subdivision_matches_pair_scan():
     for x in (*helpers.complex_corpus().values(), helpers.cross_polytope(4),
               helpers.octahedron().barycentric_subdivision(),
-              SimplicialComplex.empty(), *_random_flag_complexes()):
+              SimplicialComplex.empty(), *helpers.random_flag_complexes()):
         assert x.barycentric_subdivision() == helpers.barycentric_by_pair_scan(x)
 
 
