@@ -173,10 +173,12 @@ def duality_obstruction_scan(action):
 
     A non-CM fixed complex obstructs equivariant duality; a clean scan
     proves nothing and is reported as such.  An empty fixed complex passes
-    (the associated centralizer factor is trivial).
+    (the associated centralizer factor is trivial).  Classes with equal
+    fixed complexes share one Cohen-Macaulay check.
     """
     action.require_admissible()
     out = []
+    reports = {}  # fixed complex -> CMReport
     for cls in conjugacy_classes_of_subgroups(action.group):
         h = cls.rep
         fixed = action.fixed_subcomplex(h)
@@ -184,7 +186,9 @@ def duality_obstruction_scan(action):
             out.append(ClassObstruction(h, (), None, False,
                                         "empty fixed complex; trivial factor"))
             continue
-        report = cohen_macaulay(fixed)
+        report = reports.get(fixed)
+        if report is None:
+            report = reports[fixed] = cohen_macaulay(fixed)
         note = "" if report.is_cm else "fixed complex is not Cohen-Macaulay"
         out.append(ClassObstruction(h, fixed.vertices, report,
                                     not report.is_cm, note))

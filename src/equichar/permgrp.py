@@ -9,13 +9,21 @@ identity first and numbers each element by its place in that order.  One
 index maps keys to numbers; on first use a group also builds a
 multiplication table and an inverse table over the numbers and keeps them
 on the instance, so a group that is only asked for its order never pays
-for a table.
+for a table.  Only the generators' rows of that table take tuple products;
+every other row is read off the row of a generator and a row already
+filled.
+
+One closure routine, _close_under_products, discovers group elements, in
+whichever encoding its product function works on: int image tuples when a
+group is closed from its generators, paired tuples for the graph of a
+homomorphism, and element numbers, through table rows, for every subgroup
+generated inside a group.
 
 A subgroup is an int bitmask over element numbers (bit i set when element
 i belongs to it); a FiniteGroup is its own whole subgroup, with ``group``
 itself and ``mask`` covering every element, so every function below takes
-either.  Conjugation, normalizers, centralizers and commutation tests are
-table lookups.  The subgroup lattice comes from cyclic
+either.  Conjugation, normalizers, centralizers, commutation tests and the
+joins of subgroups are table lookups.  The subgroup lattice comes from cyclic
 extension (Neubüser 1960; Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005): every subgroup is a join of cyclic subgroups of
 prime-power order, so joining one member of each known conjugacy class
@@ -26,6 +34,7 @@ never built: by the correspondence theorem its subgroups are the interval
 of subgroups between H and N(H), and its conjugacy is conjugacy by N(H).
 """
 
+from itertools import repeat
 from math import lcm
 
 from .errors import InputError, PreconditionError, ResourceLimitError
@@ -46,7 +55,7 @@ class Permutation:
     __slots__ = ("points", "key", "_mapping")
 
     def __init__(self, points, mapping):
-        points = tuple(sorted(points))
+        points = _sorted_points(points)
         if set(mapping) != set(points):
             raise InputError("permutation domain does not match point set")
         if set(mapping.values()) != set(points):
@@ -67,13 +76,13 @@ class Permutation:
 
     @classmethod
     def identity(cls, points):
-        points = tuple(sorted(points))
+        points = _sorted_points(points)
         return cls._of(points, tuple(range(len(points))))
 
     @classmethod
     def from_cycles(cls, points, text):
         """Parse disjoint cycle notation like "(1 2)(3 4)"; "()" is the identity."""
-        points = tuple(sorted(points))
+        points = _sorted_points(points)
         body = text.strip()
         if body in ("", "()"):
             return cls.identity(points)
@@ -110,7 +119,7 @@ class Permutation:
         """Composition: (g * h)(x) = g(h(x))."""
         if self.points != other.points:
             raise InputError("permutations act on different point sets")
-        return Permutation._of(self.points, tuple(map(self.key.__getitem__, other.key)))
+        return Permutation._of(self.points, _compose(self.key, other.key))
 
     def inverse(self):
         inv = [0] * len(self.key)
@@ -175,25 +184,36 @@ class Permutation:
         return self.key < other.key
 
 
-def _close_under_products(degree, generators, bound, base=None):
-    """Set of all products of the generators, int image tuples on range(degree).
+def _sorted_points(points):
+    """The points as a sorted tuple; a point listed twice is an InputError."""
+    points = tuple(sorted(points))
+    for p, q in zip(points, points[1:]):
+        if p == q:
+            raise InputError("duplicate point %r" % (p,))
+    return points
 
-    a * b is the composition a(b(x)), computed as tuple(map(a.__getitem__,
-    b)).  The set grows by whole left cosets t*B of base, a subgroup B
-    given by its element list (default trivial) whose generators must be
-    among the generators: each new coset representative is a generator
-    times a known representative (Dimino's method).
+
+def _compose(a, b):
+    """The int image tuple of a * b, the composition a(b(x))."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _close_under_products(generators, times, bound, base):
+    """Set of all products of the generators, in any element encoding.
+
+    times(a, b) is the product a * b, and base lists the elements of a
+    subgroup B, the identity first, whose generators must be among the
+    generators.  The set grows by whole left cosets t*B: each new coset
+    representative t is a generator times a known representative
+    (Dimino's method).
     """
-    ident = tuple(range(degree))
-    base = base or (ident,)
     elements = set(base)
-    reps = [ident]
+    reps = [base[0]]
     for r in reps:
         for g in generators:
-            t = tuple(map(g.__getitem__, r))
+            t = times(g, r)
             if t not in elements:
-                step = t.__getitem__
-                elements.update([tuple(map(step, b)) for b in base])
+                elements.update(map(times, repeat(t), base))
                 reps.append(t)
                 if len(elements) > bound:
                     raise ResourceLimitError(
@@ -237,7 +257,7 @@ class FiniteGroup:
     """
 
     def __init__(self, points, generators, max_order=DEFAULT_ORDER_BOUND):
-        self.points = pts = tuple(sorted(points))
+        self.points = pts = _sorted_points(points)
         gens = []
         for g in generators:
             if not isinstance(g, Permutation):
@@ -247,8 +267,8 @@ class FiniteGroup:
             if not g.is_identity:
                 gens.append(g)
         self.generators = tuple(gens)
-        keys = sorted(_close_under_products(
-            len(pts), [g.key for g in gens], max_order))
+        keys = sorted(_close_under_products([g.key for g in gens], _compose,
+                                            max_order, [tuple(range(len(pts)))]))
         self.elements = tuple(Permutation._of(pts, t) for t in keys)
         self.identity = self.elements[0]
         self._index = {t: i for i, t in enumerate(keys)}
@@ -260,13 +280,31 @@ class FiniteGroup:
     # ------------------------------------------------ numbered elements
 
     def _tables(self):
-        """(mul, inv): mul[a][b] numbers elements[a] * elements[b]."""
+        """(mul, inv): mul[a][b] numbers elements[a] * elements[b].
+
+        Only the generators' rows take tuple products.  Every other row is
+        the row of a product e = a * r of a generator a and an element r
+        whose row is known: e * b = a * (r * b).  Every element is already
+        numbered, so this walk from the identity only picks an order in
+        which to fill the rows.
+        """
         if self._mul is None:
             index = self._index
             keys = list(index)
-            self._mul = [[index[tuple(map(a.__getitem__, b))] for b in keys]
-                         for a in keys]
-            self._inv = [row.index(0) for row in self._mul]
+            gen_rows = [[index[_compose(g.key, b)] for b in keys]
+                        for g in self.generators]
+            mul = [None] * len(keys)
+            mul[0] = list(range(len(keys)))
+            filled = [0]
+            for r in filled:
+                row_r = mul[r]
+                for row_a in gen_rows:
+                    e = row_a[r]
+                    if mul[e] is None:
+                        mul[e] = list(map(row_a.__getitem__, row_r))
+                        filled.append(e)
+            self._mul = mul
+            self._inv = [row.index(0) for row in mul]
         return self._mul, self._inv
 
     def _element_orders(self):
@@ -277,13 +315,11 @@ class FiniteGroup:
     def _generate(self, numbers, bound, base=1):
         """Mask of the subgroup generated by the numbered elements and the
         subgroup mask base, whose generators must be among them."""
-        elements = self.elements
-        index = self._index
-        mask = base
-        for t in _close_under_products(len(self.points),
-                                       [elements[i].key for i in numbers], bound,
-                                       [elements[i].key for i in _bits(base)]):
-            mask |= 1 << index[t]
+        mul = self._tables()[0]
+        mask = 0
+        for t in _close_under_products(numbers, lambda a, b: mul[a][b], bound,
+                                       _bits(base)):
+            mask |= 1 << t
         return mask
 
     # ------------------------------------------------ public interface
@@ -359,7 +395,8 @@ def homomorphism_images(group, points, generator_images):
     pairs = [g.key + tuple(n + i for i in img.key) for g, img in zip(gens, imgs)]
     broken = "generator images do not define a homomorphism"
     try:
-        graph = _close_under_products(n + len(points), pairs, group.order)
+        graph = _close_under_products(pairs, _compose, group.order,
+                                      [tuple(range(n + len(points)))])
     except ResourceLimitError:
         raise InputError(broken) from None
     index = group._index

@@ -85,6 +85,11 @@ def symmetric(n):
     return group("(1 2)", "(%s)" % " ".join(str(i) for i in range(1, n + 1)))
 
 
+def b4():
+    """The hyperoctahedral group B4 of order 384 on the points 1 .. 8."""
+    return group("(1 2)(5 6)", "(1 2 3 4)(5 6 7 8)", "(1 5)")
+
+
 # p-groups named in the vanishing-identity and poset criteria
 def pgroup_corpus():
     return {
@@ -288,6 +293,15 @@ def brute_subgroups(g):
                         todo.append(row[b])
             found.add(frozenset(elems[i].key for i in cur))
     return found
+
+
+def product_table(g):
+    """The multiplication table of g over its element numbers, filled
+    directly: entry [a][b] numbers the composition of elements a and b,
+    computed on their image tuples for every pair."""
+    keys = [x.key for x in g.elements]
+    index = {k: i for i, k in enumerate(keys)}
+    return [[index[tuple(a[i] for i in b)] for b in keys] for a in keys]
 
 
 def coset_quotient(n, h):

@@ -77,6 +77,30 @@ def test_each_link_computed_once_per_complex(monkeypatch):
     assert 1 < len({i for i, _ in calls}) <= len(scan.classes)
 
 
+def test_scan_checks_each_distinct_fixed_complex_once(monkeypatch):
+    # the Sylow 2-subgroup of the octahedral group on bary(octahedron): its
+    # 27 classes have 13 nonempty fixed complexes, only 7 of them distinct
+    octa = helpers.octahedron()
+    act = helpers.subdivided_action(
+        octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
+    log = []  # (complex, simplex); complexes compare by value
+    link = SimplicialComplex.link
+
+    def counting_link(self, simplex):
+        log.append((self, tuple(sorted(simplex))))
+        return link(self, simplex)
+    monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+    scan = duality_obstruction_scan(act)
+    fixed = [act.fixed_subcomplex(c.subgroup) for c in scan.classes]
+    distinct = {f for f in fixed if not f.is_empty}
+    assert (len(scan.classes), len(distinct)) == (27, 7)
+    assert len([f for f in fixed if not f.is_empty]) == 13
+    assert len(log) == len(set(log)) == sum(len(f.simplices) for f in distinct)
+    for c, f in zip(scan.classes, fixed):
+        if not f.is_empty:
+            assert c.cm == cohen_macaulay(f)
+
+
 def test_cm_t_fails_at_u():
     report = cohen_macaulay(helpers.t_complex())
     assert not report.is_cm

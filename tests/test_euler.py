@@ -1,5 +1,6 @@
 """Equivariant Euler classes, the vanishing identity, and the acyclicity check."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,22 @@ def test_euler_class_equals_orbit_count():
         coeffs = {h.key: c for h, c in euler_class(act).entries()}
         assert set(counts) <= set(coeffs), name
         assert coeffs == {k: counts.get(k, 0) for k in coeffs}, name
+
+
+def test_euler_class_of_the_order_128_action():
+    # the Sylow 2-subgroup of B4 on bary(4-cross-polytope), f = 80/464/768/384
+    x = helpers.cross_polytope(4)
+    k = helpers.group_on(x, "(1 5)", "(1 2 3 4)(5 6 7 8)", "(1 3)(5 7)")
+    act = helpers.subdivided_action(x, k)
+    start = time.process_time()
+    entries = euler_class(act).entries()
+    elapsed = time.process_time() - start
+    assert k.order == 128 and len(entries) == 177
+    counts = helpers.orbit_count_euler_class(act)
+    coeffs = {h.key: c for h, c in entries}
+    assert set(counts) <= set(coeffs)
+    assert coeffs == {key: counts.get(key, 0) for key in coeffs}
+    assert elapsed < 2.0
 
 
 def test_euler_class_reads_each_fixed_complex_once(monkeypatch):

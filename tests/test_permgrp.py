@@ -69,6 +69,20 @@ def test_generators_must_be_permutations_of_the_points():
         group_from_generators(["1", "2"], [perm("(1 2)")])
 
 
+def test_duplicate_points_are_rejected():
+    pts = ["1", "1", "2"]
+    with pytest.raises(InputError, match="duplicate point '1'"):
+        Permutation(pts, {"1": "2", "2": "1"})
+    with pytest.raises(InputError, match="duplicate point '1'"):
+        Permutation.identity(pts)
+    with pytest.raises(InputError, match="duplicate point '1'"):
+        Permutation.from_cycles(pts, "()")
+    with pytest.raises(InputError, match="duplicate point '1'"):
+        Permutation.from_cycles(pts, "(1 2)")
+    with pytest.raises(InputError, match="duplicate point '1'"):
+        group_from_generators(pts, [])
+
+
 def test_closure_bound_enforced():
     pts = tuple(str(i) for i in range(1, 8))
     gens = [Permutation.from_cycles(pts, "(1 2 3 4 5 6 7)"),
@@ -241,3 +255,52 @@ def test_generating_set_regenerates():
     for h in all_subgroups(g):
         regen = g.subgroup_generated(h.generating_set())
         assert regen == h
+
+
+def _bary_octahedron_image_group():
+    """The order-16 Sylow 2-subgroup of the octahedral group, as the group
+    of its images on the 26 vertices of bary(octahedron)."""
+    octa = helpers.octahedron()
+    g = helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)")
+    act = helpers.subdivided_action(octa, g)
+    return group_from_generators(act.complex.vertices,
+                                 [act.images[x.key] for x in g.generators])
+
+
+def test_tables_match_direct_products():
+    groups = [helpers.s4(), helpers.d8xc2(), helpers.s3xs3(), helpers.q8(),
+              helpers.a4(), *helpers.pgroup_corpus().values(),
+              _bary_octahedron_image_group()]
+    assert groups[-1].order == 16 and len(groups[-1].points) == 26
+    for g in groups:
+        table = helpers.product_table(g)
+        mul, inv = g._tables()
+        assert mul == table
+        assert all(g.elements[a].inverse() == g.elements[inv[a]]
+                   for a in range(g.order))
+
+
+@pytest.mark.parametrize("build, order, n_subgroups, n_classes, seconds",
+                         [(helpers.b4, 384, 1659, 193, 3.0),
+                          (lambda: helpers.symmetric(6), 720, 1455, 56, 4.0)])
+def test_lattice_at_scale(build, order, n_subgroups, n_classes, seconds):
+    g = build()
+    start = time.process_time()
+    classes = conjugacy_classes_of_subgroups(g)
+    elapsed = time.process_time() - start
+    assert g.order == order
+    assert len(all_subgroups(g)) == n_subgroups
+    assert len(classes) == n_classes
+    assert sum(c.size for c in classes) == n_subgroups
+    assert elapsed < seconds
+
+
+def test_subgroup_generated_on_a_fresh_group_is_cheap():
+    pts = [str(i) for i in range(1, 7)]
+    g = helpers.symmetric(6)
+    gens = [perm("(1 2 3 4 5)", pts), perm("(1 2)(3 4)", pts)]
+    start = time.process_time()
+    h = g.subgroup_generated(gens)
+    elapsed = time.process_time() - start
+    assert h.order == 60
+    assert elapsed < 0.2

@@ -39,6 +39,15 @@ def test_lattice_lagrange_and_normalizers(g):
         assert set(normalizer(g, h).key) == fixing
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(small_groups(), st.lists(st.integers(0, 10 ** 6), max_size=3))
+def test_subgroup_generated_equals_closure_of_keys(g, picks):
+    # the one closure routine on element numbers against it on image tuples
+    xs = [g.elements[i % g.order] for i in picks]
+    assert (g.subgroup_generated(xs).key
+            == tuple(x.key for x in group_from_generators(g.points, xs)))
+
+
 @st.composite
 def permutation_lists(draw):
     """Two to six permutations of the points "1" .. "n" for n up to 12, so
