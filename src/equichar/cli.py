@@ -8,6 +8,7 @@ byte-identical across runs.  Diagnostics go to stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -304,6 +305,9 @@ def cmd_double(args):
         _emit(args, doc, ["no full copy of the pattern found in the host"])
         return 1
     image = embedding.image_complex()
+    if len(image.vertices) == len(host.vertices):
+        raise PreconditionError("pattern covers the whole host; the swap is "
+                                "trivial")
     doubled, action = double_along(host, image)
     gen = action.group.generators[0]
     doc = {"command": "double", "ok": True,
@@ -369,7 +373,7 @@ def make_parser():
                         help="emit one JSON document on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, complex=False, group=False, pattern=False, optional_complex=False):
+    def add(name, complex=False, group=False, pattern=False, optional_complex=False):
         p = sub.add_parser(name)
         if complex:
             p.add_argument("--complex", required=True)
@@ -379,39 +383,46 @@ def make_parser():
             p.add_argument("--group", required=True)
         if pattern:
             p.add_argument("--pattern", required=True)
-        p.set_defaults(func=func)
         return p
 
-    add("subgroups", cmd_subgroups, group=True, optional_complex=True)
-    p = add("poset-euler", cmd_poset_euler, group=True, optional_complex=True)
+    add("subgroups", group=True, optional_complex=True)
+    p = add("poset-euler", group=True, optional_complex=True)
     p.add_argument("--filter", default="nontrivial", choices=FILTERS)
-    add("quillen-check", cmd_quillen_check, group=True, optional_complex=True)
-    add("weyl-check", cmd_weyl_check, group=True, optional_complex=True)
-    add("euler-class", cmd_euler_class, complex=True, group=True)
-    add("euler-free-coeff", cmd_euler_free_coeff, complex=True, group=True)
-    p = add("acyclicity-check", cmd_acyclicity_check, complex=True, group=True)
+    add("quillen-check", group=True, optional_complex=True)
+    add("weyl-check", group=True, optional_complex=True)
+    add("euler-class", complex=True, group=True)
+    add("euler-free-coeff", complex=True, group=True)
+    p = add("acyclicity-check", complex=True, group=True)
     p.add_argument("--force", action="store_true",
                    help="accept any p-group (remark scope), not just rank 2")
-    add("cm-check", cmd_cm_check, complex=True)
-    p = add("duality-report", cmd_duality_report, complex=True)
+    add("cm-check", complex=True)
+    p = add("duality-report", complex=True)
     p.add_argument("--group", help="scan fixed complexes of this action for "
                    "Cohen-Macaulay failures")
     p.add_argument("--max-degree", type=int, default=None)
-    p = add("double", cmd_double, complex=True, pattern=True)
+    p = add("double", complex=True, pattern=True)
     p.add_argument("--subdivide", action="store_true",
                    help="barycentrically subdivide the host before searching")
-    p = add("jones-verify", cmd_jones_verify)
+    p = add("jones-verify")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process; parse_args keeps no state in it."""
+    return make_parser()
+
+
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the command is looked up when it runs, not stored in the parser, so
+    # the parser kept across calls holds no function objects
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (InputError, ResourceLimitError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

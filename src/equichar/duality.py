@@ -12,7 +12,7 @@ group everything lands in a single k.
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .exactlin import _universal_coefficients
+from .exactlin import HomologyGroup, _universal_coefficients
 from .permgrp import (Permutation, conjugacy_classes_of_subgroups,
                       group_from_generators)
 from .simp import GroupAction, SimplicialComplex
@@ -31,18 +31,82 @@ class CMReport:
 def _link_table(x):
     """{simplex: reduced homology of its link}, the empty simplex first and
     then the simplices in sorted order.  Built once per complex and kept in
-    its _link_table slot; complexes are immutable, so it never goes stale."""
+    its _link_table slot; complexes are immutable, so it never goes stale.
+
+    The empty simplex's entry is the reduced homology of x by Smith normal
+    form; every other entry comes from _link_homology, which counts links
+    of dimension below 2 in closed form.
+    """
     table = x._link_table
     if table is None:
         table = {(): x.reduced_homology()}
         for s in sorted(x.simplices):
-            table[s] = x.link(s).reduced_homology()
+            table[s] = _link_homology(x, s)
         x._link_table = table
     return table
 
 
+def _link_homology(x, s):
+    """Reduced homology of the link of the nonempty simplex s of x.
+
+    Links of dimension below 2 are counted from the cofaces of s:
+      * no coface: the link is empty, {-1: Z};
+      * k cofaces, each one vertex larger: k points, {-1: 0, 0: Z^(k-1)};
+      * largest coface two vertices larger: a graph with v vertices, e
+        edges and c components (by union-find), {-1: 0, 0: Z^(c-1),
+        1: Z^(e-v+c)}.
+    These are the degrees and groups that Smith normal form gives on the
+    augmented chain complex of the link, which is still built and reduced
+    for links of dimension 2 and more.
+    """
+    n = len(s)
+    points = 0
+    edges = []
+    for t in x._cofaces(s):
+        k = len(t) - n
+        if k == 1:
+            points += 1
+        elif k == 2:
+            edges.append(t)
+        else:
+            return x.link(s).reduced_homology()
+    if not points:  # every coface has a face one vertex larger than s
+        return {-1: HomologyGroup(1)}
+    if not edges:
+        return {-1: HomologyGroup(), 0: HomologyGroup(points - 1)}
+    sset = set(s)
+    parent = {}  # union-find forest on the link's vertices; roots are absent
+    merges = 0
+    for t in edges:
+        a, b = (_root(parent, v) for v in t if v not in sset)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    c = points - merges
+    return {-1: HomologyGroup(), 0: HomologyGroup(c - 1),
+            1: HomologyGroup(len(edges) - points + c)}
+
+
+def _root(parent, v):
+    """The root of v's tree, with the path to it compressed."""
+    r = v
+    while r in parent:
+        r = parent[r]
+    while v != r:
+        parent[v], v = r, parent[v]
+    return r
+
+
 def cohen_macaulay(x):
-    """Check top-degree concentration of all link homologies."""
+    """Check top-degree concentration of all link homologies.
+
+    The links come from the complex's link table: empty links, point links
+    and graph links are counted in closed form from the cofaces of each
+    simplex (Z in degree -1; Z^(k-1) in degree 0 for k points; Z^(c-1) and
+    Z^(e-v+c) in degrees 0 and 1 for a graph with v vertices, e edges and
+    c components), and only the complex itself and links of dimension 2 or
+    more go through Smith normal form.
+    """
     if x.is_empty:
         raise InputError("the empty complex has no dimension to test against")
     n = x.dim
@@ -158,10 +222,6 @@ class ClassObstruction:
 @dataclass
 class ObstructionReport:
     classes: tuple
-
-    @property
-    def obstructed_at(self):
-        return tuple(c.subgroup for c in self.classes if c.obstructed)
 
     @property
     def any_obstruction(self):

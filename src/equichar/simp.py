@@ -51,7 +51,7 @@ class SimplicialComplex:
         self.vertices = tuple(sorted(set(vertices)))
         self.simplices = frozenset(tuple(s) for s in simplices)
         self._dim = None
-        self._star = None  # {vertex: simplices containing it}, built by link()
+        self._star = None  # {vertex: its star}, built by _cofaces()
         self._link_table = None  # {simplex: link homology}, filled by duality
         if check:
             self._validate()
@@ -154,16 +154,28 @@ class SimplicialComplex:
     def link(self, simplex):
         """Link of a simplex; the empty simplex gives the complex itself.
 
-        lk(s) = {t - s : s a proper face of t}.  Every such t lies in the
-        star of each vertex of s, so only the star of the vertex of s with
-        the fewest cofaces is read, from a vertex -> cofaces index built on
-        the first call (the complex is immutable, so it never goes stale).
+        lk(s) = {t - s : t a coface of s}, read from _cofaces.
         """
         s = tuple(sorted(set(simplex)))
         if s == ():
             return self
         if s not in self.simplices:
             raise InputError("simplex %r not in complex" % (s,))
+        sset = set(s)
+        simplices = {tuple(v for v in t if v not in sset)
+                     for t in self._cofaces(s)}
+        verts = set(v for t in simplices for v in t)
+        return SimplicialComplex(verts, simplices, check=False)
+
+    def _cofaces(self, s):
+        """The simplices that have the nonempty simplex s of the complex as
+        a proper face.
+
+        Each of them lies in the star of every vertex of s, so only the
+        star of the vertex of s with the fewest cofaces is read, from a
+        vertex -> star index built on the first call (the complex is
+        immutable, so it never goes stale).
+        """
         star = self._star
         if star is None:
             star = {v: [] for v in self.vertices}
@@ -171,13 +183,10 @@ class SimplicialComplex:
                 for v in t:
                     star[v].append(t)
             self._star = star
-        sset = set(s)
         n = len(s)
-        simplices = {tuple(v for v in t if v not in sset)
-                     for t in min((star[v] for v in s), key=len)
-                     if len(t) > n and sset.issubset(t)}
-        verts = set(v for t in simplices for v in t)
-        return SimplicialComplex(verts, simplices, check=False)
+        sset = set(s)
+        return [t for t in min((star[v] for v in s), key=len)
+                if len(t) > n and sset.issubset(t)]
 
     def full_subcomplex(self, vertex_subset):
         """All simplices whose vertices lie in the subset; the complex itself

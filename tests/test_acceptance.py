@@ -143,7 +143,8 @@ def test_criterion_09_doubled_sphere_pipeline():
         if cohen_macaulay(fixed).is_cm:
             return False
         scan = duality_obstruction_scan(act)
-        return scan.obstructed_at == (act.group.whole(),)
+        return ([c.subgroup for c in scan.classes if c.obstructed]
+                == [act.group.whole()])
     ok, elapsed = _timed(body)
     _report(9, "doubled sphere pipeline", ok and elapsed < 10.0)
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from equichar import cli
 from equichar.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -271,3 +272,63 @@ def test_module_entry_point():
         [sys.executable, "-m", "equichar.cli", "no-such-command"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_double_pattern_covering_host_is_precondition_failure(capsys, tmp_path):
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"vertices": ["1", "2"],
+                                "maximal_simplices": [["1", "2"]]}))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "maximal_simplices": []}))
+    for x in (edge, empty):
+        code, out, err = run(capsys, "double", "--complex", x, "--pattern", x)
+        assert (code, out) == (3, "")
+        assert err == ("precondition failed: pattern covers the whole host; "
+                       "the swap is trivial\n")
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    # main keeps one parser per process; an argparse error in between must
+    # leave nothing behind that changes the next call
+    monkeypatch.setenv("COLUMNS", "80")
+    good = ["subgroups", "--group", str(data("d8.json"))]
+    bad = ["subgroups"]
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "equichar.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, COLUMNS="80"))
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    expected_good, expected_bad = fresh(good), fresh(bad)
+    assert expected_good[0] == 0 and "10 subgroups" in expected_good[1]
+    assert expected_bad[0] == 2 and expected_bad[1] == ""
+    assert "the following arguments are required: --group" in expected_bad[2]
+    assert in_process(good) == expected_good
+    assert in_process(bad) == expected_bad
+    assert in_process(good) == expected_good
+
+
+def test_commands_are_looked_up_when_they_run(capsys, monkeypatch):
+    # the kept parser must not pin the command functions: a wrapper put in
+    # place between two calls, as a tracer does, is the one that runs
+    argv = ["subgroups", "--group", str(data("d8.json"))]
+    assert main(argv) == 0
+    seen = []
+    command = cli.cmd_subgroups
+
+    def wrapper(args):
+        seen.append(args.command)
+        return command(args)
+    monkeypatch.setattr(cli, "cmd_subgroups", wrapper)
+    assert main(argv) == 0
+    assert seen == ["subgroups"]
+    capsys.readouterr()

@@ -41,16 +41,58 @@ def test_cm_at_scale():
     assert elapsed < 1.0
 
 
-def test_link_table_matches_augmented_link_homology():
+def pendant_triangle():
+    """A triangle with a pendant edge, plus an isolated vertex: not pure."""
+    return SimplicialComplex.from_maximal_simplices(
+        ["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d"), ("e",)])
+
+
+def cone_over_graph():
+    """A cone whose apex o has for link a hollow triangle, a path and two
+    isolated vertices: four components and one cycle."""
+    return SimplicialComplex.from_maximal_simplices(
+        list("oabcdefgh"), [("o", "a", "b"), ("o", "b", "c"), ("o", "a", "c"),
+                            ("o", "d", "e"), ("o", "e", "f"), ("o", "g"),
+                            ("o", "h")])
+
+
+def test_link_table_matches_augmented_link_homology(monkeypatch):
+    link = SimplicialComplex.link
     for x in (*helpers.complex_corpus().values(), helpers.cross_polytope(4),
               helpers.octahedron().barycentric_subdivision(),
-              *helpers.random_flag_complexes()):
+              *helpers.random_flag_complexes(), pendant_triangle(),
+              cone_over_graph()):
+        built = []  # simplices whose link the table builds and reduces
+
+        def recording_link(self, simplex):
+            built.append(simplex)
+            return link(self, simplex)
+        monkeypatch.setattr(SimplicialComplex, "link", recording_link)
         table = duality._link_table(x)
+        monkeypatch.setattr(SimplicialComplex, "link", link)
         assert list(table) == [()] + sorted(x.simplices)
         assert table[()] == homology(augment(x.chain_complex()))
         for s in sorted(x.simplices):
             assert table[s] == homology(augment(x.link(s).chain_complex()))
+        # only links of dimension 2 and more go through Smith normal form
+        assert built == [s for s in sorted(x.simplices) if x.link(s).dim >= 2]
         assert duality._link_table(x) is table
+
+
+def test_link_table_closed_forms():
+    zero, z = HomologyGroup(), HomologyGroup(1)
+    table = duality._link_table(pendant_triangle())
+    assert table[("e",)] == {-1: z}  # isolated vertex: empty link
+    assert table[("d",)] == {-1: zero, 0: zero}  # one point
+    assert table[("c", "d")] == {-1: z}
+    assert table[("a", "b")] == {-1: zero, 0: zero}
+    assert table[("c",)] == {-1: zero, 0: z, 1: zero}  # edge ab and point d
+    assert table[("a",)] == {-1: zero, 0: zero, 1: zero}  # edge bc
+    table = duality._link_table(cone_over_graph())
+    assert table[("o",)] == {-1: zero, 0: HomologyGroup(3), 1: z}
+    assert table[("g",)] == {-1: zero, 0: zero}
+    assert table[("a", "o")] == {-1: zero, 0: z}
+    assert table[("e", "o")] == {-1: zero, 0: z}
 
 
 def test_each_link_computed_once_per_complex(monkeypatch):
@@ -61,12 +103,12 @@ def test_each_link_computed_once_per_complex(monkeypatch):
         octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
     x = act.complex
     log = []  # (complex, simplex); holding the complex keeps its id unique
-    link = SimplicialComplex.link
+    link_homology = duality._link_homology
 
-    def counting_link(self, simplex):
-        log.append((self, tuple(sorted(simplex))))
-        return link(self, simplex)
-    monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+    def counting_link_homology(x, s):
+        log.append((x, s))
+        return link_homology(x, s)
+    monkeypatch.setattr(duality, "_link_homology", counting_link_homology)
     assert flag_duality(x).is_duality
     graded_cohomology_profile(x)
     scan = duality_obstruction_scan(act)
@@ -84,12 +126,12 @@ def test_scan_checks_each_distinct_fixed_complex_once(monkeypatch):
     act = helpers.subdivided_action(
         octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
     log = []  # (complex, simplex); complexes compare by value
-    link = SimplicialComplex.link
+    link_homology = duality._link_homology
 
-    def counting_link(self, simplex):
-        log.append((self, tuple(sorted(simplex))))
-        return link(self, simplex)
-    monkeypatch.setattr(SimplicialComplex, "link", counting_link)
+    def counting_link_homology(x, s):
+        log.append((x, s))
+        return link_homology(x, s)
+    monkeypatch.setattr(duality, "_link_homology", counting_link_homology)
     scan = duality_obstruction_scan(act)
     fixed = [act.fixed_subcomplex(c.subgroup) for c in scan.classes]
     distinct = {f for f in fixed if not f.is_empty}
@@ -225,7 +267,8 @@ def test_obstruction_scan_doubled():
     _, _, (doubled, act) = doubled_pipeline()
     scan = duality_obstruction_scan(act)
     assert scan.any_obstruction
-    assert scan.obstructed_at == (act.group.whole(),)
+    assert [c.subgroup for c in scan.classes if c.obstructed] == [
+        act.group.whole()]
     top = [c for c in scan.classes if c.obstructed][0]
     assert top.note == "fixed complex is not Cohen-Macaulay"
 
@@ -236,7 +279,8 @@ def test_obstruction_scan_empty_fixed_passes():
     edges = helpers.two_edges()
     act = GroupAction(edges, helpers.group_on(edges, "(1 3)(2 4)"))
     scan = duality_obstruction_scan(act)
-    assert scan.obstructed_at == (act.group.trivial_subgroup(),)
+    assert [c.subgroup for c in scan.classes if c.obstructed] == [
+        act.group.trivial_subgroup()]
     empty_cases = [c for c in scan.classes if c.cm is None]
     assert len(empty_cases) == 1
     assert not empty_cases[0].obstructed

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import helpers  # noqa: E402
 from equichar import (IntegerMatrix, Permutation,  # noqa: E402
                       SimplicialComplex, all_subgroups, augment, cohomology,
-                      euler_class, exactlin, group_from_generators, homology,
+                      duality, euler_class, exactlin, group_from_generators, homology,
                       homology_mod_p, normalizer, smith_normal_form)
 
 
@@ -154,3 +154,14 @@ def test_euler_class_equals_orbit_count(act):
     coeffs = {h.key: c for h, c in euler_class(act).entries()}
     assert set(counts) <= set(coeffs)
     assert coeffs == {k: counts.get(k, 0) for k in coeffs}
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(flag_complexes())
+def test_link_table_matches_link_homology_on_flag_complexes(x):
+    # closed forms below dimension 2, Smith normal form above, against
+    # Smith normal form of every augmented link
+    table = duality._link_table(x)
+    assert list(table) == [()] + sorted(x.simplices)
+    for s, hom in table.items():
+        assert hom == homology(augment(x.link(s).chain_complex()))
