@@ -56,20 +56,21 @@ def _link_homology(x, s):
         edges and c components (by union-find), {-1: 0, 0: Z^(c-1),
         1: Z^(e-v+c)}.
     These are the degrees and groups that Smith normal form gives on the
-    augmented chain complex of the link, which is still built and reduced
-    for links of dimension 2 and more.
+    augmented chain complex of the link, which is still built, from the
+    cofaces already read, and reduced for links of dimension 2 and more.
     """
     n = len(s)
     points = 0
     edges = []
-    for t in x._cofaces(s):
+    cofaces = x._cofaces(s)
+    for t in cofaces:
         k = len(t) - n
         if k == 1:
             points += 1
         elif k == 2:
             edges.append(t)
         else:
-            return x.link(s).reduced_homology()
+            return x._link_of(s, cofaces).reduced_homology()
     if not points:  # every coface has a face one vertex larger than s
         return {-1: HomologyGroup(1)}
     if not edges:

@@ -5,7 +5,10 @@ right-angled Artin group on L; its classifying-space Euler characteristic
 decomposes over conjugacy classes of subgroups of K with exact rational
 coefficients.  Two independent routes are implemented: the general
 weighted-sum formula (euler_class) and a telescope for cyclic K
-(euler_class_cyclic); they must agree on cyclic inputs.
+(euler_class_cyclic); they must agree on cyclic inputs.  The general route
+reads chi(L^E) off the action's vertex stabilizer masks without building
+L^E; the telescope builds each fixed complex, so the two routes share no
+fixed-set code.
 """
 
 from fractions import Fraction
@@ -121,7 +124,7 @@ def euler_class_coefficient(action, h):
         h = k.whole()
 
     def chi(cls):
-        return 1 - action.fixed_subcomplex(cls.rep).euler_characteristic()
+        return 1 - action._fixed_euler(cls.rep)
     return _weyl_sum(k, h, chi)
 
 
@@ -147,13 +150,9 @@ def euler_class(action):
     action.require_admissible()
     k = action.group
     require_p_group(k)
-    chis = {}  # subgroup E -> 1 - chi(L^E), shared by every Weyl sum
 
     def chi(cls):
-        e = cls.rep
-        if e not in chis:
-            chis[e] = 1 - action.fixed_subcomplex(e).euler_characteristic()
-        return chis[e]
+        return 1 - action._fixed_euler(cls.rep)
     return EulerClass({cls.rep: _weyl_sum(k, cls.rep, chi)
                        for cls in conjugacy_classes_of_subgroups(k)})
 

@@ -7,7 +7,9 @@ simplices; the empty simplex () is never stored but is accepted by link(),
 and it is the single (-1)-cell of the reduced chain complex.
 """
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import and_, eq
 
 from .errors import InputError, PreconditionError
 from .exactlin import (ChainComplexZ, IntegerMatrix, cohomology, homology,
@@ -161,9 +163,12 @@ class SimplicialComplex:
             return self
         if s not in self.simplices:
             raise InputError("simplex %r not in complex" % (s,))
+        return self._link_of(s, self._cofaces(s))
+
+    def _link_of(self, s, cofaces):
+        """The link of the nonempty simplex s, from the list of its cofaces."""
         sset = set(s)
-        simplices = {tuple(v for v in t if v not in sset)
-                     for t in self._cofaces(s)}
+        simplices = {tuple(v for v in t if v not in sset) for t in cofaces}
         verts = set(v for t in simplices for v in t)
         return SimplicialComplex(verts, simplices, check=False)
 
@@ -289,6 +294,11 @@ class GroupAction:
     vertices.  Images of all elements are built by closing products, which
     checks that the assignment is a homomorphism; each generator image
     must carry simplices to simplices.
+
+    Each vertex keeps its stabilizer as a bitmask over the group's element
+    numbers, the encoding of Subgroup.mask.  A subgroup fixes a vertex iff
+    its mask lies inside the vertex's, and it fixes a simplex pointwise iff
+    its mask lies inside the AND of the masks of the simplex's vertices.
     """
 
     def __init__(self, complex, group, generator_images=None):
@@ -303,12 +313,19 @@ class GroupAction:
         self.images = homomorphism_images(group, verts, generator_images)
         simplices = sorted(complex.simplices)
         for g in group.generators:
-            img = generator_images[g]
+            img = generator_images[g].mapping.__getitem__
             for s in simplices:
-                t = tuple(sorted(img(v) for v in s))
-                if t not in complex.simplices:
+                if tuple(sorted(map(img, s))) not in complex.simplices:
                     raise InputError("generator %s breaks simplex %r" % (g, s))
+        n = len(verts)
+        masks = [0] * n
+        for e, img in enumerate(self.images.values()):
+            bit = 1 << e
+            for i in compress(range(n), map(eq, img.key, range(n))):
+                masks[i] |= bit
+        self._stabilizers = dict(zip(verts, masks))
         self._admissible = None
+        self._fixed_counts = None  # built by _fixed_euler()
 
     def image(self, g):
         if g not in self.group:
@@ -318,19 +335,46 @@ class GroupAction:
     def is_admissible(self):
         """Every setwise-fixed simplex is pointwise fixed."""
         if self._admissible is None:
-            self._admissible = self.admissibility_witness() is None
+            self._admissible = self._first_offender() is None
         return self._admissible
 
-    def admissibility_witness(self):
-        """A (group element, simplex) pair violating admissibility, or None."""
-        simplices = sorted(s for s in self.complex.simplices if len(s) > 1)
-        for g in self.group.elements:
-            img = self.images[g.key]
-            for s in simplices:
-                t = tuple(sorted(img(v) for v in s))
-                if t == s and any(img(v) != v for v in s):
-                    return g, s
+    def _first_offender(self):
+        """The first element, in element order, that fixes a simplex
+        setwise but not pointwise, or None.
+
+        g does so iff one of its nontrivial cycles on the vertices spans a
+        simplex: a setwise-fixed simplex is a union of cycles of g, and
+        every face of a simplex is a simplex.
+        """
+        verts = self.complex.vertices
+        simplices = self.complex.simplices
+        for g, img in zip(self.group.elements, self.images.values()):
+            t = img.key
+            done = set()
+            for i, j in enumerate(t):
+                if i == j or i in done:
+                    continue
+                cycle = [i]
+                while j != i:
+                    cycle.append(j)
+                    j = t[j]
+                done.update(cycle)
+                if tuple(map(verts.__getitem__, sorted(cycle))) in simplices:
+                    return g
         return None
+
+    def admissibility_witness(self):
+        """A (group element, simplex) pair violating admissibility, or None:
+        the first offending element and, of the simplices it fixes setwise
+        but not pointwise, the least."""
+        g = self._first_offender()
+        if g is None:
+            return None
+        img = self.images[g.key].mapping.__getitem__
+        for s in sorted(s for s in self.complex.simplices if len(s) > 1):
+            if (tuple(sorted(map(img, s))) == s
+                    and any(img(v) != v for v in s)):
+                return g, s
 
     def require_admissible(self):
         if not self.is_admissible():
@@ -339,29 +383,59 @@ class GroupAction:
                 "action is not admissible: %s fixes %r setwise but not "
                 "pointwise" % (g, s))
 
-    def _subgroup_elements(self, h):
+    def _mask(self, h):
+        """Mask over the group's element numbers of h: a subgroup of the
+        acting group, or an iterable of its elements."""
+        group = self.group
         if isinstance(h, (Subgroup, FiniteGroup)):
+            if h.group is group:
+                return h.mask
             elems = h.elements
         else:
             elems = tuple(h)
+        index = group._index
+        mask = 0
         for g in elems:
-            if g not in self.group:
+            if g not in group:
                 raise InputError("subgroup lies outside the acting group")
-        return elems
+            mask |= 1 << index[g.key]
+        return mask
 
     def fixed_vertices(self, h):
-        elems = self._subgroup_elements(h)
-        return tuple(v for v in self.complex.vertices
-                     if all(self.images[g.key](v) == v for g in elems))
+        mask = self._mask(h)
+        return tuple(v for v, m in self._stabilizers.items() if not mask & ~m)
 
     def fixed_subcomplex(self, h):
         """Full subcomplex on the vertices fixed by every element of h."""
         self.require_admissible()
         return self.complex.full_subcomplex(self.fixed_vertices(h))
 
+    def _fixed_euler(self, h):
+        """Euler characteristic of fixed_subcomplex(h), without building it.
+
+        The simplices of L^h are those whose stabilizer mask, the AND of
+        their vertices' masks, contains h's mask; the simplices are grouped
+        by that mask once per action, each group kept as a signed count.
+        """
+        counts = self._fixed_counts
+        if counts is None:
+            counts = self._fixed_counts = _signed_counts_by_mask(
+                self.complex.simplices, self._stabilizers)
+        mask = self._mask(h)
+        return sum(c for m, c in counts if not mask & ~m)
+
     def vertex_stabilizer(self, v):
-        elems = [g for g in self.group.elements if self.images[g.key](v) == v]
-        return Subgroup(self.group, elems)
+        return Subgroup._of(self.group, self._stabilizers[v])
+
+
+def _signed_counts_by_mask(simplices, stabilizers):
+    """((mask, sum of (-1)^dim s over the simplices s with that stabilizer
+    mask), ...), the mask of a simplex being the AND of its vertices'."""
+    counts = {}
+    for s in simplices:
+        m = reduce(and_, map(stabilizers.__getitem__, s))
+        counts[m] = counts.get(m, 0) + (1 if len(s) % 2 else -1)
+    return tuple(counts.items())
 
 
 class Embedding:

@@ -150,15 +150,20 @@ def rp2_triangulation():
         [str(i) for i in range(1, 7)], [tuple(f) for f in facets])
 
 
-def subdivided_action(x, g):
-    """The action of g, a group permuting the vertices of x, carried to
-    the barycentric subdivision, whose vertex "a|b" is the simplex (a, b)
-    of x.  An induced action on a subdivision is always admissible."""
-    bary = x.barycentric_subdivision()
-    images = {gen: Permutation(bary.vertices, {
-        v: "|".join(sorted(gen(p) for p in v.split("|"))) for v in bary.vertices})
-        for gen in g.generators}
-    return GroupAction(bary, g, generator_images=images)
+def subdivided_action(x, g, times=1):
+    """The action of g, a group permuting the vertices of x, carried up
+    times barycentric subdivisions.  Each subdivision's vertex "a|b" is the
+    simplex (a, b) of the complex below, and moves as that simplex does.
+    An induced action on a subdivision is always admissible."""
+    moves = {gen: gen for gen in g.generators}
+    for _ in range(times):
+        bary = x.barycentric_subdivision()
+        simplex = {"|".join(s): s for s in x.simplices}
+        moves = {gen: Permutation(bary.vertices, {
+            v: "|".join(sorted(move(p) for p in simplex[v]))
+            for v in bary.vertices}) for gen, move in moves.items()}
+        x = bary
+    return GroupAction(x, g, generator_images=moves)
 
 
 def random_flag_complexes():
@@ -333,6 +338,21 @@ def nilpotent_by_central_series(h):
 
 
 # ------------------------------------------------------- equivariant oracles
+
+
+def admissibility_scan(action):
+    """The first (element, simplex) pair, elements in group order and
+    simplices of dimension >= 1 in sorted order, where the element fixes
+    the simplex setwise but not pointwise; None for an admissible action.
+    Every simplex is moved by every element through Permutation calls."""
+    simplices = sorted(s for s in action.complex.simplices if len(s) > 1)
+    for g in action.group.elements:
+        img = action.image(g)
+        for s in simplices:
+            if (tuple(sorted(img(v) for v in s)) == s
+                    and any(img(v) != v for v in s)):
+                return g, s
+    return None
 
 
 def orbit_count_euler_class(action):

@@ -206,15 +206,25 @@ def test_diagnostics_do_not_depend_on_hash_seed():
 
 
 def test_exit_3_non_admissible_action(capsys, tmp_path):
+    # the witness is the first offending element in element order and the
+    # least simplex it fixes setwise but not pointwise
     edge = tmp_path / "edge.json"
     edge.write_text(json.dumps({"vertices": ["1", "2"],
                                 "maximal_simplices": [["1", "2"]]}))
-    flip = tmp_path / "flip.json"
-    flip.write_text(json.dumps({"generators": ["(1 2)"]}))
-    code, _, err = run(capsys, "euler-class", "--complex", edge,
-                       "--group", flip)
-    assert code == 3
-    assert "not admissible" in err
+    cases = ((edge, ["(1 2)"], "(1 2) fixes ('1', '2')"),
+             (data("octahedron.json"), ["(1 6)", "(1 2)(5 6)", "(3 4)"],
+              "(1 2)(5 6) fixes ('1', '2')"),
+             (data("tetra_boundary.json"), ["(a b c)"],
+              "(a b c) fixes ('a', 'b', 'c')"))
+    for complex_path, gens, witness in cases:
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"generators": gens}))
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, *flags, "euler-class", "--complex",
+                                 complex_path, "--group", group)
+            assert (code, out) == (3, "")
+            assert err == ("precondition failed: action is not admissible: "
+                           "%s setwise but not pointwise\n" % witness)
 
 
 def test_json_output_is_deterministic(capsys):

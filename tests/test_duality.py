@@ -57,25 +57,34 @@ def cone_over_graph():
 
 
 def test_link_table_matches_augmented_link_homology(monkeypatch):
-    link = SimplicialComplex.link
+    link_of, cofaces = SimplicialComplex._link_of, SimplicialComplex._cofaces
     for x in (*helpers.complex_corpus().values(), helpers.cross_polytope(4),
               helpers.octahedron().barycentric_subdivision(),
               *helpers.random_flag_complexes(), pendant_triangle(),
               cone_over_graph()):
         built = []  # simplices whose link the table builds and reduces
+        read = []  # simplices whose cofaces the table reads
 
-        def recording_link(self, simplex):
-            built.append(simplex)
-            return link(self, simplex)
-        monkeypatch.setattr(SimplicialComplex, "link", recording_link)
+        def recording_link_of(self, s, faces):
+            built.append(s)
+            return link_of(self, s, faces)
+
+        def recording_cofaces(self, s):
+            read.append(s)
+            return cofaces(self, s)
+        monkeypatch.setattr(SimplicialComplex, "_link_of", recording_link_of)
+        monkeypatch.setattr(SimplicialComplex, "_cofaces", recording_cofaces)
         table = duality._link_table(x)
-        monkeypatch.setattr(SimplicialComplex, "link", link)
+        monkeypatch.setattr(SimplicialComplex, "_link_of", link_of)
+        monkeypatch.setattr(SimplicialComplex, "_cofaces", cofaces)
         assert list(table) == [()] + sorted(x.simplices)
         assert table[()] == homology(augment(x.chain_complex()))
         for s in sorted(x.simplices):
             assert table[s] == homology(augment(x.link(s).chain_complex()))
-        # only links of dimension 2 and more go through Smith normal form
+        # only links of dimension 2 and more go through Smith normal form,
+        # built from the cofaces that classified them: one read per simplex
         assert built == [s for s in sorted(x.simplices) if x.link(s).dim >= 2]
+        assert read == sorted(x.simplices)
         assert duality._link_table(x) is table
 
 

@@ -11,7 +11,7 @@ from equichar import (EulerClass, GroupAction, InputError, Permutation,
                       double_along, elementary_abelian_classes, euler_class,
                       euler_class_coefficient, euler_class_cyclic,
                       find_full_subcomplex_isomorphic, free_coefficient,
-                      group_from_generators, vanishing_identity)
+                      group_from_generators, simp, vanishing_identity)
 
 
 def star_action(*texts):
@@ -183,17 +183,41 @@ def test_euler_class_of_the_order_128_action():
 
 
 def test_euler_class_reads_each_fixed_complex_once(monkeypatch):
+    # chi(L^E) comes from simplex counts grouped by stabilizer mask, built
+    # once per action; no fixed complex is built
+    grouped, fixed = [], []
+    count = simp._signed_counts_by_mask
+    monkeypatch.setattr(simp, "_signed_counts_by_mask",
+                        lambda *args: grouped.append(1) or count(*args))
+    build = GroupAction.fixed_subcomplex
+    monkeypatch.setattr(GroupAction, "fixed_subcomplex",
+                        lambda self, h: fixed.append(h) or build(self, h))
     octa = helpers.octahedron()
     act = helpers.subdivided_action(
         octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
-    by_class = {h: euler_class_coefficient(act, h)
-                for h in euler_class(act).coefficients}
-    calls = []
-    fixed = GroupAction.fixed_subcomplex
-    monkeypatch.setattr(GroupAction, "fixed_subcomplex",
-                        lambda self, h: calls.append(h.key) or fixed(self, h))
-    assert euler_class(act).coefficients == by_class
-    assert len(calls) == len(set(calls))
+    cls = euler_class(act)
+    assert {h: euler_class_coefficient(act, h) for h in cls.coefficients} \
+        == cls.coefficients
+    assert euler_class(act) == cls
+    assert len(grouped) == 1 and fixed == []
+
+
+def test_euler_class_of_the_order_128_action_on_bary2():
+    # the same action carried up a second subdivision, f = 1696/10912/
+    # 18432/9216; admissibility is checked inside euler_class
+    x = helpers.cross_polytope(4)
+    k = helpers.group_on(x, "(1 5)", "(1 2 3 4)(5 6 7 8)", "(1 3)(5 7)")
+    act = helpers.subdivided_action(x, k, times=2)
+    assert act.complex.f_vector() == (1696, 10912, 18432, 9216)
+    start = time.process_time()
+    entries = euler_class(act).entries()
+    elapsed = time.process_time() - start
+    assert len(entries) == 177
+    counts = helpers.orbit_count_euler_class(act)
+    coeffs = {h.key: c for h, c in entries}
+    assert set(counts) <= set(coeffs)
+    assert coeffs == {key: counts.get(key, 0) for key in coeffs}
+    assert elapsed < 4.0
 
 
 def test_cyclic_route_needs_cyclic_p_group():

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import helpers  # noqa: E402
 from equichar import (IntegerMatrix, Permutation,  # noqa: E402
                       SimplicialComplex, all_subgroups, augment, cohomology,
-                      duality, euler_class, exactlin, group_from_generators, homology,
-                      homology_mod_p, normalizer, smith_normal_form)
+                      duality, euler_class, euler_class_cyclic, exactlin,
+                      group_from_generators, homology, homology_mod_p,
+                      normalizer, smith_normal_form)
 
 
 @st.composite
@@ -130,15 +131,16 @@ def test_reduced_chains_match_augmented_route(x):
 P_GROUPS = (("(1 2)",), ("(1 2)(3 4)",), ("(1 2)", "(3 4)"), ("(1 2 3 4)",),
             ("(1 2 3 4)", "(1 3)"), ("(1 2)(3 4)", "(5 6)"), ("(1 2 3)",),
             ("(1 2 3)(4 5 6)",), ("(1 2 3)", "(4 5 6)"))
+CYCLIC_P_GROUPS = tuple(t for t in P_GROUPS if len(t) == 1) + (("(1 2 3 4)(5 6)",),)
 
 
 @st.composite
-def admissible_actions(draw):
-    """A p-group acting on a complex over six points whose facets are
-    closed under it, carried to the barycentric subdivision."""
+def admissible_actions(draw, groups=P_GROUPS):
+    """One of the p-groups acting on a complex over six points whose
+    facets are closed under it, carried to the barycentric subdivision."""
     points = [str(i) for i in range(1, 7)]
     g = group_from_generators(points, [Permutation.from_cycles(points, t)
-                                       for t in draw(st.sampled_from(P_GROUPS))])
+                                       for t in draw(st.sampled_from(groups))])
     seeds = draw(st.lists(st.lists(st.sampled_from(points), min_size=1,
                                    max_size=3, unique=True),
                           min_size=1, max_size=4))
@@ -154,6 +156,13 @@ def test_euler_class_equals_orbit_count(act):
     coeffs = {h.key: c for h, c in euler_class(act).entries()}
     assert set(counts) <= set(coeffs)
     assert coeffs == {k: counts.get(k, 0) for k in coeffs}
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(admissible_actions(CYCLIC_P_GROUPS))
+def test_euler_class_equals_cyclic_telescope(act):
+    # chi(L^E) from stabilizer masks against chi of the built fixed complexes
+    assert euler_class(act) == euler_class_cyclic(act)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -1,15 +1,15 @@
 """Simplicial complexes, group actions on them, subcomplex embeddings."""
 
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 import helpers
 from equichar import (GroupAction, HomologyGroup, InputError, Permutation,
-                      PreconditionError, SimplicialComplex, augment,
-                      complex_of_chains, double_along,
-                      find_full_subcomplex_isomorphic)
+                      PreconditionError, SimplicialComplex, all_subgroups,
+                      augment, complex_of_chains, double_along,
+                      find_full_subcomplex_isomorphic, group_from_generators)
 
 
 def test_face_closure():
@@ -325,6 +325,74 @@ def test_vertex_stabilizer():
     act = GroupAction(star, helpers.group_on(star, "(1 2 3 4)", "(1 3)"))
     assert act.vertex_stabilizer("5").order == 8
     assert act.vertex_stabilizer("1").order == 2
+
+
+def corpus_actions():
+    """On each corpus complex: the cyclic group of each automorphism, and
+    the whole automorphism group; automorphisms found by trying every
+    permutation of the vertices."""
+    for name, x in helpers.complex_corpus().items():
+        autos = []
+        for img in permutations(x.vertices):
+            move = dict(zip(x.vertices, img))
+            if all(tuple(sorted(move[v] for v in s)) in x.simplices
+                   for s in x.simplices):
+                autos.append(Permutation(x.vertices, move))
+        for g in autos:
+            yield "%s %s" % (name, g), GroupAction(
+                x, group_from_generators(x.vertices, [g]))
+        yield name + " all", GroupAction(
+            x, group_from_generators(x.vertices, autos))
+
+
+def subdivided_actions():
+    octa = helpers.octahedron()
+    yield "Sylow on bary(octahedron)", helpers.subdivided_action(
+        octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
+    cross = helpers.cross_polytope(3)
+    yield "sign flips on bary(cross)", helpers.subdivided_action(
+        cross, helpers.group_on(cross, "(1 4)", "(2 5)", "(3 6)"))
+    tetra = helpers.tetra_boundary()
+    yield "S4 on bary(tetra)", helpers.subdivided_action(
+        tetra, helpers.group_on(tetra, "(a b)", "(a b c d)"))
+    tri = SimplicialComplex.from_maximal_simplices("abc", [("a", "b", "c")])
+    yield "C3 on bary^2(triangle)", helpers.subdivided_action(
+        tri, helpers.group_on(tri, "(a b c)"), times=2)
+
+
+def test_admissibility_equals_the_scan():
+    octa = helpers.octahedron()
+    octahedral = [(texts, GroupAction(octa, helpers.group_on(octa, *texts)))
+                  for texts in (("(1 6)",), ("(1 2)(5 6)",), ("(1 6)", "(3 4)"))]
+    verdicts = set()
+    for name, act in (*corpus_actions(), *subdivided_actions(), *octahedral):
+        witness = helpers.admissibility_scan(act)
+        assert act.admissibility_witness() == witness, name
+        assert act.is_admissible() == (witness is None), name
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+    assert [act.is_admissible() for _, act in octahedral] == [True, False, True]
+
+
+def test_fixed_sets_equal_permutation_calls():
+    # fixed vertices, stabilizers and chi(L^E) read from the stabilizer
+    # masks, against Permutation calls and the built fixed complexes
+    checked = 0
+    for name, act in (*corpus_actions(), *subdivided_actions()):
+        imgs = {g: act.image(g) for g in act.group.elements}
+        for v in act.complex.vertices:
+            assert act.vertex_stabilizer(v).elements == tuple(
+                g for g, img in imgs.items() if img(v) == v), name
+        for e in all_subgroups(act.group):
+            fixed = tuple(v for v in act.complex.vertices
+                          if all(imgs[g](v) == v for g in e.elements))
+            assert act.fixed_vertices(e) == fixed, name
+            assert act.fixed_vertices(list(e.elements)) == fixed, name
+            if act.is_admissible():
+                fixed = act.fixed_subcomplex(e)
+                assert act._fixed_euler(e) == fixed.euler_characteristic(), name
+                checked += 1
+    assert checked > 250  # 277 subgroups of admissible actions
 
 
 def test_find_pattern_in_barycentric_sphere():
