@@ -11,6 +11,20 @@ form finishes it, pivoting on a smallest-magnitude entry.
 Arbitrary-precision arithmetic means entry growth can never wrap; that
 pivot rule keeps it tame in practice.  Over GF(p) every nonzero entry is a
 pivot and the rank is the pivot count.
+
+One driver, _homology, serves homology, cohomology and homology_mod_p.
+It reduces the boundaries from the top degree down and clears: the pivot
+rows of d_(d+1) name d-cells whose columns of d_d are never built or read.
+Let R be those rows and T the pivot columns.  From d_d d_(d+1) = 0,
+d_d[:, R] d_(d+1)[R, T] = -d_d[:, not R] d_(d+1)[not R, T], and the
+eliminator's pivots are an LU factorization of the block d_(d+1)[R, T],
+so its determinant is the product of the pivots.  Over GF(p) that is
+nonzero, so the columns R of d_d lie in the span of the others and the
+rank is unchanged.  Over Z only the sparse eliminator's pivots clear:
+they are all +-1, the block is unimodular, the columns R are integer
+combinations of the others, and the image lattice, hence the rank and the
+invariant factors, is unchanged.  A pivot of the dense residue need not be
+a unit and never clears.
 """
 
 from heapq import heapify, heappop, heappush
@@ -132,35 +146,37 @@ class IntegerMatrix:
         return not any(self.entries)
 
 
-def _eliminate(m, p=None):
+def _eliminate(m, p=None, drop=()):
     """Sparse elimination with Markowitz-ordered pivots.
 
-    Copies the {col: value} rows of m (reduced mod p over GF(p)), leaving
-    m itself untouched, and indexes them by column.  Over Z (p is None)
-    only entries +-1 may pivot; over GF(p) any entry nonzero mod p may,
-    and all arithmetic is reduced mod p.  The next pivot comes from a
-    sparsest row holding a candidate, in its candidate column with the
-    fewest entries, which keeps fill-in low.  Each pivot clears its column
-    from the other rows (the Schur complement update), then its row and
-    column are dropped.
+    Copies the {col: value} rows of m (reduced mod p over GF(p)) without
+    the columns in drop, leaving m itself untouched, and indexes them by
+    column.  Over Z (p is None) only entries +-1 may pivot; over GF(p) any
+    entry nonzero mod p may, and all arithmetic is reduced mod p.  The next
+    pivot comes from a sparsest row holding a candidate, in its candidate
+    column with the fewest entries, which keeps fill-in low.  Each pivot
+    clears its column from the other rows (the Schur complement update),
+    then its row and column are dropped.
 
-    Returns (pivots, rows): the pivot count and the rows left, all of them
-    free of +-1 entries over Z and empty over GF(p).
+    Returns (pivots, rows): the set of pivot rows and the rows left, all of
+    them free of +-1 entries over Z and empty over GF(p).
     """
     rows = {}
     cols = [set() for _ in range(m.cols)]
     for i, row in enumerate(m.entries):
-        if p is None:
-            row = dict(row)
+        if p is not None:
+            row = {j: x for j, v in row.items() if (x := v % p) and j not in drop}
+        elif drop:
+            row = {j: v for j, v in row.items() if j not in drop}
         else:
-            row = {j: x for j, v in row.items() if (x := v % p)}
+            row = dict(row)
         if row:
             rows[i] = row
             for j in row:
                 cols[j].add(i)
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
-    pivots = 0
+    pivots = set()
     while heap:
         n, i = heappop(heap)
         row = rows.get(i)
@@ -201,7 +217,7 @@ def _eliminate(m, p=None):
         for c in row:
             cols[c].discard(i)
         del rows[i]
-        pivots += 1
+        pivots.add(i)
     return pivots, rows
 
 
@@ -286,6 +302,24 @@ def _dense_snf(m):
     return diagonal, t
 
 
+def _reduce(m, p=None, drop=()):
+    """Reduce one matrix without the columns in drop: (pivots, factors).
+
+    pivots is the set of the sparse eliminator's pivot rows, each pivot an
+    invariant factor 1 over Z; factors lists the nonzero invariant factors
+    of the residue it leaves, from the dense Smith normal form (none over
+    GF(p)).  The rank is len(pivots) + len(factors).
+    """
+    pivots, rows = _eliminate(m, p, drop)
+    if not rows:
+        return pivots, []
+    cols = sorted({j for row in rows.values() for j in row})
+    residue = IntegerMatrix(len(rows), len(cols),
+                            [[row.get(j, 0) for j in cols] for row in rows.values()])
+    diagonal, rank = _dense_snf(residue)
+    return pivots, diagonal[:rank]
+
+
 def smith_normal_form(m):
     """Diagonalize by unimodular row and column operations.
 
@@ -296,22 +330,20 @@ def smith_normal_form(m):
     through a dense Smith normal form that pivots on a smallest-magnitude
     entry.  Invariant factors are unique, so the order does not matter.
     """
-    units, rows = _eliminate(m)
-    factors = [1] * units
-    if rows:
-        cols = sorted({j for row in rows.values() for j in row})
-        residue = IntegerMatrix(len(rows), len(cols),
-                                [[row.get(j, 0) for j in cols] for row in rows.values()])
-        diagonal, rank = _dense_snf(residue)
-        factors += diagonal[:rank]
+    pivots, factors = _reduce(m)
+    factors = [1] * len(pivots) + factors
     return factors + [0] * (min(m.rows, m.cols) - len(factors)), len(factors)
+
+
+def _require_prime(p):
+    if not is_prime(p):
+        raise InputError("p must be prime, got %r" % (p,))
 
 
 def rank_mod_p(m, p):
     """Rank over the field with p elements, by sparse Gaussian elimination."""
-    if not is_prime(p):
-        raise InputError("p must be prime, got %r" % (p,))
-    return _eliminate(m, p)[0]
+    _require_prime(p)
+    return len(_eliminate(m, p)[0])
 
 
 class HomologyGroup:
@@ -436,33 +468,82 @@ def augment(c):
     """c with Z added in degree -1, the target of the all-ones map out of
     degree 0 (no map when c is empty); reduced homology is the homology of
     the result.  Degrees 0..lo-1 below the lowest degree lo of c are padded
-    with rank 0, so the augmentation is zero there."""
+    with rank 0, so the augmentation is zero there.  A column of the
+    boundary out of degree 1 that does not sum to 0 makes the composition
+    with the augmentation nonzero and raises ConsistencyError."""
     ranks = dict(c.ranks)
     for d in range(min(ranks, default=0)):
         ranks[d] = 0
     ranks[-1] = 1
     boundaries = dict(c.boundaries)
     if 0 in ranks:
+        b = c.boundary(1)
+        sums = [0] * b.cols
+        for row in b.entries:
+            for j, v in row.items():
+                sums[j] += v
+        if any(sums):
+            raise ConsistencyError("boundary composition is nonzero at degree 1")
         boundaries[0] = IntegerMatrix(1, ranks[0], [[1] * ranks[0]])
     labels = dict(c.labels)
     labels[-1] = ("*",)
     return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
 
 
-def homology(c):
-    """Homology groups by Smith normal form, as {degree: HomologyGroup}.
+def _homology(ranks, boundary, p=None):
+    """The one homology driver: {degree: HomologyGroup} over Z (p None), or
+    {degree: dimension} over GF(p), of the complex with the given ranks.
 
-    Only the boundaries c holds are diagonalized; a missing one is zero."""
-    snf = {d: smith_normal_form(c.boundaries[d]) for d in c.degrees()
-           if d in c.boundaries}
+    boundary(d, cleared) supplies d_d once the boundary above is reduced:
+    None for a zero map, else (matrix, drop), where the matrix may leave
+    out the columns in cleared and drop names those it still holds, for
+    the eliminator to skip as it copies the rows.  The boundaries are
+    reduced from the top degree down, and the pivot rows that may clear
+    (module docstring) are passed down as the next cleared columns.
+    """
+    if p is not None:
+        _require_prime(p)
+    degrees = sorted(ranks)
+    image_rank = {}
+    torsion = {}
+    cleared = ()
+    for d in reversed(degrees):
+        held = boundary(d, cleared)
+        if held is None:
+            cleared = ()
+            continue
+        m, drop = held
+        cleared, factors = _reduce(m, p, drop)
+        image_rank[d] = len(cleared) + len(factors)
+        torsion[d - 1] = tuple(v for v in factors if v > 1)
     out = {}
-    for d in c.degrees():
-        _, r_here = snf.get(d, ([], 0))
-        diag_up, r_up = snf.get(d + 1, ([], 0))
-        betti = c.rank(d) - r_here - r_up
-        torsion = tuple(v for v in diag_up if v > 1)
-        out[d] = HomologyGroup(betti, torsion)
+    for d in degrees:
+        free = ranks[d] - image_rank.get(d, 0) - image_rank.get(d + 1, 0)
+        if p is None:
+            out[d] = HomologyGroup(free, torsion.get(d, ()))
+        elif free < 0:
+            raise ConsistencyError("negative mod-p dimension")
+        else:
+            out[d] = free
     return out
+
+
+def _held(c):
+    """The boundary supplier of _homology for the matrices c holds."""
+    def boundary(d, cleared):
+        m = c.boundaries.get(d)
+        return None if m is None else (m, cleared)
+    return boundary
+
+
+def homology(c):
+    """Homology groups of the chain complex c, as {degree: HomologyGroup}.
+
+    Only the boundaries c holds are reduced; a missing one is zero.  The
+    reduction clears columns (module docstring), which assumes that
+    d_(d-1) d_d = 0 in every degree; ChainComplexZ checks that unless it is
+    built with check=False."""
+    return _homology(c.ranks, _held(c))
 
 
 def cohomology(c):
@@ -478,14 +559,6 @@ def _universal_coefficients(h):
 
 
 def homology_mod_p(c, p):
-    """Dimensions of homology with coefficients in the field of order p."""
-    if not is_prime(p):
-        raise InputError("p must be prime, got %r" % (p,))
-    ranks = {d: rank_mod_p(c.boundaries[d], p) for d in c.degrees()
-             if d in c.boundaries}
-    out = {}
-    for d in c.degrees():
-        out[d] = c.rank(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if out[d] < 0:
-            raise ConsistencyError("negative mod-p dimension")
-    return out
+    """Dimensions of homology with coefficients in the field of order p,
+    as {degree: dimension}; the same driver and assumption as homology."""
+    return _homology(c.ranks, _held(c), p)

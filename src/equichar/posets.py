@@ -51,14 +51,6 @@ class FinitePoset:
                 if (j, k) in self.lt and (i, k) not in self.lt:
                     raise InputError("strict order must be transitive")
 
-    @classmethod
-    def from_elements(cls, elements, less, labels=None):
-        """Build from a callable strict comparison."""
-        elements = tuple(elements)
-        pairs = {(i, j) for i in range(len(elements)) for j in range(len(elements))
-                 if i != j and less(elements[i], elements[j])}
-        return cls(elements, pairs, labels=labels)
-
     def __len__(self):
         return len(self.elements)
 

@@ -12,8 +12,8 @@ from itertools import combinations, compress
 from operator import and_, eq
 
 from .errors import InputError, PreconditionError
-from .exactlin import (ChainComplexZ, IntegerMatrix, cohomology, homology,
-                       homology_mod_p)
+from .exactlin import (ChainComplexZ, IntegerMatrix, _homology,
+                       _universal_coefficients)
 from .permgrp import FiniteGroup, Subgroup, homomorphism_images
 
 
@@ -206,13 +206,19 @@ class SimplicialComplex:
 
     def chain_complex(self):
         """Simplicial chain complex, cells labelled "a|b|..."."""
-        return self._chains(reduced=False)
+        cells, boundary = self._chains(reduced=False)
+        return ChainComplexZ({d: len(group) for d, group in cells.items()},
+                             {d: boundary(d) for d in cells if d > 0},
+                             labels={d: tuple("|".join(s) for s in group)
+                                     for d, group in cells.items()},
+                             check=False)
 
     def _chains(self, reduced):
-        """The chain complex on the simplices grouped by dimension, each
-        group sorted.  When reduced, the empty simplex is the single
-        (-1)-cell, so the boundary formula writes the augmentation out of
-        degree 0 and no labels are built."""
+        """(cells, boundary): cells[d] lists the d-simplices, sorted, and
+        boundary(d, cleared=()) is the one boundary builder, the matrix of
+        the map out of degree d with the columns in cleared left empty.
+        When reduced, the empty simplex is the single (-1)-cell, so the
+        boundary formula writes the augmentation out of degree 0."""
         lo = -1 if reduced else 0
         cells = {d: [] for d in range(lo, self.dim + 1)}
         if reduced:
@@ -221,31 +227,43 @@ class SimplicialComplex:
             cells[len(s) - 1].append(s)
         for group in cells.values():
             group.sort()
-        ranks = {d: len(group) for d, group in cells.items()}
-        boundaries = {}
-        for d in range(lo + 1, self.dim + 1):
-            index = {s: i for i, s in enumerate(cells[d - 1])}
-            mat = IntegerMatrix(ranks[d - 1], ranks[d])
+
+        def boundary(d, cleared=()):
+            faces = cells[d - 1]
+            index = dict(zip(faces, range(len(faces))))
+            mat = IntegerMatrix(len(faces), len(cells[d]))
             rows = mat.entries
+            # combinations lists the faces of s omitting its last vertex
+            # first, whose sign is (-1)^d, then the one before, and so on
+            first = -1 if d % 2 else 1
             for j, s in enumerate(cells[d]):
-                sign = 1
-                for i in range(len(s)):
-                    rows[index[s[:i] + s[i + 1:]]][j] = sign
+                if j in cleared:
+                    continue
+                sign = first
+                for face in combinations(s, d):
+                    rows[index[face]][j] = sign
                     sign = -sign
-            boundaries[d] = mat
-        labels = None if reduced else {
-            d: tuple("|".join(s) for s in group) for d, group in cells.items()}
-        return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
+            return mat
+        return cells, boundary
+
+    def _reduced(self, p=None):
+        """Reduced homology over Z, or over GF(p), through the homology
+        driver: each boundary is built after the one above it is reduced,
+        without the columns that reduction cleared."""
+        cells, boundary = self._chains(reduced=True)
+        return _homology({d: len(group) for d, group in cells.items()},
+                         lambda d, cleared: (boundary(d, cleared), ()) if d >= 0 else None,
+                         p)
 
     def reduced_homology(self):
         """{degree: HomologyGroup} of the augmented chain complex."""
-        return homology(self._chains(reduced=True))
+        return self._reduced()
 
     def reduced_cohomology(self):
-        return cohomology(self._chains(reduced=True))
+        return _universal_coefficients(self._reduced())
 
     def reduced_homology_mod_p(self, p):
-        return homology_mod_p(self._chains(reduced=True), p)
+        return self._reduced(p)
 
     def barycentric_subdivision(self):
         """Flag complex on the simplices, with chains of faces as simplices."""

@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from equichar import (GroupAction, Permutation, SimplicialComplex, center,
-                      group_from_generators)
+from equichar import (GroupAction, HomologyGroup, Permutation,
+                      SimplicialComplex, center, group_from_generators,
+                      rank_mod_p, smith_normal_form)
 
 
 # ---------------------------------------------------------------- groups
@@ -268,6 +269,38 @@ def dense_product(a, b, ncols):
     """Product of dense row lists; b has ncols columns."""
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(ncols)]
             for i in range(len(a))]
+
+
+def homology_without_clearing(c):
+    """{degree: HomologyGroup} of the chain complex c from every full
+    boundary it holds, each through the public smith_normal_form: the
+    betti number of degree d is rank C_d - rank d_d - rank d_(d+1), and the
+    torsion is the invariant factors above 1 of d_(d+1)."""
+    snf = {d: smith_normal_form(c.boundaries[d]) for d in c.degrees()
+           if d in c.boundaries}
+    out = {}
+    for d in c.degrees():
+        _, r_here = snf.get(d, ([], 0))
+        diag_up, r_up = snf.get(d + 1, ([], 0))
+        out[d] = HomologyGroup(c.rank(d) - r_here - r_up,
+                               tuple(v for v in diag_up if v > 1))
+    return out
+
+
+def dual_by_universal_coefficients(h):
+    """Cohomology from a homology table: the free part of H_d and the
+    torsion of H_(d-1) in each degree d."""
+    return {d: HomologyGroup(g.betti, h[d - 1].torsion if d - 1 in h else ())
+            for d, g in h.items()}
+
+
+def mod_p_without_clearing(c, p):
+    """{degree: dimension} of the homology of c over GF(p), by the same
+    formula on every full boundary, each through the public rank_mod_p."""
+    ranks = {d: rank_mod_p(c.boundaries[d], p) for d in c.degrees()
+             if d in c.boundaries}
+    return {d: c.rank(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            for d in c.degrees()}
 
 
 # ------------------------------------------------------------ group oracles

@@ -280,15 +280,18 @@ def test_missing_boundary_is_zero(monkeypatch):
     explicit = ChainComplexZ(ranks, {**held, 0: IntegerMatrix(0, 2),
                                      2: IntegerMatrix(1, 1)})
     calls = []
-    snf = exactlin.smith_normal_form
-    monkeypatch.setattr(exactlin, "smith_normal_form",
-                        lambda m: calls.append(m) or snf(m))
+    reduce = exactlin._reduce
+    monkeypatch.setattr(exactlin, "_reduce",
+                        lambda m, *args: calls.append(m) or reduce(m, *args))
     h = homology(missing)
-    assert calls == list(held.values())
+    # top down, held boundaries only
+    assert calls == [held[3], held[1]]
     assert h == homology(explicit)
     assert h[2] == HomologyGroup(0, (2,))
     for p in (2, 3):
+        calls.clear()
         assert homology_mod_p(missing, p) == homology_mod_p(explicit, p)
+        assert calls[:2] == [held[3], held[1]]
 
 
 def test_boundary_composition_checked():
@@ -374,3 +377,78 @@ def test_torsion_survives_the_residue():
     assert exactlin._eliminate(c.boundary(2))[1]
     h = homology(c)
     assert {d: g for d, g in h.items() if not g.is_trivial} == {1: HomologyGroup(0, (2,))}
+
+
+def _check_against_route_without_clearing(c):
+    h = helpers.homology_without_clearing(c)
+    assert homology(c) == h
+    assert cohomology(c) == helpers.dual_by_universal_coefficients(h)
+    for p in (2, 3, 5):
+        assert homology_mod_p(c, p) == helpers.mod_p_without_clearing(c, p)
+    return h
+
+
+def test_clearing_keeps_torsion_of_bary_rp2():
+    x = helpers.rp2_triangulation().barycentric_subdivision()
+    c = augment(x.chain_complex())
+    h = _check_against_route_without_clearing(c)
+    assert {d: g for d, g in h.items() if not g.is_trivial} == {1: HomologyGroup(0, (2,))}
+    assert x.reduced_homology() == h
+    assert x.reduced_cohomology() == helpers.dual_by_universal_coefficients(h)
+    for p in (2, 3, 5):
+        assert x.reduced_homology_mod_p(p) == helpers.mod_p_without_clearing(c, p)
+
+
+def test_clearing_on_a_moore_extension():
+    c = cyclic_extension(2, 9, 20).complex
+    for cc in (c, augment(c)):
+        _check_against_route_without_clearing(cc)
+    assert all(g.is_trivial for g in homology(augment(c)).values())
+
+
+def test_only_unit_pivots_clear_over_z():
+    # d_2 = (2, 3)^T has no unit entry, so its pivot comes from the dense
+    # residue; clearing that pivot's row would leave d_1 = (-2) or (3) and
+    # read H_0 = Z/2 or Z/3
+    c = ChainComplexZ({0: 1, 1: 2, 2: 1},
+                      {1: IntegerMatrix.from_rows([[3, -2]]),
+                       2: IntegerMatrix.from_rows([[2], [3]])})
+    assert homology(c) == {d: HomologyGroup() for d in (0, 1, 2)}
+    assert cohomology(c) == {d: HomologyGroup() for d in (0, 1, 2)}
+    for p in (2, 3):
+        assert homology_mod_p(c, p) == {0: 0, 1: 0, 2: 0}
+
+
+def test_clearing_shrinks_what_the_eliminator_receives(monkeypatch):
+    # bary^2(octahedron): d_2 has 3 * 288 entries; the 287 pivot rows of
+    # d_2 clear that many columns of d_1, leaving 145 columns of 2 entries,
+    # whose 145 pivot rows leave one column of the augmentation
+    x = helpers.octahedron().barycentric_subdivision().barycentric_subdivision()
+    assert x.f_vector() == (146, 432, 288)
+    received = []
+    eliminate = exactlin._eliminate
+
+    def counting(m, p=None, drop=()):
+        received.append(sum(1 for row in m.entries for j in row if j not in drop))
+        return eliminate(m, p, drop)
+
+    monkeypatch.setattr(exactlin, "_eliminate", counting)
+    c = augment(x.chain_complex())
+    for run in (x.reduced_homology, lambda: x.reduced_homology_mod_p(3),
+                lambda: homology(c), lambda: homology_mod_p(c, 3)):
+        received.clear()
+        run()
+        assert received == [864, 290, 1]
+    received.clear()
+    helpers.homology_without_clearing(c)
+    assert sorted(received) == [146, 864, 864]
+
+
+def test_augment_checks_the_composition_out_of_degree_1():
+    # an edge whose boundary is one endpoint
+    bad = ChainComplexZ({0: 2, 1: 1}, {1: IntegerMatrix.from_rows([[1], [0]])})
+    with pytest.raises(ConsistencyError, match="degree 1"):
+        augment(bad)
+    good = ChainComplexZ({0: 2, 1: 1}, {1: IntegerMatrix.from_rows([[1], [-1]])})
+    assert homology(augment(good)) == {-1: HomologyGroup(), 0: HomologyGroup(),
+                                       1: HomologyGroup()}

@@ -51,9 +51,10 @@ def test_empty_poset():
     assert p.reduced_homology() == {-1: HomologyGroup(1)}
 
 
-def test_from_elements_divisibility():
+def test_divisibility_poset():
     divs = (1, 2, 3, 4, 6, 12)
-    p = FinitePoset.from_elements(divs, lambda a, b: a != b and b % a == 0)
+    p = FinitePoset(divs, {(i, j) for i, a in enumerate(divs)
+                           for j, b in enumerate(divs) if a != b and b % a == 0})
     assert len(p) == 6
     # bounded poset, hence a contractible order complex
     assert p.augmented_euler() == 0

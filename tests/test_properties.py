@@ -127,6 +127,25 @@ def test_reduced_chains_match_augmented_route(x):
     assert x.reduced_homology_mod_p(2) == homology_mod_p(augmented, 2)
 
 
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(flag_complexes())
+def test_homology_equals_the_route_without_clearing(x):
+    # the top-down driver, which clears, against every full boundary
+    chains = x.chain_complex()
+    augmented = augment(chains)
+    for c in (chains, augmented):
+        h = helpers.homology_without_clearing(c)
+        assert homology(c) == h
+        assert cohomology(c) == helpers.dual_by_universal_coefficients(h)
+        for p in (2, 3):
+            assert homology_mod_p(c, p) == helpers.mod_p_without_clearing(c, p)
+    h = helpers.homology_without_clearing(augmented)
+    assert x.reduced_homology() == h
+    assert x.reduced_cohomology() == helpers.dual_by_universal_coefficients(h)
+    for p in (2, 3):
+        assert x.reduced_homology_mod_p(p) == helpers.mod_p_without_clearing(augmented, p)
+
+
 # p-groups on the points 1 .. 6, as generator cycles
 P_GROUPS = (("(1 2)",), ("(1 2)(3 4)",), ("(1 2)", "(3 4)"), ("(1 2 3 4)",),
             ("(1 2 3 4)", "(1 3)"), ("(1 2)(3 4)", "(5 6)"), ("(1 2 3)",),
