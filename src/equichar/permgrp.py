@@ -26,9 +26,18 @@ either.  Conjugation, normalizers, centralizers, commutation tests and the
 joins of subgroups are table lookups.  The subgroup lattice comes from cyclic
 extension (Neubüser 1960; Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005): every subgroup is a join of cyclic subgroups of
-prime-power order, so joining one member of each known conjugacy class
-with each such cyclic subgroup not already inside it reaches all of them.
-The lattice and its conjugacy classes are memoised on the group, per
+prime-power order, so joining one member H of each known conjugacy class
+with such cyclic subgroups <x> reaches all of them.  Two rules skip the
+joins that cannot find a new subgroup.  The power rule joins <x> of order
+p^k with H only when x^p lies in H.  The cover rule skips every <x> inside
+a join J of prime index over H, since such a J is a minimal overgroup of H
+and each of them would give J again.  Neither loses a subgroup: each K > 1
+is a minimal overgroup of one of its maximal subgroups M, so a conjugate
+of K is <H, z> for the processed representative H of M's class and any z
+of that conjugate outside H.  One such z has prime-power order and z^p in
+H: take the last of the p-th powers of a prime-power element outside H
+that still lies outside H (_cyclic_extension gives the details).  The
+lattice and its conjugacy classes are memoised on the group, per
 subgroup mask; callers always get a fresh list.  A Weyl group N(H)/H is
 never built: by the correspondence theorem its subgroups are the interval
 of subgroups between H and N(H), and its conjugacy is conjugacy by N(H).
@@ -569,10 +578,25 @@ def _cyclic_extension(group, top):
     Every subgroup is generated by its elements of prime-power order, so
     it is a join of cyclic subgroups of prime-power order.  Starting from
     the trivial group and those cyclic subgroups, each newly found class
-    representative is joined with every such cyclic subgroup it does not
-    already contain; a join outside the known classes adds its whole class.
-    Joins with the other members of a class are conjugates of joins with
-    its representative, so the sweep reaches every subgroup.
+    representative H is joined with such cyclic subgroups <x>; a join
+    outside the known classes adds its whole class.  Two kinds of join are
+    never made, as neither can find a new subgroup:
+
+    - the power rule: <x> of order p^k is joined with H only when x^p lies
+      in H (x^p is kept next to the mask of <x>);
+    - the cover rule: once a join J has prime index over H, J is a minimal
+      overgroup of H (Lagrange), so every <x> inside J would give J again
+      and none of them is joined with H.
+
+    The sweep still reaches every subgroup K > 1; K of prime order is
+    seeded.  K is a minimal overgroup of one of its maximal subgroups M,
+    so some conjugate K^g is a minimal overgroup of the processed
+    representative H of M's class.  An element of K^g outside H has a
+    prime-power part outside H, as those parts are powers of it that
+    generate it; walking down the p-th powers of that part ends in H, and
+    the last one z outside H has z^p in H.  So the power rule admits <z>,
+    and <H, z> = K^g by minimality.  Were <z> skipped by the cover rule, z
+    would lie in a minimal overgroup J of H, and then J = <H, z> = K^g.
     """
     mul, inv = group._tables()
     orders = group._element_orders()
@@ -580,7 +604,8 @@ def _cyclic_extension(group, top):
     conjugators = _generating_numbers(group, top)
     cyclic = {}
     for x in _bits(top)[1:]:
-        if prime_power_base(orders[x]) is None:
+        p = prime_power_base(orders[x])
+        if p is None:
             continue
         row = mul[x]
         mask = 1
@@ -588,21 +613,28 @@ def _cyclic_extension(group, top):
         while y:
             mask |= 1 << y
             y = row[y]
-        cyclic.setdefault(mask, x)
+        # y is the identity again, and p more steps reach x^p
+        for _ in range(p):
+            y = row[y]
+        cyclic.setdefault(mask, (x, y))
     seen = set()
     orbits = [_conjugates(mul, inv, 1, conjugators, seen)]
     frontier = []
-    for mask, x in cyclic.items():
+    for mask, (x, _) in cyclic.items():
         if mask not in seen:
             orbits.append(_conjugates(mul, inv, mask, conjugators, seen))
             frontier.append((mask, (x,)))
     while frontier:
         fresh = []
         for h, gens in frontier:
-            for x in cyclic.values():
-                if h >> x & 1:
+            covered = h
+            order = h.bit_count()
+            for x, xp in cyclic.values():
+                if covered >> x & 1 or not h >> xp & 1:
                     continue
                 joined = group._generate(gens + (x,), bound, h)
+                if is_prime(joined.bit_count() // order):
+                    covered |= joined
                 if joined not in seen:
                     orbits.append(_conjugates(mul, inv, joined, conjugators, seen))
                     fresh.append((joined, gens + (x,)))

@@ -4,6 +4,16 @@ The poset families used throughout: all nontrivial subgroups, nontrivial
 nilpotent subgroups, nontrivial elementary abelian subgroups, and proper
 nontrivial subgroups.  Euler characteristics are augmented (the empty
 chain counts with sign -1).
+
+A poset with a greatest or a least element is conically contractible
+(Quillen, "Homotopy properties of the poset of nontrivial p-subgroups of a
+group", Adv. Math. 1978): its order complex is a cone with that element as
+apex.  Its reduced homology is zero in every degree from -1 up to the
+dimension of the order complex, which is one less than the number of
+elements in a longest chain, and its reduced Euler characteristic is 0;
+neither is computed from the chains.  Every "nontrivial" poset, the
+"nilpotent" poset of a nilpotent group and every nonempty poset of the
+subgroups above h is such a cone.
 """
 
 from collections import Counter
@@ -65,14 +75,41 @@ class FinitePoset:
         return tuple(sizes[k] for k in range(1, len(sizes) + 1))
 
     def augmented_euler(self):
-        """-1 + sum over k of (-1)^k (number of k-chains)."""
+        """-1 + sum over k of (-1)^k (number of k-chains); 0 for a cone."""
+        if self._cone_length() is not None:
+            return 0
         total = -1
         for k, c in enumerate(self.chain_counts()):
             total += (-1) ** k * c
         return total
 
     def reduced_homology(self):
-        return self.order_complex().reduced_homology()
+        """{degree: HomologyGroup} of the order complex, degrees -1 up to
+        its dimension; all zero for a cone, whose chains are not built."""
+        length = self._cone_length()
+        if length is None:
+            return self.order_complex().reduced_homology()
+        return {d: HomologyGroup() for d in range(-1, length)}
+
+    def _cone_length(self):
+        """The number of elements in a longest chain when the poset has a
+        greatest or a least element, else None.
+
+        Chain lengths come from a pass over the elements in order of how
+        many lie below them, which is a linear extension of the order.
+        """
+        n = len(self.elements)
+        below = [[] for _ in range(n)]
+        above = [0] * n
+        for i, j in self.lt:
+            below[j].append(i)
+            above[i] += 1
+        if n - 1 not in above and all(len(b) < n - 1 for b in below):
+            return None
+        length = [0] * n
+        for j in sorted(range(n), key=lambda j: len(below[j])):
+            length[j] = 1 + max(map(length.__getitem__, below[j]), default=0)
+        return max(length)
 
 
 def subgroup_poset(g, which, p=None):
@@ -98,10 +135,13 @@ def subgroup_poset(g, which, p=None):
 
 
 def _inclusion_poset(subs):
+    """Inclusion poset of subgroups of one group, compared by mask: in
+    (order, key) order, a smaller subgroup can only come first."""
     subs = sorted(subs, key=lambda s: (s.order, s.key))
     labels = tuple("H%d" % i for i in range(len(subs)))
-    pairs = {(i, j) for i in range(len(subs)) for j in range(i + 1, len(subs))
-             if subs[i] < subs[j]}
+    masks = [s.mask for s in subs]
+    pairs = {(i, j) for j, mj in enumerate(masks) for i in range(j)
+             if not masks[i] & ~mj}
     return FinitePoset(subs, pairs, labels=labels, check=False)
 
 

@@ -74,6 +74,10 @@ def d12():
     return group("(1 2 3 4 5 6)", "(2 6)(3 5)")
 
 
+def c4xc4():
+    return group("(1 2 3 4)", "(5 6 7 8)")
+
+
 def d8xc2():
     return group("(1 2 3 4)", "(1 3)", "(5 6)")
 
@@ -331,6 +335,23 @@ def brute_subgroups(g):
                         todo.append(row[b])
             found.add(frozenset(elems[i].key for i in cur))
     return found
+
+
+def brute_classes(g, subgroups):
+    """The subgroups, given as element-key sets, grouped into their orbits
+    under conjugation x^-1 H x by every element x of g, with Permutation
+    arithmetic; a set of frozensets of key sets."""
+    elems = list(g.elements)
+    by_key = {x.key: x for x in elems}
+    todo = set(subgroups)
+    orbits = set()
+    while todo:
+        members = [by_key[k] for k in todo.pop()]
+        orbit = frozenset(frozenset((x.inverse() * y * x).key for y in members)
+                          for x in elems)
+        todo -= orbit
+        orbits.add(orbit)
+    return orbits
 
 
 def product_table(g):

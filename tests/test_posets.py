@@ -7,8 +7,9 @@ from equichar import (FinitePoset, HomologyGroup, InputError,
                       PreconditionError, all_subgroups, center,
                       conjugacy_classes_of_subgroups,
                       elementary_abelian_euler_formula, homology_tables_equal,
-                      normalizer, poset_strictly_above, quillen_thevenaz_check,
-                      subgroup_poset, weyl_poset_check)
+                      normalizer, poset_strictly_above, prime_power_base,
+                      quillen_thevenaz_check, subgroup_poset, weyl_poset_check)
+from equichar.posets import FILTERS
 
 
 def chain_poset(n):
@@ -181,3 +182,131 @@ def test_homology_tables_equal_ignores_trivial_entries():
     assert not homology_tables_equal({0: HomologyGroup(1)}, {})
     assert not homology_tables_equal({1: HomologyGroup(0, (2,))},
                                      {1: HomologyGroup(0, (3,))})
+
+
+# ------------------------------------------------------------ cone posets
+
+
+def corpus_groups():
+    groups = dict(helpers.pgroup_corpus())
+    groups.update(S3=helpers.s3(), S4=helpers.s4(), A4=helpers.a4(),
+                  D12=helpers.d12(), C6=helpers.cyclic(6),
+                  D8xC2=helpers.d8xc2(), S3xS3=helpers.s3xs3(),
+                  C4xC4=helpers.c4xc4())
+    return groups
+
+
+def corpus_posets():
+    """Every subgroup poset of the corpus: each filter, the elementary
+    abelian one also for p = 2 and 3, and the subgroups above each class
+    representative, in g and in its normalizer (both sides of the Weyl
+    check)."""
+    for name, g in corpus_groups().items():
+        for which in FILTERS:
+            yield name + "/" + which, subgroup_poset(g, which)
+        for p in (2, 3):
+            yield "%s/A_%d" % (name, p), subgroup_poset(g, "elementary-abelian", p)
+        for c in conjugacy_classes_of_subgroups(g):
+            yield name + "/above", poset_strictly_above(g, c.rep)
+            yield name + "/weyl", poset_strictly_above(normalizer(g, c.rep), c.rep)
+
+
+def hand_built_posets():
+    return {
+        "top only": FinitePoset("abct", {(0, 3), (1, 3), (2, 3), (0, 2)}),
+        "bottom only": FinitePoset("bxyzw", {(0, 1), (0, 2), (0, 3), (0, 4),
+                                             (1, 3), (2, 3)}),
+        "one element": FinitePoset("a", set()),
+        "no element": FinitePoset((), set()),
+    }
+
+
+def test_cone_rule_equals_the_order_complex_route():
+    posets = list(corpus_posets()) + list(hand_built_posets().items())
+    cones = 0
+    for name, s in posets:
+        want = s.order_complex().reduced_homology()
+        assert list(s.reduced_homology().items()) == list(want.items()), name
+        assert s.augmented_euler() == helpers.mobius_euler(len(s), s.lt), name
+        cones += s._cone_length() is not None
+    assert 0 < cones < len(posets)
+
+
+def test_hand_built_cones():
+    posets = hand_built_posets()
+    assert posets["top only"]._cone_length() == 3
+    assert posets["bottom only"]._cone_length() == 3
+    assert posets["one element"].reduced_homology() == {
+        -1: HomologyGroup(), 0: HomologyGroup()}
+    assert posets["no element"]._cone_length() is None
+
+
+def test_cones_build_no_chains(monkeypatch):
+    def refuse(self):
+        raise AssertionError("chains built for a cone")
+
+    monkeypatch.setattr(FinitePoset, "order_complex", refuse)
+    monkeypatch.setattr(FinitePoset, "chain_counts", refuse)
+    for g in (helpers.d8xc2(), helpers.s4(), helpers.s3xs3()):
+        s = subgroup_poset(g, "nontrivial")
+        assert s.augmented_euler() == 0
+        assert homology_tables_equal(s.reduced_homology(), {})
+    for name, g in helpers.pgroup_corpus().items():
+        # a p-group is nilpotent, and above h < g lies g
+        assert subgroup_poset(g, "nilpotent").augmented_euler() == 0
+        for c in conjugacy_classes_of_subgroups(g):
+            if c.rep.order < g.order:
+                assert weyl_poset_check(g, c.rep).comparison.equal, name
+
+
+# ------------------------------------------------- Brown and Quillen on A_p(G)
+
+
+def p_part(n, p):
+    part = 1
+    while n % p == 0:
+        n //= p
+        part *= p
+    return part
+
+
+def test_brown_congruence_on_quillen_posets():
+    # K. S. Brown (Invent. Math. 1975): the reduced Euler characteristic of
+    # A_p(G) is divisible by |G|_p
+    s6 = helpers.symmetric(6)
+    groups = dict(corpus_groups(), S5=helpers.symmetric(5), S6=s6)
+    for name, g in groups.items():
+        for p in (2, 3):
+            chi = subgroup_poset(g, "elementary-abelian", p).augmented_euler()
+            assert chi % p_part(g.order, p) == 0, (name, p, chi)
+    a2 = subgroup_poset(s6, "elementary-abelian", 2)
+    assert (len(a2), a2.chain_counts()) == (270, (270, 915, 630))
+    assert a2.augmented_euler() == -16 == -p_part(720, 2)
+
+
+def largest_normal_p_subgroup(g, p):
+    """O_p(g), the intersection of the Sylow p-subgroups of g."""
+    sylow = p_part(g.order, p)
+    core = g.mask
+    for h in all_subgroups(g):
+        if h.order == sylow:
+            core &= h.mask
+    return core
+
+
+def test_quillen_contractibility_when_o_p_is_nontrivial():
+    # Quillen (Adv. Math. 1978): O_p(G) != 1 makes A_p(G) contractible
+    cases = [(g, prime_power_base(g.order))
+             for g in helpers.pgroup_corpus().values()]
+    cases += [(helpers.s4(), 2), (helpers.a4(), 2), (helpers.s3(), 3),
+              (helpers.d12(), 3)]
+    for g, p in cases:
+        assert largest_normal_p_subgroup(g, p) != 1
+        a = subgroup_poset(g, "elementary-abelian", p)
+        assert homology_tables_equal(a.reduced_homology(), {})
+        assert a.augmented_euler() == 0
+    # and where O_p(G) = 1 it need not be: A_2(S3) is three points
+    assert largest_normal_p_subgroup(helpers.s3(), 2) == 1
+    assert homology_tables_equal(
+        subgroup_poset(helpers.s3(), "elementary-abelian", 2).reduced_homology(),
+        {0: HomologyGroup(2)})

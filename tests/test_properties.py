@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import helpers  # noqa: E402
 from equichar import (IntegerMatrix, Permutation,  # noqa: E402
                       SimplicialComplex, all_subgroups, augment, cohomology,
+                      conjugacy_classes_of_subgroups,
                       duality, euler_class, euler_class_cyclic, exactlin,
                       group_from_generators, homology, homology_mod_p,
                       normalizer, smith_normal_form)
@@ -38,6 +39,42 @@ def test_lattice_lagrange_and_normalizers(g):
         fixing = {x.key for x in g.elements
                   if {x.inverse() * y * x for y in h.elements} == members}
         assert set(normalizer(g, h).key) == fixing
+
+
+@st.composite
+def groups_up_to_48(draw):
+    """A group of order at most 48, generated by one to three random
+    permutations of six points that each keep the blocks of a random
+    partition; on six points each of its subgroups needs at most three
+    generators, as brute_subgroups requires."""
+    points = [str(i) for i in range(1, 7)]
+    sizes = draw(st.sampled_from([(6,), (5, 1), (4, 2), (3, 3), (3, 2, 1),
+                                  (2, 2, 2)]))
+    blocks = []
+    start = 0
+    for size in sizes:
+        blocks.append(points[start:start + size])
+        start += size
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mapping = {}
+        for block in blocks:
+            mapping.update(zip(block, draw(st.permutations(block))))
+        gens.append(Permutation(points, mapping))
+    g = group_from_generators(points, gens)
+    assume(g.order <= 48)
+    return g
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(groups_up_to_48())
+def test_lattice_and_classes_against_brute_force(g):
+    # the power and cover rules of the cyclic extension lose no subgroup
+    brute = helpers.brute_subgroups(g)
+    assert {frozenset(h.key) for h in all_subgroups(g)} == brute
+    assert ({frozenset(frozenset(h.key) for h in c.members)
+             for c in conjugacy_classes_of_subgroups(g)}
+            == helpers.brute_classes(g, brute))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
