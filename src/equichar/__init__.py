@@ -12,7 +12,7 @@ from .exactlin import (ChainComplexZ, HomologyGroup, IntegerMatrix, augment,
                        cohomology, homology, homology_mod_p, is_prime,
                        prime_power_base, rank_mod_p, smith_normal_form)
 from .permgrp import (FiniteGroup, Permutation, Subgroup, SubgroupClass,
-                      all_subgroups, center, centralizer,
+                      all_subgroups, centralizer,
                       conjugacy_classes_of_subgroups, elementary_abelian_rank,
                       group_from_generators, is_abelian, is_cyclic,
                       is_elementary_abelian, is_elementary_abelian_any,

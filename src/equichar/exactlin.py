@@ -25,8 +25,13 @@ they are all +-1, the block is unimodular, the columns R are integer
 combinations of the others, and the image lattice, hence the rank and the
 invariant factors, is unchanged.  A pivot of the dense residue need not be
 a unit and never clears.
+
+The eliminator consumes the rows it is given.  _rows_of copies a matrix
+that belongs to a caller, reduced mod p and without the cleared columns;
+a simplicial boundary, built for the eliminator alone, goes as built.
 """
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
 from .errors import ConsistencyError, InputError
@@ -146,34 +151,25 @@ class IntegerMatrix:
         return not any(self.entries)
 
 
-def _eliminate(m, p=None, drop=()):
+def _eliminate(rows, p=None):
     """Sparse elimination with Markowitz-ordered pivots.
 
-    Copies the {col: value} rows of m (reduced mod p over GF(p)) without
-    the columns in drop, leaving m itself untouched, and indexes them by
-    column.  Over Z (p is None) only entries +-1 may pivot; over GF(p) any
-    entry nonzero mod p may, and all arithmetic is reduced mod p.  The next
-    pivot comes from a sparsest row holding a candidate, in its candidate
-    column with the fewest entries, which keeps fill-in low.  Each pivot
-    clears its column from the other rows (the Schur complement update),
-    then its row and column are dropped.
+    Consumes the list of {col: value} rows it is given, skipping empty
+    ones.  Over Z (p is None) only entries +-1 may pivot; over GF(p) every
+    entry must be nonzero mod p, any may pivot, and all arithmetic is
+    reduced mod p.  The next pivot comes from a sparsest row holding a
+    candidate, in its candidate column with the fewest entries, which
+    keeps fill-in low.  Each pivot clears its column from the other rows
+    (the Schur complement update), then its row and column are dropped.
 
-    Returns (pivots, rows): the set of pivot rows and the rows left, all of
-    them free of +-1 entries over Z and empty over GF(p).
+    Returns (pivots, rows): the set of pivot row numbers and {number: row}
+    of the rows left, free of +-1 entries over Z and empty over GF(p).
     """
-    rows = {}
-    cols = [set() for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
-        if p is not None:
-            row = {j: x for j, v in row.items() if (x := v % p) and j not in drop}
-        elif drop:
-            row = {j: v for j, v in row.items() if j not in drop}
-        else:
-            row = dict(row)
-        if row:
-            rows[i] = row
-            for j in row:
-                cols[j].add(i)
+    cols = defaultdict(set)
+    rows = {i: row for i, row in enumerate(rows) if row}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
     pivots = set()
@@ -302,15 +298,27 @@ def _dense_snf(m):
     return diagonal, t
 
 
-def _reduce(m, p=None, drop=()):
-    """Reduce one matrix without the columns in drop: (pivots, factors).
+def _rows_of(m, p=None, drop=()):
+    """Fresh rows of the matrix m, which belongs to a caller, for the
+    eliminator to consume: reduced mod p over GF(p), without zeros, and
+    without the columns in drop."""
+    if p is not None:
+        return [{j: x for j, v in row.items() if (x := v % p) and j not in drop}
+                for row in m.entries]
+    if drop:
+        return [{j: v for j, v in row.items() if j not in drop} for row in m.entries]
+    return [dict(row) for row in m.entries]
+
+
+def _reduce(rows, p=None):
+    """Reduce one matrix, given as rows to consume: (pivots, factors).
 
     pivots is the set of the sparse eliminator's pivot rows, each pivot an
     invariant factor 1 over Z; factors lists the nonzero invariant factors
     of the residue it leaves, from the dense Smith normal form (none over
     GF(p)).  The rank is len(pivots) + len(factors).
     """
-    pivots, rows = _eliminate(m, p, drop)
+    pivots, rows = _eliminate(rows, p)
     if not rows:
         return pivots, []
     cols = sorted({j for row in rows.values() for j in row})
@@ -330,20 +338,20 @@ def smith_normal_form(m):
     through a dense Smith normal form that pivots on a smallest-magnitude
     entry.  Invariant factors are unique, so the order does not matter.
     """
-    pivots, factors = _reduce(m)
+    pivots, factors = _reduce(_rows_of(m))
     factors = [1] * len(pivots) + factors
     return factors + [0] * (min(m.rows, m.cols) - len(factors)), len(factors)
 
 
 def _require_prime(p):
-    if not is_prime(p):
+    if type(p) is not int or not is_prime(p):
         raise InputError("p must be prime, got %r" % (p,))
 
 
 def rank_mod_p(m, p):
     """Rank over the field with p elements, by sparse Gaussian elimination."""
     _require_prime(p)
-    return len(_eliminate(m, p)[0])
+    return len(_eliminate(_rows_of(m, p), p)[0])
 
 
 class HomologyGroup:
@@ -495,11 +503,11 @@ def _homology(ranks, boundary, p=None):
     {degree: dimension} over GF(p), of the complex with the given ranks.
 
     boundary(d, cleared) supplies d_d once the boundary above is reduced:
-    None for a zero map, else (matrix, drop), where the matrix may leave
-    out the columns in cleared and drop names those it still holds, for
-    the eliminator to skip as it copies the rows.  The boundaries are
-    reduced from the top degree down, and the pivot rows that may clear
-    (module docstring) are passed down as the next cleared columns.
+    None for a zero map, else its {col: value} rows without the columns in
+    cleared, fresh rows that the eliminator consumes; over GF(p) every
+    entry must be nonzero mod p.  The boundaries are reduced from the top
+    degree down, and the pivot rows that may clear (module docstring) are
+    passed down as the next cleared columns.
     """
     if p is not None:
         _require_prime(p)
@@ -508,12 +516,11 @@ def _homology(ranks, boundary, p=None):
     torsion = {}
     cleared = ()
     for d in reversed(degrees):
-        held = boundary(d, cleared)
-        if held is None:
+        rows = boundary(d, cleared)
+        if rows is None:
             cleared = ()
             continue
-        m, drop = held
-        cleared, factors = _reduce(m, p, drop)
+        cleared, factors = _reduce(rows, p)
         image_rank[d] = len(cleared) + len(factors)
         torsion[d - 1] = tuple(v for v in factors if v > 1)
     out = {}
@@ -528,11 +535,11 @@ def _homology(ranks, boundary, p=None):
     return out
 
 
-def _held(c):
-    """The boundary supplier of _homology for the matrices c holds."""
+def _held(c, p=None):
+    """The boundary supplier of _homology for copies of the matrices c holds."""
     def boundary(d, cleared):
         m = c.boundaries.get(d)
-        return None if m is None else (m, cleared)
+        return None if m is None else _rows_of(m, p, cleared)
     return boundary
 
 
@@ -561,4 +568,4 @@ def _universal_coefficients(h):
 def homology_mod_p(c, p):
     """Dimensions of homology with coefficients in the field of order p,
     as {degree: dimension}; the same driver and assumption as homology."""
-    return _homology(c.ranks, _held(c), p)
+    return _homology(c.ranks, _held(c, p), p)

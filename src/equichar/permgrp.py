@@ -6,7 +6,8 @@ monotone in the point names, so these keys sort exactly like the tuples of
 image names would.  A group is always closed from its generators, and its
 elements sort by key, which makes every listing deterministic, puts the
 identity first and numbers each element by its place in that order.  One
-index maps keys to numbers; on first use a group also builds a
+index maps keys to numbers, and only FiniteGroup._mask_of turns elements
+given by a caller into a mask of numbers; on first use a group also builds a
 multiplication table and an inverse table over the numbers and keeps them
 on the instance, so a group that is only asked for its order never pays
 for a table.  Only the generators' rows of that table take tuple products;
@@ -37,17 +38,18 @@ of K is <H, z> for the processed representative H of M's class and any z
 of that conjugate outside H.  One such z has prime-power order and z^p in
 H: take the last of the p-th powers of a prime-power element outside H
 that still lies outside H (_cyclic_extension gives the details).  The
-lattice and its conjugacy classes are memoised on the group, per
-subgroup mask; callers always get a fresh list.  A Weyl group N(H)/H is
-never built: by the correspondence theorem its subgroups are the interval
-of subgroups between H and N(H), and its conjugacy is conjugacy by N(H).
+lattice, its conjugacy classes and its {mask: Subgroup} are memoised on
+the group, per subgroup mask; callers always get a fresh list.  A Weyl
+group N(H)/H is never built: by the correspondence theorem its subgroups
+are the interval of subgroups between H and N(H), and its conjugacy is
+conjugacy by N(H); its classes hold the lattice's own Subgroup objects.
 """
 
 from itertools import repeat
 from math import lcm
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .exactlin import is_prime, prime_power_base
+from .exactlin import _require_prime, is_prime, prime_power_base
 
 DEFAULT_ORDER_BOUND = 20000
 
@@ -321,6 +323,17 @@ class FiniteGroup:
             self._orders = [_cycle_order(t) for t in self._index]
         return self._orders
 
+    def _mask_of(self, elements, outside):
+        """Mask over the element numbers of the given elements; one that
+        lies outside the group raises InputError(outside)."""
+        index = self._index
+        mask = 0
+        for g in elements:
+            if g not in self:
+                raise InputError(outside)
+            mask |= 1 << index[g.key]
+        return mask
+
     def _generate(self, numbers, bound, base=1):
         """Mask of the subgroup generated by the numbered elements and the
         subgroup mask base, whose generators must be among them."""
@@ -356,12 +369,8 @@ class FiniteGroup:
                 and g.key in self._index)
 
     def subgroup_generated(self, gens):
-        gens = list(gens)
-        for g in gens:
-            if g not in self:
-                raise InputError("generator lies outside the group")
-        mask = self._generate([self._index[g.key] for g in gens], self.order)
-        return Subgroup._of(self, mask)
+        numbers = _bits(self._mask_of(gens, "generator lies outside the group"))
+        return Subgroup._of(self, self._generate(numbers, self.order))
 
     def whole(self):
         return Subgroup._of(self, self.mask)
@@ -423,12 +432,7 @@ class Subgroup:
     __slots__ = ("group", "mask", "elements", "key")
 
     def __init__(self, group, elements):
-        index = group._index
-        mask = 0
-        for g in elements:
-            if g not in group:
-                raise InputError("subgroup element lies outside the group")
-            mask |= 1 << index[g.key]
+        mask = group._mask_of(elements, "subgroup element lies outside the group")
         if not mask & 1:
             raise InputError("subgroup must contain the identity")
         self._fill(group, mask)
@@ -507,16 +511,10 @@ def _generating_numbers(group, mask):
 def _inner_mask(g, h):
     """Mask of h in the numbering of g's group; h must lie inside g."""
     group = g.group
-    if h.group is group:
-        mask = h.mask
-    else:
-        mask = 0
-        for x in h.elements:
-            if x not in group:
-                raise InputError("not a subgroup of the ambient group")
-            mask |= 1 << group._index[x.key]
+    outside = "not a subgroup of the ambient group"
+    mask = h.mask if h.group is group else group._mask_of(h.elements, outside)
     if mask & ~g.mask:
-        raise InputError("not a subgroup of the ambient group")
+        raise InputError(outside)
     return mask
 
 
@@ -573,7 +571,8 @@ def _lattice(g):
 
 
 def _cyclic_extension(group, top):
-    """(subgroups, classes) of the subgroup top, by cyclic extension.
+    """(subgroups, classes, by_mask) of the subgroup top, by cyclic
+    extension; by_mask maps each subgroup's mask to its Subgroup.
 
     Every subgroup is generated by its elements of prime-power order, so
     it is a join of cyclic subgroups of prime-power order.  Starting from
@@ -641,12 +640,15 @@ def _cyclic_extension(group, top):
         frontier = fresh
     by_mask = {mask: Subgroup._of(group, mask) for mask in seen}
     subs = sorted(by_mask.values(), key=lambda s: (s.order, s.key))
-    classes = []
-    for orbit in orbits:
-        members = sorted((by_mask[m] for m in orbit), key=lambda s: s.key)
-        classes.append(SubgroupClass(members[0], members))
-    classes.sort(key=lambda c: (c.rep.order, c.rep.key))
-    return tuple(subs), tuple(classes)
+    classes = sorted((_subgroup_class(by_mask, orbit) for orbit in orbits),
+                     key=lambda c: (c.rep.order, c.rep.key))
+    return tuple(subs), tuple(classes), by_mask
+
+
+def _subgroup_class(by_mask, orbit):
+    """The SubgroupClass of the masks in orbit, members read from by_mask."""
+    members = sorted(map(by_mask.__getitem__, orbit), key=lambda s: s.key)
+    return SubgroupClass(members[0], members)
 
 
 def _conjugates(mul, inv, mask, conjugators, seen):
@@ -679,16 +681,16 @@ def _weyl_classes(g, h, n, p):
     nmask = n.mask
     mul, inv = group._tables()
     conjugators = _generating_numbers(group, nmask)
+    subs, _, by_mask = _lattice(g)
     seen = set()
     classes = []
-    for e in _lattice(g)[0]:
+    for e in subs:
         m = e.mask
         if (m in seen or hmask & ~m or m & ~nmask
                 or m != hmask and not _elementary_over(mul, inv, m, hs, hmask, p)):
             continue
         orbit = _conjugates(mul, inv, m, conjugators, seen)
-        members = sorted((Subgroup._of(group, k) for k in orbit), key=lambda s: s.key)
-        classes.append(SubgroupClass(members[0], members))
+        classes.append(_subgroup_class(by_mask, orbit))
     return classes
 
 
@@ -740,10 +742,6 @@ def centralizer(g, h):
     return Subgroup._of(g.group, mask)
 
 
-def center(g):
-    return centralizer(g, g)
-
-
 def is_normal(n, h):
     """Whether h is normal in n (both must sit in a common parent)."""
     hmask = _inner_mask(n, h)
@@ -753,8 +751,7 @@ def is_normal(n, h):
 
 
 def is_p_group(h, p):
-    if not is_prime(p):
-        raise InputError("p must be prime, got %r" % (p,))
+    _require_prime(p)
     n = len(h.elements)
     while n % p == 0:
         n //= p
@@ -802,8 +799,7 @@ def is_nilpotent(h):
 
 def is_elementary_abelian(h, p):
     """Abelian with every element of order dividing p; trivial counts."""
-    if not is_prime(p):
-        raise InputError("p must be prime, got %r" % (p,))
+    _require_prime(p)
     if any(o not in (1, p) for o in _orders(h)):
         return False
     return is_abelian(h)

@@ -249,10 +249,11 @@ class SimplicialComplex:
     def _reduced(self, p=None):
         """Reduced homology over Z, or over GF(p), through the homology
         driver: each boundary is built after the one above it is reduced,
-        without the columns that reduction cleared."""
+        without the columns that reduction cleared; its fresh rows hold only
+        +-1, nonzero mod every prime, so the eliminator takes them as built."""
         cells, boundary = self._chains(reduced=True)
         return _homology({d: len(group) for d, group in cells.items()},
-                         lambda d, cleared: (boundary(d, cleared), ()) if d >= 0 else None,
+                         lambda d, cleared: boundary(d, cleared).entries if d >= 0 else None,
                          p)
 
     def reduced_homology(self):
@@ -408,16 +409,8 @@ class GroupAction:
         if isinstance(h, (Subgroup, FiniteGroup)):
             if h.group is group:
                 return h.mask
-            elems = h.elements
-        else:
-            elems = tuple(h)
-        index = group._index
-        mask = 0
-        for g in elems:
-            if g not in group:
-                raise InputError("subgroup lies outside the acting group")
-            mask |= 1 << index[g.key]
-        return mask
+            h = h.elements
+        return group._mask_of(h, "subgroup lies outside the acting group")
 
     def fixed_vertices(self, h):
         mask = self._mask(h)

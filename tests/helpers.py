@@ -12,7 +12,7 @@ from itertools import combinations
 from math import gcd
 
 from equichar import (GroupAction, HomologyGroup, Permutation,
-                      SimplicialComplex, center, group_from_generators,
+                      SimplicialComplex, centralizer, group_from_generators,
                       rank_mod_p, smith_normal_form)
 
 
@@ -384,7 +384,7 @@ def nilpotent_by_central_series(h):
     is trivial."""
     g = group_from_generators(h.group.points, h.generating_set())
     while g.order > 1:
-        z = center(g)
+        z = centralizer(g, g)
         if z.is_trivial:
             return False
         g = coset_quotient(g.whole(), z)

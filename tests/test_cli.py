@@ -241,6 +241,44 @@ def test_json_output_is_deterministic(capsys):
     assert doc["classes"][1]["coefficient"] == {"num": 1, "den": 1}
 
 
+# one README sample per subcommand, paths relative to the repository root
+README_SAMPLES = (
+    ("euler-class", "--complex", "data/star.json", "--group", "data/c2swap.json"),
+    ("euler-free-coeff", "--complex", "data/star.json", "--group", "data/c2swap.json"),
+    ("cm-check", "--complex", "data/T.json"),
+    ("acyclicity-check", "--complex", "data/artinL.json", "--group", "data/k1.json"),
+    ("subgroups", "--group", "data/d8.json"),
+    ("poset-euler", "--group", "data/k1.json", "--filter", "proper-nontrivial"),
+    ("quillen-check", "--group", "data/s4.json"),
+    ("weyl-check", "--group", "data/d8.json"),
+    ("duality-report", "--complex", "data/artinL.json", "--group", "data/k2.json"),
+    ("double", "--complex", "data/tetra_boundary.json", "--subdivide",
+     "--pattern", "data/T.json"),
+    ("jones-verify", "--m", "1", "--q", "2", "--p", "3"),
+)
+
+
+def test_json_is_byte_identical_across_hash_seeds():
+    # every subcommand once, in process, under three hash seeds
+    script = ("import sys\n"
+              "from equichar.cli import main\n"
+              "for argv in %r:\n"
+              "    code = main(['--json', *argv])\n"
+              "    sys.stdout.write('exit %%d\\n' %% code)\n" % (README_SAMPLES,))
+    outs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run([sys.executable, "-c", script], cwd=DATA.parent,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    out = outs.pop()
+    assert out.count("exit ") == len(README_SAMPLES)
+    assert sorted(argv[0] for argv in README_SAMPLES) == sorted(
+        name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_"))
+
+
 def test_double_pipeline_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "double", "--complex",
                        data("tetra_boundary.json"), "--subdivide",

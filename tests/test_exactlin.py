@@ -1,6 +1,8 @@
 """Integer linear algebra: Smith normal form, homology engines."""
 
+import copy
 import random
+import re
 import time
 
 import pytest
@@ -9,7 +11,8 @@ import helpers
 from equichar import (ChainComplexZ, ConsistencyError, HomologyGroup,
                       InputError, IntegerMatrix, augment, cohomology,
                       cyclic_extension, exactlin, homology, homology_mod_p,
-                      is_prime, moore_complex, prime_power_base, rank_mod_p,
+                      is_elementary_abelian, is_p_group, is_prime,
+                      moore_complex, prime_power_base, rank_mod_p,
                       smith_normal_form)
 
 
@@ -281,17 +284,23 @@ def test_missing_boundary_is_zero(monkeypatch):
                                      2: IntegerMatrix(1, 1)})
     calls = []
     reduce = exactlin._reduce
-    monkeypatch.setattr(exactlin, "_reduce",
-                        lambda m, *args: calls.append(m) or reduce(m, *args))
+
+    def recording(rows, *args):
+        # _reduce consumes its rows, so keep a copy of what it received
+        calls.append([dict(row) for row in rows])
+        return reduce(rows, *args)
+
+    monkeypatch.setattr(exactlin, "_reduce", recording)
     h = homology(missing)
     # top down, held boundaries only
-    assert calls == [held[3], held[1]]
+    assert calls == [held[3].entries, held[1].entries]
     assert h == homology(explicit)
     assert h[2] == HomologyGroup(0, (2,))
     for p in (2, 3):
         calls.clear()
         assert homology_mod_p(missing, p) == homology_mod_p(explicit, p)
-        assert calls[:2] == [held[3], held[1]]
+        assert calls[:2] == [[{j: v % p for j, v in row.items() if v % p}
+                              for row in m.entries] for m in (held[3], held[1])]
 
 
 def test_boundary_composition_checked():
@@ -374,7 +383,7 @@ def test_torsion_survives_the_residue():
     x = helpers.rp2_triangulation().barycentric_subdivision().barycentric_subdivision()
     c = augment(x.chain_complex())
     # the top boundary keeps entries that no unit pivot clears
-    assert exactlin._eliminate(c.boundary(2))[1]
+    assert exactlin._eliminate(exactlin._rows_of(c.boundary(2)))[1]
     h = homology(c)
     assert {d: g for d, g in h.items() if not g.is_trivial} == {1: HomologyGroup(0, (2,))}
 
@@ -428,9 +437,9 @@ def test_clearing_shrinks_what_the_eliminator_receives(monkeypatch):
     received = []
     eliminate = exactlin._eliminate
 
-    def counting(m, p=None, drop=()):
-        received.append(sum(1 for row in m.entries for j in row if j not in drop))
-        return eliminate(m, p, drop)
+    def counting(rows, p=None):
+        received.append(sum(map(len, rows)))
+        return eliminate(rows, p)
 
     monkeypatch.setattr(exactlin, "_eliminate", counting)
     c = augment(x.chain_complex())
@@ -442,6 +451,38 @@ def test_clearing_shrinks_what_the_eliminator_receives(monkeypatch):
     received.clear()
     helpers.homology_without_clearing(c)
     assert sorted(received) == [146, 864, 864]
+
+
+@pytest.mark.parametrize("p", [3.0, "3", True, 1, 4])
+def test_p_must_be_a_prime_int_at_every_entry_point(p):
+    x = helpers.rp2_triangulation()
+    g = helpers.elem_ab(3, 2)
+    for call in (lambda: rank_mod_p(IntegerMatrix.from_rows([[1, 2]]), p),
+                 lambda: homology_mod_p(rp2_cells(), p),
+                 lambda: x.reduced_homology_mod_p(p),
+                 lambda: is_p_group(g, p),
+                 lambda: is_elementary_abelian(g, p)):
+        with pytest.raises(InputError, match="p must be prime, got %s" % re.escape(repr(p))):
+            call()
+
+
+def test_callers_matrices_are_left_untouched():
+    # the eliminator consumes its rows, so every public entry point must
+    # hand it copies; entries 4 and -3 are not reduced mod 2 or 3
+    m = IntegerMatrix.from_rows([[4, -3, 0, 1], [2, 0, -1, 1], [0, 6, 2, -2]])
+    x = helpers.rp2_triangulation().barycentric_subdivision()
+    complexes = [rp2_cells(), augment(x.chain_complex()),
+                 cyclic_extension(2, 9, 20).complex]
+    before = copy.deepcopy((m, [c.boundaries for c in complexes]))
+    smith_normal_form(m)
+    for p in (2, 3):
+        rank_mod_p(m, p)
+    for c in complexes:
+        homology(c)
+        cohomology(c)
+        for p in (2, 3):
+            homology_mod_p(c, p)
+    assert (m, [c.boundaries for c in complexes]) == before
 
 
 def test_augment_checks_the_composition_out_of_degree_1():

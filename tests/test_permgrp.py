@@ -8,7 +8,7 @@ import pytest
 import helpers
 from equichar import permgrp
 from equichar import (InputError, Permutation, ResourceLimitError, Subgroup,
-                      all_subgroups, center, centralizer,
+                      all_subgroups, centralizer,
                       conjugacy_classes_of_subgroups,
                       elementary_abelian_rank, group_from_generators,
                       is_abelian, is_cyclic, is_elementary_abelian,
@@ -176,6 +176,22 @@ def test_lattice_memo_returns_fresh_lists():
     assert len(conjugacy_classes_of_subgroups(g)) == 11
 
 
+def test_weyl_classes_hold_the_lattice_subgroups():
+    # the Weyl classes are read from the memoised lattice and share its
+    # Subgroup objects instead of building their own
+    for build in (helpers.d8, helpers.q8, helpers.c4xc2):
+        g = build()
+        lattice = {h.mask: h for h in all_subgroups(g)}
+        for h in lattice.values():
+            n = normalizer(g, h)
+            p = permgrp._prime_of_order(n.order // h.order)
+            classes = permgrp._weyl_classes(g, h, n, p)
+            assert classes and classes[0].rep == h
+            for c in classes:
+                assert c.rep is c.members[0]
+                assert all(lattice[e.mask] is e for e in c.members)
+
+
 def test_subgroup_lattice_equals_lattice_of_as_group():
     g = helpers.s4()
     for h in all_subgroups(g):
@@ -213,14 +229,14 @@ def test_normalizer_centralizer_center():
     h = g.subgroup_generated([perm("(1 3)")])
     assert normalizer(g, h).order == 4
     assert centralizer(g, h).order == 4
-    z = center(g)
+    z = centralizer(g, g)
     assert z.order == 2
     assert perm("(1 3)(2 4)") in z
 
 
 def test_is_normal():
     g = helpers.d8()
-    assert is_normal(g.whole(), center(g))
+    assert is_normal(g.whole(), centralizer(g, g))
     reflection = g.subgroup_generated([perm("(1 3)")])
     assert not is_normal(g.whole(), reflection)
     assert is_normal(normalizer(g, reflection), reflection)

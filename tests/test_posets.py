@@ -4,7 +4,7 @@ import pytest
 
 import helpers
 from equichar import (FinitePoset, HomologyGroup, InputError,
-                      PreconditionError, all_subgroups, center,
+                      PreconditionError, all_subgroups, centralizer,
                       conjugacy_classes_of_subgroups,
                       elementary_abelian_euler_formula, homology_tables_equal,
                       normalizer, poset_strictly_above, prime_power_base,
@@ -131,7 +131,7 @@ def test_elementary_abelian_poset_contractible_for_p_groups():
 
 def test_poset_strictly_above():
     g = helpers.d8()
-    z = center(g)
+    z = centralizer(g, g)
     above = poset_strictly_above(g, z)
     assert len(above) == 4
     assert above.augmented_euler() == 0
