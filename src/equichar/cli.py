@@ -211,11 +211,12 @@ def cmd_weyl_check(args):
 def cmd_euler_class(args):
     action = build_action(args.complex, args.group)
     cls = euler_class(action)
+    text = cls.format_text()
     doc = {"command": "euler-class", "ok": True,
            "classes": [dict(_subgroup_doc(h), coefficient=_frac(c))
                        for h, c in cls.entries()],
-           "text": cls.format_text()}
-    _emit(args, doc, [cls.format_text()])
+           "text": text}
+    _emit(args, doc, [text])
     return 0
 
 

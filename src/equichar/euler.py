@@ -14,10 +14,10 @@ fixed-set code.
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
-from .permgrp import (Subgroup, _prime_of_order, _weyl_classes, all_subgroups,
-                      conjugacy_classes_of_subgroups, elementary_abelian_rank,
-                      is_cyclic, is_elementary_abelian_any, normalizer,
-                      require_p_group)
+from .permgrp import (Subgroup, _inner_mask, _lattice, _prime_of_order,
+                      all_subgroups, conjugacy_classes_of_subgroups,
+                      elementary_abelian_rank, is_cyclic,
+                      is_elementary_abelian_any, require_p_group)
 from .posets import elementary_abelian_euler_formula
 
 
@@ -83,12 +83,13 @@ def _chi_lookup(table, cls):
 
 
 def free_coefficient(k, chi):
-    """Weighted sum over elementary abelian classes of k.
+    """Weighted sum over the elementary abelian subgroups E of k.
 
     chi maps class representatives (any member works) to integers, usually
-    Euler characteristics of centralizer pieces.  Each class of rank n for
-    the prime p contributes (-1)^n p^(n choose 2) / |N_k(H)| times its chi
-    value.  This is the Weyl sum of euler_class_coefficient for h = 1.
+    Euler characteristics of centralizer pieces.  Each E of rank n for the
+    prime p contributes (-1)^n p^(n choose 2) / |k| times the chi value of
+    its class, E = 1 included with weight 1.  This is the sum of
+    euler_class_coefficient for h = 1.
     """
     require_p_group(k)
     return _weyl_sum(k, k.group.trivial_subgroup(), lambda cls: _chi_lookup(chi, cls))
@@ -111,10 +112,14 @@ def euler_class_coefficient(action, h):
     """Coefficient of the class of h; any member of the class may be passed.
 
     It is the free coefficient of the Weyl group N/h, N the normalizer of
-    h, acting on L^h.  Its subgroups are the E with h <= E <= N, and
-    (L^h)^(E/h) = L^E, so the sum runs over the N-classes of E with E/h
-    elementary abelian of rank n, weighted (-1)^n p^(n choose 2) |h| /
-    |N_N(E)| against 1 - chi(L^E); for N = h it is 1 - chi(L^h).
+    h, acting on L^h; since (L^h)^(E/h) = L^E, it is a sum over single
+    subgroups E of the acting group K:
+
+        |h| |(h)| / |K| * sum of (-1)^n p^(n choose 2) (1 - chi(L^E))
+
+    over the E with h normal in E and E/h elementary abelian of rank n,
+    E = h included; |(h)| is the size of the class of h, and
+    |K| / |(h)| = |N|.
     """
     action.require_admissible()
     k = action.group
@@ -129,30 +134,50 @@ def euler_class_coefficient(action, h):
 
 
 def _weyl_sum(k, h, chi):
-    """Sum over the classes (E) of elementary abelian subgroups E/h of the
-    Weyl group N_k(h)/h of their weight times chi(class of E)."""
-    n = normalizer(k, h)
-    p = _prime_of_order(n.order // h.order)
-    total = Fraction(0)
-    for cls in _weyl_classes(k, h, n, p):
-        index = cls.rep.order // h.order
+    """|h| |(h)| / |k| times the sum, over the subgroups E of k with h
+    normal in E and E/h elementary abelian of rank n, of
+    (-1)^n p^(n choose 2) chi(class of E).
+
+    This is the sum over the classes of elementary abelian subgroups of the
+    Weyl group N_k(h)/h, each weighted by its size over |N_k(h)|, taken one
+    subgroup at a time: no normalizer and no conjugation orbit is needed.
+    p is the prime of |N_k(h) : h| = |k| / (|(h)| |h|); the subgroups E
+    and their classes are read from k's memoised lattice.
+    """
+    hmask = _inner_mask(k, h)
+    lattice = _lattice(k)
+    cls = lattice.class_of(hmask)
+    p = _prime_of_order(k.order // (cls.size * h.order))
+    if p is None:  # h = N_k(h), so E = h alone
+        return Fraction(chi(cls))
+    total = 0
+    for e in lattice.sections(hmask, p):
+        index = e.order // h.order
         rank = 0
         while index > 1:
             index //= p
             rank += 1
-        weight = elementary_abelian_euler_formula(p, rank) if rank else 1
-        total += Fraction(weight * h.order * cls.size, n.order) * chi(cls)
-    return total
+        weight = elementary_abelian_euler_formula(p, rank)
+        total += weight * chi(lattice.class_of(e.mask))
+    return Fraction(total * h.order * cls.size, k.order)
 
 
 def euler_class(action):
-    """Equivariant Euler class of a p-group action, over all subgroup classes."""
+    """Equivariant Euler class of a p-group action, over all subgroup classes.
+
+    1 - chi(L^E) is computed once per class of E, for all the
+    coefficients.
+    """
     action.require_admissible()
     k = action.group
     require_p_group(k)
+    values = {}
 
     def chi(cls):
-        return 1 - action._fixed_euler(cls.rep)
+        value = values.get(cls)
+        if value is None:
+            value = values[cls] = 1 - action._fixed_euler(cls.rep)
+        return value
     return EulerClass({cls.rep: _weyl_sum(k, cls.rep, chi)
                        for cls in conjugacy_classes_of_subgroups(k)})
 

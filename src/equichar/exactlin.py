@@ -38,6 +38,10 @@ from .errors import ConsistencyError, InputError
 
 
 def is_prime(n):
+    """Whether the int n is prime; any other type, bool included, is an
+    InputError."""
+    if type(n) is not int:
+        raise InputError("expected an int, got %r" % (n,))
     if n < 2:
         return False
     if n < 4:
@@ -53,7 +57,10 @@ def is_prime(n):
 
 
 def prime_power_base(n):
-    """Return p if n = p^k with k >= 1 and p prime, else None."""
+    """Return p if n = p^k with k >= 1 and p prime, else None; n must be
+    an int, as for is_prime."""
+    if type(n) is not int:
+        raise InputError("expected an int, got %r" % (n,))
     if n < 2:
         return None
     p = 2

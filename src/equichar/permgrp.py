@@ -38,11 +38,13 @@ of K is <H, z> for the processed representative H of M's class and any z
 of that conjugate outside H.  One such z has prime-power order and z^p in
 H: take the last of the p-th powers of a prime-power element outside H
 that still lies outside H (_cyclic_extension gives the details).  The
-lattice, its conjugacy classes and its {mask: Subgroup} are memoised on
-the group, per subgroup mask; callers always get a fresh list.  A Weyl
-group N(H)/H is never built: by the correspondence theorem its subgroups
-are the interval of subgroups between H and N(H), and its conjugacy is
-conjugacy by N(H); its classes hold the lattice's own Subgroup objects.
+lattice and its conjugacy classes, which share their Subgroup objects,
+are memoised on the group, per subgroup mask; callers always get a fresh
+list.  A subgroup H <= E is normal in E with E/H elementary abelian
+for p exactly when H holds x^p for every x in E and the commutators that
+_commutator_mask lists; _power_preimages turns the first condition into a
+mask, so the sections E/H that Euler classes sum over are tested by masks,
+without a normalizer.
 """
 
 from itertools import repeat
@@ -429,7 +431,7 @@ class Subgroup:
     """A subgroup of a FiniteGroup: a mask over its element numbers, plus
     the sorted element tuple and the tuple of their keys."""
 
-    __slots__ = ("group", "mask", "elements", "key")
+    __slots__ = ("group", "mask", "elements", "key", "_generators")
 
     def __init__(self, group, elements):
         mask = group._mask_of(elements, "subgroup element lies outside the group")
@@ -448,6 +450,7 @@ class Subgroup:
         self.mask = mask
         self.elements = tuple(map(group.elements.__getitem__, _bits(mask)))
         self.key = tuple(g.key for g in self.elements)
+        self._generators = None
 
     @property
     def order(self):
@@ -481,8 +484,13 @@ class Subgroup:
 
     def generating_set(self):
         """Greedy deterministic generating list (empty for the trivial subgroup)."""
-        return tuple(self.group.elements[i]
-                     for i in _generating_numbers(self.group, self.mask))
+        return tuple(map(self.group.elements.__getitem__, self._generator_numbers()))
+
+    def _generator_numbers(self):
+        """The element numbers of generating_set(), found once per object."""
+        if self._generators is None:
+            self._generators = tuple(_generating_numbers(self.group, self.mask))
+        return self._generators
 
     def describe(self):
         """Readable name: "1" for trivial, else generators in cycle notation."""
@@ -550,7 +558,7 @@ def all_subgroups(g):
     Memoised on g's group together with the conjugacy classes; each call
     returns a new list.
     """
-    return list(_lattice(g)[0])
+    return list(_lattice(g).subgroups)
 
 
 def conjugacy_classes_of_subgroups(g):
@@ -559,20 +567,89 @@ def conjugacy_classes_of_subgroups(g):
     Memoised on g's group together with the lattice; each call returns a
     new list.
     """
-    return list(_lattice(g)[1])
+    return list(_lattice(g).classes)
 
 
 def _lattice(g):
+    """The _Lattice of g, memoised on its group by g's mask."""
     group = g.group
     memo = group._lattices.get(g.mask)
     if memo is None:
-        memo = group._lattices[g.mask] = _cyclic_extension(group, g.mask)
+        memo = _Lattice(group, *_cyclic_extension(group, g.mask))
+        group._lattices[g.mask] = memo
     return memo
 
 
+class _Lattice:
+    """The subgroups and the conjugacy classes of a subgroup of group,
+    which share their Subgroup objects, with the lookups of the Euler class
+    sums, each built on first use: the class of a subgroup by its mask,
+    and the sections E/H over a given H that are elementary abelian."""
+
+    __slots__ = ("group", "subgroups", "classes", "_class_of", "_holding",
+                 "_powers", "_commutators")
+
+    def __init__(self, group, subgroups, classes):
+        self.group = group
+        self.subgroups = subgroups
+        self.classes = classes
+        self._class_of = None
+        self._holding = None
+        self._powers = {}
+        self._commutators = {}
+
+    def class_of(self, mask):
+        """The SubgroupClass of the subgroup with this mask."""
+        if self._class_of is None:
+            self._class_of = {s.mask: c for c in self.classes
+                              for s in c.members}
+        return self._class_of[mask]
+
+    def sections(self, mask, p):
+        """The subgroups E with H normal in E and E/H elementary abelian
+        for p, E = H included, in lattice order, for H given by its mask.
+
+        E over H qualifies exactly when H holds every x^p with x in E and
+        the commutators of E's _commutator_mask, which together generate
+        E^p[E, E].  The subgroups over H are the AND, over the elements x
+        of H, of holding[x], the bitset of the subgroups that hold x; the
+        x with x^p in H are the OR of _power_preimages over them.
+        """
+        subs = self.subgroups
+        holding = self._holding
+        if holding is None:
+            holding = self._holding = {}
+            for i, e in enumerate(subs):
+                bit = 1 << i
+                for x in _bits(e.mask):
+                    holding[x] = holding.get(x, 0) | bit
+        preimages = self._powers.get(p)
+        if preimages is None:
+            preimages = self._powers[p] = _power_preimages(self.group, p)
+        above = (1 << len(subs)) - 1
+        roots = 0
+        for x in _bits(mask):
+            above &= holding[x]
+            roots |= preimages[x]
+        commutators = self._commutators
+        out = []
+        for i in _bits(above):
+            e = subs[i]
+            m = e.mask
+            if m != mask:
+                if m & ~roots:
+                    continue
+                c = commutators.get(m)
+                if c is None:
+                    c = commutators[m] = _commutator_mask(e)
+                if c & ~mask:
+                    continue
+            out.append(e)
+        return out
+
+
 def _cyclic_extension(group, top):
-    """(subgroups, classes, by_mask) of the subgroup top, by cyclic
-    extension; by_mask maps each subgroup's mask to its Subgroup.
+    """(subgroups, classes) of the subgroup top, by cyclic extension.
 
     Every subgroup is generated by its elements of prime-power order, so
     it is a join of cyclic subgroups of prime-power order.  Starting from
@@ -599,11 +676,12 @@ def _cyclic_extension(group, top):
     """
     mul, inv = group._tables()
     orders = group._element_orders()
+    bases = {n: prime_power_base(n) for n in set(orders)}
     bound = top.bit_count()
     conjugators = _generating_numbers(group, top)
     cyclic = {}
     for x in _bits(top)[1:]:
-        p = prime_power_base(orders[x])
+        p = bases[orders[x]]
         if p is None:
             continue
         row = mul[x]
@@ -642,7 +720,7 @@ def _cyclic_extension(group, top):
     subs = sorted(by_mask.values(), key=lambda s: (s.order, s.key))
     classes = sorted((_subgroup_class(by_mask, orbit) for orbit in orbits),
                      key=lambda c: (c.rep.order, c.rep.key))
-    return tuple(subs), tuple(classes), by_mask
+    return tuple(subs), tuple(classes)
 
 
 def _subgroup_class(by_mask, orbit):
@@ -666,56 +744,37 @@ def _conjugates(mul, inv, mask, conjugators, seen):
     return orbit
 
 
-def _weyl_classes(g, h, n, p):
-    """Classes of the elementary abelian subgroups of the Weyl group n/h,
-    for n = N_g(h) and p the prime of |n : h| (None when n = h).
+def _commutator_mask(e):
+    """Mask of the commutators [x, g] of the subgroup e, for x in e and g
+    among its generators.
 
-    By the correspondence theorem these are the subgroups E of g with
-    h <= E <= n and E/h elementary abelian, E = h included, so they are
-    read from g's memoised lattice; conjugacy in n/h is conjugacy under n.
-    Returns SubgroupClass objects of the preimages E, in lattice order.
+    They generate [E, E]: the subgroup they generate holds [g, g'] for
+    generators g and g', so E over it is abelian, and it is normal, as
+    [x, g]^y = [xy, g][y, g]^-1.  So a subgroup H <= E holds this mask
+    exactly when it contains [E, E]; such an H is normal in E, as
+    h^x = h[h, x], and E/H is abelian.
     """
-    group = g.group
-    hmask = _inner_mask(g, h)
-    hs = _bits(hmask)
-    nmask = n.mask
-    mul, inv = group._tables()
-    conjugators = _generating_numbers(group, nmask)
-    subs, _, by_mask = _lattice(g)
-    seen = set()
-    classes = []
-    for e in subs:
-        m = e.mask
-        if (m in seen or hmask & ~m or m & ~nmask
-                or m != hmask and not _elementary_over(mul, inv, m, hs, hmask, p)):
-            continue
-        orbit = _conjugates(mul, inv, m, conjugators, seen)
-        classes.append(_subgroup_class(by_mask, orbit))
-    return classes
-
-
-def _elementary_over(mul, inv, emask, hs, hmask, p):
-    """Whether E/H is elementary abelian for p, H normal in E and listed by
-    its element numbers hs: every p-th power and every commutator of E
-    lies in H, tested on one element of each coset of H."""
-    reps = []
-    covered = 0
-    for x in _bits(emask):
-        if covered >> x & 1:
-            continue
+    mul, inv = e.group._tables()
+    gens = [(g, inv[g]) for g in e._generator_numbers()]
+    mask = 0
+    for x in _bits(e.mask):
         row = mul[x]
-        for y in hs:
-            covered |= 1 << row[y]
+        left = mul[inv[x]]
+        for g, gi in gens:
+            mask |= 1 << mul[left[gi]][row[g]]
+    return mask
+
+
+def _power_preimages(group, p):
+    """For each element number y, the mask of the elements x with x^p = y."""
+    mul = group._tables()[0]
+    masks = [0] * group.order
+    for x, row in enumerate(mul):
         y = x
         for _ in range(p - 1):
             y = row[y]
-        if not hmask >> y & 1:
-            return False
-        for r in reps:
-            if not hmask >> mul[inv[mul[r][x]]][row[r]] & 1:
-                return False
-        reps.append(x)
-    return True
+        masks[y] |= 1 << x
+    return masks
 
 
 def normalizer(g, h):

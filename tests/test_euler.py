@@ -8,10 +8,12 @@ import pytest
 import helpers
 from equichar import (EulerClass, GroupAction, InputError, Permutation,
                       PreconditionError, acyclicity_condition, all_subgroups,
-                      double_along, elementary_abelian_classes, euler_class,
+                      conjugacy_classes_of_subgroups, double_along,
+                      elementary_abelian_classes, euler_class,
                       euler_class_coefficient, euler_class_cyclic,
                       find_full_subcomplex_isomorphic, free_coefficient,
-                      group_from_generators, simp, vanishing_identity)
+                      group_from_generators, permgrp, simp,
+                      vanishing_identity)
 
 
 def star_action(*texts):
@@ -200,6 +202,65 @@ def test_euler_class_reads_each_fixed_complex_once(monkeypatch):
         == cls.coefficients
     assert euler_class(act) == cls
     assert len(grouped) == 1 and fixed == []
+
+
+def class_member_actions():
+    """D8 on the subdivided square, Q8 on a subdivided graph over its
+    regular action, and the order-16 Sylow group on bary(octahedron)."""
+    square = helpers.SimplicialComplex.flag_from_graph(
+        ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
+    yield "D8", helpers.subdivided_action(
+        square, helpers.group_on(square, "(1 2 3 4)", "(1 3)"))
+    q8 = helpers.q8()
+    facets = {tuple(sorted(x(v) for v in f))
+              for f in (("1", "3"), ("1", "2")) for x in q8.elements}
+    graph = helpers.SimplicialComplex.from_maximal_simplices(q8.points, facets)
+    yield "Q8", helpers.subdivided_action(graph, q8)
+    octa = helpers.octahedron()
+    yield "order 16", helpers.subdivided_action(
+        octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
+
+
+def test_every_class_member_gives_the_class_coefficient(monkeypatch):
+    # the sum over single subgroups reads h's class from the lattice, so
+    # any member of a class gives its coefficient; euler_class takes no
+    # normalizer and reads chi(L^E) once per class of E
+    normalizers, fixed = [], []
+    normalizer = permgrp.normalizer
+    monkeypatch.setattr(permgrp, "normalizer",
+                        lambda *args: normalizers.append(1) or normalizer(*args))
+    fixed_euler = GroupAction._fixed_euler
+    monkeypatch.setattr(GroupAction, "_fixed_euler",
+                        lambda self, h: fixed.append(h) or fixed_euler(self, h))
+    for name, act in class_member_actions():
+        classes = conjugacy_classes_of_subgroups(act.group)
+        del fixed[:]
+        cls = euler_class(act)
+        assert normalizers == [], name
+        read = [next(i for i, c in enumerate(classes) if h in c.members)
+                for h in fixed]
+        assert len(read) == len(set(read)) <= len(classes), name
+        assert not cls.is_zero, name
+        for c in classes:
+            expected = cls.coefficients[c.rep]
+            for h in c.members:
+                assert euler_class_coefficient(act, h) == expected, name
+
+
+def test_euler_class_of_the_order_256_action():
+    # the Sylow 2-subgroup of B5 on bary(5-cross-polytope): 3,455
+    # subgroups in 978 classes, of which 24 have a nonzero coefficient
+    x = helpers.cross_polytope(5)
+    k = helpers.group_on(x, "(1 6)", "(1 2)(6 7)", "(3 4)(8 9)",
+                         "(1 3)(2 4)(6 8)(7 9)", "(5 10)")
+    act = helpers.subdivided_action(x, k)
+    entries = euler_class(act).entries()
+    assert k.order == 256 and len(entries) == 978
+    assert sum(1 for _, c in entries if c) == 24
+    counts = helpers.orbit_count_euler_class(act)
+    coeffs = {h.key: c for h, c in entries}
+    assert set(counts) <= set(coeffs)
+    assert coeffs == {key: counts.get(key, 0) for key in coeffs}
 
 
 def test_euler_class_of_the_order_128_action_on_bary2():

@@ -4,6 +4,7 @@ import copy
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,14 @@ def test_prime_power_base():
     assert prime_power_base(5) == 5
     assert prime_power_base(12) is None
     assert prime_power_base(1) is None
+
+
+def test_prime_tests_take_only_ints():
+    for bad in (3.0, 8.0, "3", True, Fraction(3), None):
+        with pytest.raises(InputError):
+            is_prime(bad)
+        with pytest.raises(InputError):
+            prime_power_base(bad)
 
 
 def test_snf_single_entry():

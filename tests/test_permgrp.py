@@ -176,20 +176,22 @@ def test_lattice_memo_returns_fresh_lists():
     assert len(conjugacy_classes_of_subgroups(g)) == 11
 
 
-def test_weyl_classes_hold_the_lattice_subgroups():
-    # the Weyl classes are read from the memoised lattice and share its
-    # Subgroup objects instead of building their own
-    for build in (helpers.d8, helpers.q8, helpers.c4xc2):
-        g = build()
-        lattice = {h.mask: h for h in all_subgroups(g)}
-        for h in lattice.values():
-            n = normalizer(g, h)
-            p = permgrp._prime_of_order(n.order // h.order)
-            classes = permgrp._weyl_classes(g, h, n, p)
-            assert classes and classes[0].rep == h
-            for c in classes:
-                assert c.rep is c.members[0]
-                assert all(lattice[e.mask] is e for e in c.members)
+def test_sections_are_the_elementary_abelian_quotients():
+    # the E that the Euler class sums read for h are those with h normal
+    # in E and E/h elementary abelian, checked on the quotient built from
+    # cosets; the Heisenberg group of order 27 has exponent 3, so there
+    # the commutators decide
+    heisenberg = helpers.group("(1 4 7)(2 5 8)(3 6 9)", "(4 5 6)(7 9 8)")
+    cases = [(helpers.d8(), 2), (helpers.q8(), 2), (helpers.s4(), 2),
+             (helpers.s4(), 3), (helpers.a4(), 2), (helpers.cyclic(9), 3),
+             (heisenberg, 3)]
+    for g, p in cases:
+        subs = all_subgroups(g)
+        lattice = permgrp._lattice(g)
+        for h in subs:
+            expected = [e for e in subs if h <= e and is_normal(e, h)
+                        and is_elementary_abelian(helpers.coset_quotient(e, h), p)]
+            assert lattice.sections(h.mask, p) == expected, (g, p, h)
 
 
 def test_subgroup_lattice_equals_lattice_of_as_group():

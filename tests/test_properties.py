@@ -215,6 +215,19 @@ def test_euler_class_equals_orbit_count(act):
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(admissible_actions())
+def test_fixed_euler_characteristic_congruence(act):
+    # the simplices off L^K fall into K-orbits of size divisible by p, so
+    # chi(L^K) = chi(L) mod p; checked on the stabilizer-mask count that
+    # the Euler class sum reads and on the built fixed complex
+    k = act.group
+    p = exactlin.prime_power_base(k.order)
+    chi = act.complex.euler_characteristic()
+    assert (act._fixed_euler(k.whole()) - chi) % p == 0
+    assert (act.fixed_subcomplex(k.whole()).euler_characteristic() - chi) % p == 0
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(admissible_actions(CYCLIC_P_GROUPS))
 def test_euler_class_equals_cyclic_telescope(act):
     # chi(L^E) from stabilizer masks against chi of the built fixed complexes
