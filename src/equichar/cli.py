@@ -19,7 +19,7 @@ from .duality import (cohen_macaulay, double_along, duality_obstruction_scan,
                       flag_duality, graded_cohomology_profile)
 from .exactlin import homology_mod_p, is_prime
 from .jones import cyclic_extension, fixed_part, moore_complex, reduced_homology_of
-from .permgrp import (Permutation, all_subgroups,
+from .permgrp import (Permutation, _subgroup_name, all_subgroups,
                       conjugacy_classes_of_subgroups, group_from_generators,
                       is_p_group)
 from .posets import (FILTERS, quillen_thevenaz_check, subgroup_poset,
@@ -147,16 +147,14 @@ def cmd_subgroups(args):
     g = _group_arg(args)
     classes = conjugacy_classes_of_subgroups(g)
     subs = all_subgroups(g)
+    reps = [dict(_subgroup_doc(c.rep), size=c.size) for c in classes]
     doc = {"command": "subgroups", "ok": True, "order": g.order,
-           "subgroup_count": len(subs),
-           "classes": [{"order": c.rep.order, "size": c.size,
-                        "generators": [str(x) for x in c.rep.generating_set()]}
-                       for c in classes]}
+           "subgroup_count": len(subs), "classes": reps}
     lines = ["group order %d: %d subgroups in %d conjugacy classes"
              % (g.order, len(subs), len(classes))]
-    for c in classes:
-        lines.append("  order %d  size %d  rep %s"
-                     % (c.rep.order, c.size, c.rep.describe()))
+    for rep in reps:
+        lines.append("  order %d  size %d  rep %s" % (
+            rep["order"], rep["size"], _subgroup_name(rep["generators"])))
     _emit(args, doc, lines)
     return 0
 
@@ -193,16 +191,17 @@ def cmd_weyl_check(args):
     for cls in conjugacy_classes_of_subgroups(g):
         checks.append(weyl_poset_check(g, cls.rep))
     all_equal = all(c.comparison.equal for c in checks)
-    doc = {"command": "weyl-check", "ok": all_equal,
-           "checks": [{"subgroup": _subgroup_doc(c.subgroup),
-                       "equal": c.comparison.equal,
-                       "above_homology": _homology_doc(c.comparison.left_homology),
-                       "weyl_homology": _homology_doc(c.comparison.right_homology)}
-                      for c in checks]}
+    docs = [{"subgroup": _subgroup_doc(c.subgroup),
+             "equal": c.comparison.equal,
+             "above_homology": _homology_doc(c.comparison.left_homology),
+             "weyl_homology": _homology_doc(c.comparison.right_homology)}
+            for c in checks]
+    doc = {"command": "weyl-check", "ok": all_equal, "checks": docs}
     lines = []
-    for c in checks:
-        lines.append("H = %-28s %s" % (c.subgroup.describe(),
-                                       "match" if c.comparison.equal else "MISMATCH"))
+    for c in docs:
+        lines.append("H = %-28s %s" % (
+            _subgroup_name(c["subgroup"]["generators"]),
+            "match" if c["equal"] else "MISMATCH"))
     lines.append("all classes: %s" % ("match" if all_equal else "MISMATCH"))
     _emit(args, doc, lines)
     return 0 if all_equal else 1
@@ -281,13 +280,14 @@ def cmd_duality_report(args):
     ok = verdict.is_duality
     if args.group:
         scan = duality_obstruction_scan(GroupAction(x, load_group(args.group, complex=x)))
-        doc["obstructions"] = [
+        doc["obstructions"] = docs = [
             {"subgroup": _subgroup_doc(c.subgroup), "obstructed": c.obstructed,
              "note": c.note} for c in scan.classes]
         doc["ok"] = ok = ok and not scan.any_obstruction
-        for c in scan.classes:
-            lines.append("class %-28s %s" % (c.subgroup.describe(),
-                         "OBSTRUCTED" if c.obstructed else "passes"))
+        for c in docs:
+            lines.append("class %-28s %s" % (
+                _subgroup_name(c["subgroup"]["generators"]),
+                "OBSTRUCTED" if c["obstructed"] else "passes"))
         lines.append("obstruction scan: %s" % (
             "obstruction found" if scan.any_obstruction
             else "no obstruction found (not a duality proof)"))

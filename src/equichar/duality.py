@@ -34,22 +34,44 @@ def _link_table(x):
     its _link_table slot; complexes are immutable, so it never goes stale.
 
     The empty simplex's entry is the reduced homology of x by Smith normal
-    form; every other entry comes from _link_homology, which counts links
-    of dimension below 2 in closed form.
+    form.  The other entries are made one vertex v at a time, in sorted
+    order: a simplex with least vertex v and all its cofaces lie in the
+    star of v, and the faces of a t in that star with least vertex v are v
+    plus a subset of the vertices of t after v.  So one walk over the star
+    gives each such simplex its list of proper cofaces, from which
+    _link_homology makes its entry; the lists are dropped before the next
+    vertex.
     """
     table = x._link_table
     if table is None:
         table = {(): x.reduced_homology()}
-        for s in sorted(x.simplices):
-            table[s] = _link_homology(x, s)
+        stars = x._stars()
+        for v in x.vertices:
+            cofaces = {}  # tail c -> proper cofaces of (v,) + c
+            for t in stars[v]:
+                i = t.index(v) + 1
+                tails = [()]
+                for w in t[i:]:
+                    tails += [c + (w,) for c in tails]
+                if i == 1:  # t itself has least vertex v: not its own coface
+                    cofaces.setdefault(tails.pop(), [])
+                for c in tails:
+                    if c in cofaces:
+                        cofaces[c].append(t)
+                    else:
+                        cofaces[c] = [t]
+            for c in sorted(cofaces):
+                s = (v,) + c
+                table[s] = _link_homology(x, s, cofaces[c])
         x._link_table = table
     return table
 
 
-def _link_homology(x, s):
-    """Reduced homology of the link of the nonempty simplex s of x.
+def _link_homology(x, s, cofaces):
+    """Reduced homology of the link of the nonempty simplex s of x, from
+    the list of the simplices that have s as a proper face.
 
-    Links of dimension below 2 are counted from the cofaces of s:
+    Links of dimension below 2 are counted from the cofaces:
       * no coface: the link is empty, {-1: Z};
       * k cofaces, each one vertex larger: k points, {-1: 0, 0: Z^(k-1)};
       * largest coface two vertices larger: a graph with v vertices, e
@@ -57,12 +79,11 @@ def _link_homology(x, s):
         1: Z^(e-v+c)}.
     These are the degrees and groups that Smith normal form gives on the
     augmented chain complex of the link, which is still built, from the
-    cofaces already read, and reduced for links of dimension 2 and more.
+    cofaces, and reduced for links of dimension 2 and more.
     """
     n = len(s)
     points = 0
     edges = []
-    cofaces = x._cofaces(s)
     for t in cofaces:
         k = len(t) - n
         if k == 1:
@@ -234,23 +255,24 @@ def duality_obstruction_scan(action):
 
     A non-CM fixed complex obstructs equivariant duality; a clean scan
     proves nothing and is reported as such.  An empty fixed complex passes
-    (the associated centralizer factor is trivial).  Classes with equal
-    fixed complexes share one Cohen-Macaulay check.
+    (the associated centralizer factor is trivial).  A fixed complex is the
+    full subcomplex on its fixed vertices, so it is built and checked once
+    per distinct nonempty fixed vertex set.
     """
     action.require_admissible()
     out = []
-    reports = {}  # fixed complex -> CMReport
+    reports = {}  # fixed vertices -> CMReport
     for cls in conjugacy_classes_of_subgroups(action.group):
         h = cls.rep
-        fixed = action.fixed_subcomplex(h)
-        if fixed.is_empty:
+        verts = action.fixed_vertices(h)
+        if not verts:
             out.append(ClassObstruction(h, (), None, False,
                                         "empty fixed complex; trivial factor"))
             continue
-        report = reports.get(fixed)
+        report = reports.get(verts)
         if report is None:
-            report = reports[fixed] = cohen_macaulay(fixed)
+            report = reports[verts] = cohen_macaulay(
+                action.complex.full_subcomplex(verts))
         note = "" if report.is_cm else "fixed complex is not Cohen-Macaulay"
-        out.append(ClassObstruction(h, fixed.vertices, report,
-                                    not report.is_cm, note))
+        out.append(ClassObstruction(h, verts, report, not report.is_cm, note))
     return ObstructionReport(tuple(out))

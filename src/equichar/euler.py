@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .permgrp import (Subgroup, _inner_mask, _lattice, _prime_of_order,
-                      all_subgroups, conjugacy_classes_of_subgroups,
-                      elementary_abelian_rank, is_cyclic,
-                      is_elementary_abelian_any, require_p_group)
+                      conjugacy_classes_of_subgroups, elementary_abelian_rank,
+                      is_cyclic, is_elementary_abelian_any, require_p_group)
 from .posets import elementary_abelian_euler_formula
 
 
@@ -248,11 +247,9 @@ def acyclicity_condition(action, force=False):
         scope = "theorem"
     else:
         scope = "remark"
-    proper = [h for h in all_subgroups(k)
-              if not h.is_trivial and h.order < k.order]
-    uncovered = []
-    for v in action.complex.vertices:
-        stab = action.vertex_stabilizer(v)
-        if not any(q <= stab for q in proper):
-            uncovered.append(v)
-    return AcyclicityReport(not uncovered, sorted(uncovered), scope)
+    # a nontrivial stabilizer holds an element of order p, whose cyclic
+    # group is proper unless |K| = p; the trivial one has mask 1.  The
+    # stabilizers are kept in sorted vertex order.
+    uncovered = [v for v, m in action._stabilizers.items()
+                 if m == 1 or k.order == p]
+    return AcyclicityReport(not uncovered, uncovered, scope)

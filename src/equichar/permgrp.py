@@ -494,12 +494,15 @@ class Subgroup:
 
     def describe(self):
         """Readable name: "1" for trivial, else generators in cycle notation."""
-        if self.is_trivial:
-            return "1"
-        return "⟨" + ", ".join(str(g) for g in self.generating_set()) + "⟩"
+        return _subgroup_name([str(g) for g in self.generating_set()])
 
     def __repr__(self):
         return "Subgroup(order=%d, %s)" % (self.order, self.describe())
+
+
+def _subgroup_name(generators):
+    """Subgroup.describe() of the subgroup with these generator strings."""
+    return "⟨" + ", ".join(generators) + "⟩" if generators else "1"
 
 
 def _generating_numbers(group, mask):

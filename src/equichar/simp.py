@@ -53,7 +53,7 @@ class SimplicialComplex:
         self.vertices = tuple(sorted(set(vertices)))
         self.simplices = frozenset(tuple(s) for s in simplices)
         self._dim = None
-        self._star = None  # {vertex: its star}, built by _cofaces()
+        self._star = None  # {vertex: its star}, built by _stars()
         self._link_table = None  # {simplex: link homology}, filled by duality
         if check:
             self._validate()
@@ -172,15 +172,10 @@ class SimplicialComplex:
         verts = set(v for t in simplices for v in t)
         return SimplicialComplex(verts, simplices, check=False)
 
-    def _cofaces(self, s):
-        """The simplices that have the nonempty simplex s of the complex as
-        a proper face.
-
-        Each of them lies in the star of every vertex of s, so only the
-        star of the vertex of s with the fewest cofaces is read, from a
-        vertex -> star index built on the first call (the complex is
-        immutable, so it never goes stale).
-        """
+    def _stars(self):
+        """{vertex: its star, the list of the simplices holding it}, built
+        on the first call (the complex is immutable, so it never goes
+        stale)."""
         star = self._star
         if star is None:
             star = {v: [] for v in self.vertices}
@@ -188,6 +183,16 @@ class SimplicialComplex:
                 for v in t:
                     star[v].append(t)
             self._star = star
+        return star
+
+    def _cofaces(self, s):
+        """The simplices that have the nonempty simplex s of the complex as
+        a proper face.
+
+        Each of them lies in the star of every vertex of s, so only the
+        star of the vertex of s with the fewest cofaces is read.
+        """
+        star = self._stars()
         n = len(s)
         sset = set(s)
         return [t for t in min((star[v] for v in s), key=len)

@@ -5,15 +5,18 @@ numbers from first principles so that library results are checked against
 code that shares none of the library's internals.
 """
 
+import functools
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from equichar import (GroupAction, HomologyGroup, Permutation,
-                      SimplicialComplex, centralizer, group_from_generators,
-                      rank_mod_p, smith_normal_form)
+                      SimplicialComplex, all_subgroups, centralizer,
+                      conjugacy_classes_of_subgroups, group_from_generators,
+                      permgrp, rank_mod_p, smith_normal_form)
 
 
 # ---------------------------------------------------------------- groups
@@ -93,6 +96,42 @@ def symmetric(n):
 def b4():
     """The hyperoctahedral group B4 of order 384 on the points 1 .. 8."""
     return group("(1 2)(5 6)", "(1 2 3 4)(5 6 7 8)", "(1 5)")
+
+
+_LATTICE_JOINS = {}  # id(group) -> (group, joins made building its lattice)
+
+
+def lattice_joins(g):
+    """Number of joins the cyclic extension made building the subgroup
+    lattice of g: the _generate calls made from _cyclic_extension itself,
+    not the ones that pick conjugators.  The lattice is built here, with
+    the count on, at the first call for g, which must come before anything
+    else builds it; later calls return the same count."""
+    if id(g) not in _LATTICE_JOINS:
+        calls = [0]
+        generate = permgrp.FiniteGroup._generate
+        sweep = permgrp._cyclic_extension.__code__
+
+        def counted(self, *args):
+            calls[0] += sys._getframe(1).f_code is sweep
+            return generate(self, *args)
+
+        permgrp.FiniteGroup._generate = counted
+        try:
+            conjugacy_classes_of_subgroups(g)
+        finally:
+            permgrp.FiniteGroup._generate = generate
+        _LATTICE_JOINS[id(g)] = g, calls[0]
+    return _LATTICE_JOINS[id(g)][1]
+
+
+@functools.cache
+def s6():
+    """S6 with its subgroup lattice, built once per test session through
+    lattice_joins; a test that times the build makes its own."""
+    g = symmetric(6)
+    lattice_joins(g)
+    return g
 
 
 # p-groups named in the vanishing-identity and poset criteria
@@ -477,6 +516,25 @@ def mobius_euler(n, lt_pairs):
 
 
 # -------------------------------------------------------- simplicial oracles
+
+
+def brute_link(x, s):
+    """The simplices of the link of s in x, {t - s : t a simplex of x with
+    s a proper face of t}, from a scan over every simplex."""
+    sset = set(s)
+    return {tuple(v for v in t if v not in sset)
+            for t in x.simplices if sset < set(t)}
+
+
+def uncovered_by_lattice(action):
+    """The sorted vertices whose stabilizer holds no nontrivial proper
+    subgroup of the acting group, each stabilizer tested against every
+    such subgroup of the lattice."""
+    k = action.group
+    proper = [h for h in all_subgroups(k)
+              if not h.is_trivial and h.order < k.order]
+    return sorted(v for v in action.complex.vertices
+                  if not any(q <= action.vertex_stabilizer(v) for q in proper))
 
 
 def simplicial_reduced_betti(x, d):

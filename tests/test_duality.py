@@ -63,7 +63,7 @@ def test_link_table_matches_augmented_link_homology(monkeypatch):
               *helpers.random_flag_complexes(), pendant_triangle(),
               cone_over_graph()):
         built = []  # simplices whose link the table builds and reduces
-        read = []  # simplices whose cofaces the table reads
+        read = []  # simplices whose cofaces are read through _cofaces
 
         def recording_link_of(self, s, faces):
             built.append(s)
@@ -79,12 +79,15 @@ def test_link_table_matches_augmented_link_homology(monkeypatch):
         monkeypatch.setattr(SimplicialComplex, "_cofaces", cofaces)
         assert list(table) == [()] + sorted(x.simplices)
         assert table[()] == homology(augment(x.chain_complex()))
+        links = {s: helpers.brute_link(x, s) for s in x.simplices}
         for s in sorted(x.simplices):
-            assert table[s] == homology(augment(x.link(s).chain_complex()))
+            link = SimplicialComplex({v for t in links[s] for v in t}, links[s])
+            assert table[s] == homology(augment(link.chain_complex()))
         # only links of dimension 2 and more go through Smith normal form,
-        # built from the cofaces that classified them: one read per simplex
-        assert built == [s for s in sorted(x.simplices) if x.link(s).dim >= 2]
-        assert read == sorted(x.simplices)
+        # and the coface lists come from the vertex stars, not _cofaces
+        assert built == [s for s in sorted(x.simplices)
+                         if max(map(len, links[s]), default=0) >= 3]
+        assert read == []
         assert duality._link_table(x) is table
 
 
@@ -114,9 +117,9 @@ def test_each_link_computed_once_per_complex(monkeypatch):
     log = []  # (complex, simplex); holding the complex keeps its id unique
     link_homology = duality._link_homology
 
-    def counting_link_homology(x, s):
+    def counting_link_homology(x, s, cofaces):
         log.append((x, s))
-        return link_homology(x, s)
+        return link_homology(x, s, cofaces)
     monkeypatch.setattr(duality, "_link_homology", counting_link_homology)
     assert flag_duality(x).is_duality
     graded_cohomology_profile(x)
@@ -130,18 +133,30 @@ def test_each_link_computed_once_per_complex(monkeypatch):
 
 def test_scan_checks_each_distinct_fixed_complex_once(monkeypatch):
     # the Sylow 2-subgroup of the octahedral group on bary(octahedron): its
-    # 27 classes have 13 nonempty fixed complexes, only 7 of them distinct
+    # 27 classes have 13 nonempty fixed complexes, only 7 of them distinct,
+    # and equal fixed complexes have equal fixed vertex sets
     octa = helpers.octahedron()
     act = helpers.subdivided_action(
         octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
     log = []  # (complex, simplex); complexes compare by value
     link_homology = duality._link_homology
 
-    def counting_link_homology(x, s):
+    def counting_link_homology(x, s, cofaces):
         log.append((x, s))
-        return link_homology(x, s)
+        return link_homology(x, s, cofaces)
+    built = []  # the vertex sets of the full subcomplexes the scan builds
+    full_subcomplex = SimplicialComplex.full_subcomplex
+
+    def counting_full_subcomplex(x, vertices):
+        built.append(tuple(vertices))
+        return full_subcomplex(x, vertices)
     monkeypatch.setattr(duality, "_link_homology", counting_link_homology)
+    monkeypatch.setattr(SimplicialComplex, "full_subcomplex",
+                        counting_full_subcomplex)
     scan = duality_obstruction_scan(act)
+    monkeypatch.setattr(SimplicialComplex, "full_subcomplex", full_subcomplex)
+    # one fixed complex per distinct nonempty fixed vertex set
+    assert len(built) == len(set(built)) == 7
     fixed = [act.fixed_subcomplex(c.subgroup) for c in scan.classes]
     distinct = {f for f in fixed if not f.is_empty}
     assert (len(scan.classes), len(distinct)) == (27, 7)

@@ -327,3 +327,25 @@ def test_acyclicity_scope_errors_and_force():
         acyclicity_condition(d8)
     rep = acyclicity_condition(d8, force=True)
     assert rep.holds and rep.scope == "remark"
+
+
+def test_acyclicity_equals_the_lattice_route():
+    # a nontrivial stabilizer holds a subgroup of order p, proper unless
+    # |K| = p, when no vertex is covered
+    cases = [("%s on its points" % name, GroupAction(
+        helpers.SimplicialComplex(g.points, [(v,) for v in g.points]), g))
+        for name, g in helpers.pgroup_corpus().items()]
+    cases += oracle_actions()
+    tri = helpers.SimplicialComplex.from_maximal_simplices(
+        "abc", [("a", "b", "c")])
+    cases.append(("C3 on bary^2(triangle)", helpers.subdivided_action(
+        tri, helpers.group_on(tri, "(a b c)"), times=2)))
+    prime_order = 0
+    for name, act in cases:
+        rep = acyclicity_condition(act, force=True)
+        assert rep.uncovered == tuple(helpers.uncovered_by_lattice(act)), name
+        assert rep.holds == (not rep.uncovered), name
+        if act.group.order in (2, 3):
+            assert rep.uncovered == act.complex.vertices, name
+            prime_order += 1
+    assert prime_order == 6

@@ -1,6 +1,5 @@
 """Permutation groups: enumeration, subgroup lattice, predicates."""
 
-import sys
 import time
 
 import pytest
@@ -120,35 +119,14 @@ def test_subgroup_enumeration_against_brute_force():
         assert all(c.rep == min(c.members, key=lambda h: h.key) for c in classes)
 
 
-def _joins(build):
-    """Number of joins the cyclic extension of a fresh build() makes: the
-    _generate calls made from _cyclic_extension itself, not the ones that
-    pick conjugators."""
-    calls = [0]
-    generate = permgrp.FiniteGroup._generate
-    sweep = permgrp._cyclic_extension.__code__
-
-    def counted(self, *args):
-        calls[0] += sys._getframe(1).f_code is sweep
-        return generate(self, *args)
-
-    g = build()
-    permgrp.FiniteGroup._generate = counted
-    try:
-        conjugacy_classes_of_subgroups(g)
-    finally:
-        permgrp.FiniteGroup._generate = generate
-    return calls[0]
-
-
 @pytest.mark.parametrize("build, joins",
                          [(helpers.d8xc2, 93), (helpers.s4, 61),
-                          (lambda: helpers.symmetric(6), 6949)])
+                          (lambda: helpers.s6(), 6949)])
 def test_cyclic_extension_join_counts(build, joins):
     # the power and cover rules skip joins that cannot find a new
     # subgroup (without them: 244, 116 and 12,257); counts are exact on
-    # any machine, unlike CPU time
-    assert _joins(build) == joins
+    # any machine, unlike CPU time.  S6 is the session's shared build.
+    assert helpers.lattice_joins(build()) == joins
 
 
 def test_s5_lattice_and_classes():

@@ -273,7 +273,7 @@ def p_part(n, p):
 def test_brown_congruence_on_quillen_posets():
     # K. S. Brown (Invent. Math. 1975): the reduced Euler characteristic of
     # A_p(G) is divisible by |G|_p
-    s6 = helpers.symmetric(6)
+    s6 = helpers.s6()
     groups = dict(corpus_groups(), S5=helpers.symmetric(5), S6=s6)
     for name, g in groups.items():
         for p in (2, 3):
