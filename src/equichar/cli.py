@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .euler import acyclicity_condition, euler_class, euler_class_coefficient
+from .euler import (_format_terms, acyclicity_condition, euler_class,
+                    euler_class_coefficient)
 from .duality import (cohen_macaulay, double_along, duality_obstruction_scan,
                       flag_duality, graded_cohomology_profile)
 from .exactlin import homology_mod_p, is_prime
@@ -209,12 +210,11 @@ def cmd_weyl_check(args):
 
 def cmd_euler_class(args):
     action = build_action(args.complex, args.group)
-    cls = euler_class(action)
-    text = cls.format_text()
-    doc = {"command": "euler-class", "ok": True,
-           "classes": [dict(_subgroup_doc(h), coefficient=_frac(c))
-                       for h, c in cls.entries()],
-           "text": text}
+    entries = euler_class(action).entries()
+    classes = [dict(_subgroup_doc(h), coefficient=_frac(c)) for h, c in entries]
+    text = _format_terms([(c, _subgroup_name(d["generators"]))
+                         for (_, c), d in zip(entries, classes)])
+    doc = {"command": "euler-class", "ok": True, "classes": classes, "text": text}
     _emit(args, doc, [text])
     return 0
 

@@ -49,21 +49,23 @@ class EulerClass:
         return hash(frozenset((h.key, c) for h, c in self.coefficients.items() if c))
 
     def format_text(self, include_zero=True):
-        parts = []
-        for h, c in self.entries():
-            if c == 0 and not include_zero:
-                continue
-            parts.append((c, "[Γ/%s]" % h.describe()))
-        if not parts:
-            return "0"
-        out = ["%s·%s" % (parts[0][0], parts[0][1])]
-        for c, name in parts[1:]:
-            sign = " + " if c >= 0 else " - "
-            out.append("%s%s·%s" % (sign, abs(c), name))
-        return "".join(out)
+        return _format_terms([(c, h.describe()) for h, c in self.entries()
+                             if c or include_zero])
 
     def __repr__(self):
         return "EulerClass(%s)" % self.format_text()
+
+
+def _format_terms(terms):
+    """The text of an Euler class from its (coefficient, subgroup name)
+    pairs: "c1·[Γ/name1] + c2·[Γ/name2] - ...", or "0" for no terms."""
+    if not terms:
+        return "0"
+    (c, name), rest = terms[0], terms[1:]
+    out = ["%s·[Γ/%s]" % (c, name)]
+    for c, name in rest:
+        out.append("%s%s·[Γ/%s]" % (" + " if c >= 0 else " - ", abs(c), name))
+    return "".join(out)
 
 
 def elementary_abelian_classes(k):

@@ -31,9 +31,6 @@ that belongs to a caller, reduced mod p and without the cleared columns;
 a simplicial boundary, built for the eliminator alone, goes as built.
 """
 
-from collections import defaultdict
-from heapq import heapify, heappop, heappush
-
 from .errors import ConsistencyError, InputError
 
 
@@ -169,58 +166,96 @@ def _eliminate(rows, p=None):
     keeps fill-in low.  Each pivot clears its column from the other rows
     (the Schur complement update), then its row and column are dropped.
 
+    The rows wait in a bucket queue: queue[n] lists the numbers of rows
+    queued at length n.  The scan climbs from a floor past empty buckets,
+    and drops back to the length of any row an update shortens below it;
+    fill-in that lengthens a row past the top adds buckets.  An update
+    queues its row again at its new length, so an entry whose row has since
+    changed length or been dropped is stale and skipped.  Over Z a row
+    without a unit entry leaves the queue until an update queues it again.
+    A pivot alone in its row needs no arithmetic: the other rows of its
+    column just drop their entry there.
+
     Returns (pivots, rows): the set of pivot row numbers and {number: row}
     of the rows left, free of +-1 entries over Z and empty over GF(p).
     """
-    cols = defaultdict(set)
     rows = {i: row for i, row in enumerate(rows) if row}
+    cols = {}
     for i, row in rows.items():
         for j in row:
-            cols[j].add(i)
-    heap = [(len(row), i) for i, row in rows.items()]
-    heapify(heap)
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
+    queue = [[] for _ in range(max(map(len, rows.values()), default=0) + 1)]
+    for i, row in rows.items():
+        queue[len(row)].append(i)
     pivots = set()
-    while heap:
-        n, i = heappop(heap)
+    n = 1
+    while n < len(queue):
+        bucket = queue[n]
+        if not bucket:
+            n += 1
+            continue
+        i = bucket.pop()
         row = rows.get(i)
         if row is None or len(row) != n:
             continue
-        if p is None:
-            candidates = [j for j, v in row.items() if v == 1 or v == -1]
-            if not candidates:
-                continue  # an update to the row pushes it again
-        else:
-            candidates = row
-        j = min(candidates, key=lambda c: len(cols[c]))
+        j = None
+        for c, v in row.items():
+            if (p or v == 1 or v == -1) and (j is None or len(cols[c]) < least):
+                j, least = c, len(cols[c])
+        if j is None:
+            continue  # no unit over Z: an update to the row queues it again
         v = row.pop(j)
-        # Over Z a unit pivot is its own inverse.
-        inv = v if p is None else pow(v, p - 2, p)
-        for k in cols[j]:
-            if k == i:
-                continue
-            other = rows[k]
-            f = other.pop(j) * inv
-            if p is not None:
-                f %= p
-            for c, w in row.items():
-                x = other.get(c, 0) - f * w
-                if p is not None:
-                    x %= p
-                if x:
-                    if c not in other:
-                        cols[c].add(k)
-                    other[c] = x
-                else:
-                    del other[c]
-                    cols[c].discard(k)
-            if other:
-                heappush(heap, (len(other), k))
-            else:
-                del rows[k]
-        for c in row:
-            cols[c].discard(i)
+        column = cols.pop(j)
+        column.discard(i)
         del rows[i]
         pivots.add(i)
+        for c in row:
+            cols[c].discard(i)
+        if row and p is not None:
+            inv = pow(v, p - 2, p)
+        for k in column:
+            other = rows[k]
+            f = other.pop(j)  # all that a pivot alone in its row asks
+            if row and p is None:
+                f *= -v  # a unit pivot is its own inverse
+                for c, w in row.items():
+                    x = other.get(c)
+                    if x is None:
+                        other[c] = f * w
+                        cols[c].add(k)
+                    else:
+                        x += f * w
+                        if x:
+                            other[c] = x
+                        else:
+                            del other[c]
+                            cols[c].discard(k)
+            elif row:
+                f = -f * inv % p
+                for c, w in row.items():
+                    x = other.get(c)
+                    if x is None:
+                        other[c] = f * w % p
+                        cols[c].add(k)
+                    else:
+                        x = (x + f * w) % p
+                        if x:
+                            other[c] = x
+                        else:
+                            del other[c]
+                            cols[c].discard(k)
+            m = len(other)
+            if not m:
+                del rows[k]
+                continue
+            if m >= len(queue):
+                queue.extend([] for _ in range(m + 1 - len(queue)))
+            queue[m].append(k)
+            if m < n:
+                n = m
     return pivots, rows
 
 
@@ -370,15 +405,17 @@ class HomologyGroup:
     __slots__ = ("betti", "torsion")
 
     def __init__(self, betti=0, torsion=()):
-        torsion = tuple(int(d) for d in torsion)
         if betti < 0:
             raise ConsistencyError("negative betti number")
-        for d in torsion:
-            if d < 2:
-                raise ConsistencyError("torsion divisor must exceed 1")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a:
-                raise ConsistencyError("torsion divisors must form a chain")
+        # Most groups are torsion free: () skips the conversion and checks.
+        if torsion != ():
+            torsion = tuple(int(d) for d in torsion)
+            for d in torsion:
+                if d < 2:
+                    raise ConsistencyError("torsion divisor must exceed 1")
+            for a, b in zip(torsion, torsion[1:]):
+                if b % a:
+                    raise ConsistencyError("torsion divisors must form a chain")
         self.betti = betti
         self.torsion = torsion
 

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from equichar import cli
+import helpers
+from equichar import cli, permgrp
 from equichar.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -239,6 +240,38 @@ def test_json_output_is_deterministic(capsys):
     assert doc["schema"] == "equichar/1"
     assert doc["classes"][0]["coefficient"] == {"num": -1, "den": 1}
     assert doc["classes"][1]["coefficient"] == {"num": 1, "den": 1}
+
+
+def test_euler_class_renders_each_generator_once(capsys, monkeypatch, tmp_path):
+    # the order-16 Sylow action on bary(octahedron): 27 classes, whose
+    # representatives have 46 generators between them; the text line and
+    # the JSON document share one rendering of each
+    octa = helpers.octahedron()
+    act = helpers.subdivided_action(
+        octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)"))
+    x = act.complex
+    complex_path, group_path = tmp_path / "complex.json", tmp_path / "group.json"
+    complex_path.write_text(json.dumps(
+        {"vertices": list(x.vertices), "flag": True,
+         "graph_edges": sorted(list(s) for s in x.simplices if len(s) == 2)}))
+    group_path.write_text(json.dumps(
+        {"p": 2, "generators": [str(act.images[g.key]) for g in act.group.generators]}))
+    calls = []
+    cycles = permgrp.Permutation.cycles
+    monkeypatch.setattr(permgrp.Permutation, "cycles",
+                        lambda self: calls.append(1) or cycles(self))
+    outputs = []
+    for mode in ((), ("--json",)):
+        calls.clear()
+        code, out, _ = run(capsys, *mode, "euler-class", "--complex", complex_path,
+                           "--group", group_path)
+        assert code == 0
+        assert len(calls) == 46
+        outputs.append(out)
+    doc = json.loads(outputs[1])
+    assert len(doc["classes"]) == 27
+    assert sum(len(c["generators"]) for c in doc["classes"]) == 46
+    assert outputs[0] == doc["text"] + "\n"
 
 
 # one README sample per subcommand, paths relative to the repository root

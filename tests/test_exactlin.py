@@ -158,6 +158,115 @@ def test_rank_mod_p_matches_oracle():
             assert rank_mod_p(m, p) == helpers.modp_rank(rows, p)
 
 
+def _check_eliminate(m, p=None):
+    """The contract of the sparse eliminator on the rows of m: pivot and
+    residue row numbers are disjoint and name nonempty input rows; over Z
+    the residue rows are nonempty and free of +-1, and the pivots plus the
+    residue's rank give the rank; over GF(p) nothing is left and the
+    pivots give the rank.  The ranks are checked against oracles apart."""
+    rows = exactlin._rows_of(m, p)
+    nonempty = {i for i, row in enumerate(rows) if row}
+    pivots, residue = exactlin._eliminate(rows, p)
+    assert not pivots & set(residue)
+    assert pivots | set(residue) <= nonempty
+    if p is None:
+        assert all(residue.values())
+        assert all(v not in (1, -1) for row in residue.values() for v in row.values())
+        assert len(pivots) + len(exactlin._reduce(list(residue.values()))[1]) == \
+            smith_normal_form(m)[1]
+    else:
+        assert residue == {}
+        assert len(pivots) == rank_mod_p(m, p)
+
+
+def _check_against_oracles(m):
+    assert smith_normal_form(m) == exactlin._dense_snf(m)
+    _check_eliminate(m)
+    rows = helpers.matrix_rows(m)
+    for p in (2, 3, 5):
+        assert rank_mod_p(m, p) == helpers.modp_rank(rows, p)
+        _check_eliminate(m, p)
+
+
+def _from_sparse(rows, ncols):
+    return IntegerMatrix(len(rows), ncols, [[row.get(j, 0) for j in range(ncols)]
+                                            for row in rows])
+
+
+def _fill_past_the_longest_row(n=24):
+    """The signed vertex-edge incidence matrix of the Moebius ladder on n
+    vertices: every row has 3 entries and every column 2.  Whatever the
+    first pivot, the other row of its column shares no other column with
+    the pivot row, so it grows from 3 to 4 entries, past every input row."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    rows = [{} for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        rows[a][e], rows[b][e] = 1, -1
+    return _from_sparse(rows, len(edges))
+
+
+def _shorten_below_the_floor(n=30):
+    """A staircase: row k holds columns 0 .. k + 2, with one sign per
+    column.  The first pivot is a row of 3 entries, in a column every row
+    holds, and the row of 4 entries keeps one: it falls to length 1, below
+    the 3 the scan had climbed to; then every pivot is alone in its row."""
+    return _from_sparse([{j: (-1) ** j for j in range(k + 3)} for k in range(n)], n + 2)
+
+
+def _unit_gained_by_update(n=20):
+    """2 x 2 blocks [[1, 1], [2, 3]], in both row orders, chained by a 2
+    into the next block.  A row (2, 3, 2) has no unit; if it is reached
+    before its partner, it leaves the queue, and the partner's update,
+    which gives it an entry -1 or 1, must queue it again.  Over Z the
+    matrix is unimodular."""
+    rows = []
+    for b in range(n // 2):
+        c = 2 * b
+        unit, other = {c: 1, c + 1: 1}, {c: 2, c + 1: 3}
+        if c + 2 < n:
+            other[c + 2] = 2
+        rows.extend((unit, other) if b % 2 else (other, unit))
+    return _from_sparse(rows, n)
+
+
+def _rows_emptied_by_updates(n=40, seed=3):
+    """Seeded sparse rows of +-1 entries, each followed by a multiple by
+    -1, 2 or 3 of itself (a zero row mod 3 when the factor is 3).  Row
+    operations keep a row and its multiple proportional, so when one of
+    them pivots the update empties the other."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n // 2):
+        row = {j: rng.choice((1, -1)) for j in rng.sample(range(n), rng.randrange(1, 5))}
+        c = rng.choice((-1, 2, 3))
+        rows.extend((row, {j: c * v for j, v in row.items()}))
+    return _from_sparse(rows, n)
+
+
+def test_eliminator_bookkeeping_on_hand_built_matrices():
+    cases = [_fill_past_the_longest_row(), _shorten_below_the_floor(),
+             _unit_gained_by_update(), _rows_emptied_by_updates()]
+    for m in cases:
+        assert 20 <= m.rows <= 60
+        _check_against_oracles(m)
+    # the ladder is connected, so its incidence matrix has rank n - 1; the
+    # staircase and the chained blocks have full rank
+    assert smith_normal_form(cases[0])[1] == 23
+    assert smith_normal_form(cases[1]) == ([1] * 30, 30)
+    assert smith_normal_form(cases[2]) == ([1] * 20, 20)
+
+
+def test_eliminator_on_seeded_sparse_matrices():
+    """20 to 60 rows, about 3 entries a row, entries in {0, +-1, +-2, 3}."""
+    rng = random.Random(20261019)
+    values = (1, -1, 2, -2, 3)
+    for _ in range(24):
+        nr, nc = rng.randrange(20, 61), rng.randrange(20, 61)
+        rows = [{j: rng.choice(values) for j in rng.sample(range(nc), rng.randrange(0, 6))}
+                for _ in range(nr)]
+        _check_against_oracles(_from_sparse(rows, nc))
+
+
 def test_matrix_multiplication():
     a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
     b = IntegerMatrix.from_rows([[0, 1], [1, 0]])
@@ -248,6 +357,21 @@ def test_homology_group_repr():
     assert repr(HomologyGroup(1, (2,))) == "Z + Z/2"
     assert HomologyGroup(0, (2, 4)).is_trivial is False
     assert HomologyGroup().is_trivial is True
+
+
+def test_homology_group_checks_and_stores_torsion():
+    for args, message in (((-1,), "negative betti"), ((-1, (2,)), "negative betti"),
+                          ((0, (1,)), "must exceed 1"), ((0, [2, 3]), "form a chain"),
+                          ((0, (d for d in (4, 2))), "form a chain")):
+        with pytest.raises(ConsistencyError, match=message):
+            HomologyGroup(*args)
+    for torsion in ([2, 4], (d for d in (2, 4)), (Fraction(2), 4.0)):
+        g = HomologyGroup(1, torsion)
+        assert g.torsion == (2, 4) and all(type(d) is int for d in g.torsion)
+    for torsion in ((), [], (d for d in ())):
+        assert HomologyGroup(3, torsion).torsion == ()
+    assert HomologyGroup(3, []) == HomologyGroup(3)
+    assert hash(HomologyGroup(3, [])) == hash(HomologyGroup(3))
 
 
 def rp2_cells():

@@ -8,7 +8,8 @@ import pytest
 import helpers
 from equichar import (GroupAction, HomologyGroup, InputError, Permutation,
                       PreconditionError, SimplicialComplex, all_subgroups,
-                      augment, complex_of_chains, double_along,
+                      augment, complex_of_chains,
+                      conjugacy_classes_of_subgroups, double_along,
                       find_full_subcomplex_isomorphic, group_from_generators)
 
 
@@ -324,6 +325,41 @@ def test_fixed_subcomplex_keeps_fixed_edges():
     fixed = act.fixed_subcomplex(act.group.whole())
     assert set(fixed.vertices) == {"1", "3", "5"}
     assert ("1", "5") in fixed.simplices
+
+
+def _total_betti_mod_p(x, p):
+    """Total unreduced F_p Betti number: 0 for the empty complex, else the
+    reduced total plus one."""
+    return 0 if x.is_empty else sum(x.reduced_homology_mod_p(p).values()) + 1
+
+
+def test_floyd_inequality_on_fixed_complexes():
+    # Floyd (1952): for a p-group H acting admissibly on L, the total F_p
+    # Betti number of L^H is at most that of L
+    cross3, cross4 = helpers.cross_polytope(3), helpers.cross_polytope(4)
+    octa = helpers.octahedron()
+    cases = [
+        (GroupAction(cross3, helpers.group_on(cross3, "(1 4)", "(2 5)", "(3 6)")), 2),
+        (GroupAction(cross4, helpers.group_on(
+            cross4, "(1 5)", "(2 6)", "(3 7)", "(4 8)")), 2),
+        (helpers.subdivided_action(
+            octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)")), 2),
+        # a rotation of order 3; only the barycentres of its two fixed
+        # triangles are fixed, so the bound is met: 2 against 2
+        (helpers.subdivided_action(
+            cross3, helpers.group_on(cross3, "(1 2 3)(4 5 6)")), 3),
+    ]
+    start = time.process_time()
+    for act, p in cases:
+        total = _total_betti_mod_p(act.complex, p)
+        assert total == 2
+        classes = conjugacy_classes_of_subgroups(act.group)
+        fixed = [_total_betti_mod_p(act.fixed_subcomplex(c.rep), p) for c in classes]
+        assert max(fixed) <= total
+    whole = cases[-1][0].fixed_subcomplex(cases[-1][0].group.whole())
+    assert len(whole.vertices) == len(whole.simplices) == 2
+    assert _total_betti_mod_p(whole, 3) == 2
+    assert time.process_time() - start < 1.0
 
 
 def test_vertex_stabilizer():
