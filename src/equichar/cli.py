@@ -129,8 +129,12 @@ def _subgroup_doc(h):
             "generators": [str(g) for g in h.generating_set()]}
 
 
+def _group_doc(g):
+    return {"betti": g.betti, "torsion": list(g.torsion)}
+
+
 def _homology_doc(table):
-    return {str(d): {"betti": g.betti, "torsion": list(g.torsion)}
+    return {str(d): _group_doc(g)
             for d, g in sorted(table.items()) if not g.is_trivial}
 
 
@@ -247,8 +251,7 @@ def cmd_cm_check(args):
     report = cohen_macaulay(x)
     doc = {"command": "cm-check", "ok": report.is_cm,
            "dimension": report.dimension,
-           "failures": [{"simplex": list(s), "degree": d,
-                         "betti": g.betti, "torsion": list(g.torsion)}
+           "failures": [dict(_group_doc(g), simplex=list(s), degree=d)
                         for s, d, g in report.failures]}
     lines = ["dimension %d: %s" % (report.dimension,
                                    "Cohen-Macaulay" if report.is_cm else "NOT Cohen-Macaulay")]
@@ -266,8 +269,7 @@ def cmd_duality_report(args):
     profile = graded_cohomology_profile(x, max_degree=args.max_degree)
     doc = {"command": "duality-report", "ok": verdict.is_duality,
            "dimension": verdict.cm.dimension,
-           "profile": {str(k): [{"simplex": list(s), "betti": g.betti,
-                                 "torsion": list(g.torsion)}
+           "profile": {str(k): [dict(_group_doc(g), simplex=list(s))
                                 for s, g in row]
                        for k, row in profile.entries.items()},
            "all_torsion_free": profile.all_torsion_free}
@@ -366,7 +368,9 @@ def cmd_jones_verify(args):
     return 0 if verified else 1
 
 
-def make_parser():
+@functools.cache
+def _parser():
+    """The one parser of the process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="equichar",
         description="Exact invariants of finite group actions on flag complexes")
@@ -409,12 +413,6 @@ def make_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     return parser
-
-
-@functools.cache
-def _parser():
-    """The one parser of the process; parse_args keeps no state in it."""
-    return make_parser()
 
 
 def main(argv=None):

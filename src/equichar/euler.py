@@ -14,9 +14,11 @@ fixed-set code.
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
+from .exactlin import _exponent
 from .permgrp import (Subgroup, _inner_mask, _lattice, _prime_of_order,
-                      conjugacy_classes_of_subgroups, elementary_abelian_rank,
-                      is_cyclic, is_elementary_abelian_any, require_p_group)
+                      conjugacy_classes_of_subgroups, is_cyclic,
+                      is_elementary_abelian, is_elementary_abelian_any,
+                      require_p_group)
 from .posets import elementary_abelian_euler_formula
 
 
@@ -48,9 +50,8 @@ class EulerClass:
     def __hash__(self):
         return hash(frozenset((h.key, c) for h, c in self.coefficients.items() if c))
 
-    def format_text(self, include_zero=True):
-        return _format_terms([(c, h.describe()) for h, c in self.entries()
-                             if c or include_zero])
+    def format_text(self):
+        return _format_terms([(c, h.describe()) for h, c in self.entries()])
 
     def __repr__(self):
         return "EulerClass(%s)" % self.format_text()
@@ -105,8 +106,7 @@ def vanishing_identity(k):
     if len(k.elements) == 1:
         raise PreconditionError("identity holds only for nontrivial groups")
     require_p_group(k)
-    classes = elementary_abelian_classes(k)
-    return free_coefficient(k, {cls.rep: 1 for cls in classes})
+    return _weyl_sum(k, k.group.trivial_subgroup(), lambda cls: 1)
 
 
 def euler_class_coefficient(action, h):
@@ -153,11 +153,7 @@ def _weyl_sum(k, h, chi):
         return Fraction(chi(cls))
     total = 0
     for e in lattice.sections(hmask, p):
-        index = e.order // h.order
-        rank = 0
-        while index > 1:
-            index //= p
-            rank += 1
+        rank = _exponent(e.order // h.order, p)
         weight = elementary_abelian_euler_formula(p, rank)
         total += weight * chi(lattice.class_of(e.mask))
     return Fraction(total * h.order * cls.size, k.order)
@@ -199,11 +195,7 @@ def euler_class_cyclic(action):
         fixed = action.fixed_subcomplex(k.whole())
         return EulerClass({k.whole(): Fraction(1 - fixed.euler_characteristic())})
     x = min((g for g in k.elements if g.order() == k.order), key=lambda g: g.key)
-    n = 0
-    m = k.order
-    while m > 1:
-        m //= p
-        n += 1
+    n = _exponent(k.order, p)
     towers = [k.subgroup_generated([x ** (p ** i)]) for i in range(n + 1)]
     chis = [action.fixed_subcomplex(t).euler_characteristic() for t in towers]
     coeffs = {towers[0]: Fraction(1 - chis[0])}
@@ -241,8 +233,7 @@ def acyclicity_condition(action, force=False):
     if p is None:
         raise PreconditionError("acting group is trivial")
     if not force:
-        if not (is_elementary_abelian_any(k.whole())
-                and elementary_abelian_rank(k.whole(), p) == 2):
+        if not (k.order == p * p and is_elementary_abelian(k, p)):
             raise PreconditionError(
                 "criterion needs an elementary abelian group of rank 2; "
                 "pass force for the general p-group variant")

@@ -63,11 +63,18 @@ def prime_power_base(n):
     p = 2
     while p * p <= n:
         if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
+            return p if p ** _exponent(n, p) == n else None
         p += 1
     return n
+
+
+def _exponent(n, p):
+    """The exponent of p in the positive int n: the largest k with p^k | n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
 
 class IntegerMatrix:

@@ -51,25 +51,29 @@ class EquivariantComplex:
     The generator's permutation must commute with the boundary maps.
     """
 
-    __slots__ = ("complex", "p", "orbits", "generator_perm")
+    __slots__ = ("complex", "p", "orbits", "generator_perm", "_fixed")
 
     def __init__(self, complex, p, orbits):
         self.complex = complex
         self.p = p
         self.orbits = {d: tuple(orbits.get(d, ())) for d in complex.degrees()}
         perms = {}
+        self._fixed = {}
         for d in complex.degrees():
             labels = complex.labels.get(d, ())
             index = {lab: i for i, lab in enumerate(labels)}
             seen = []
             perm = [None] * len(labels)
+            fixed = []
             for orbit in self.orbits[d]:
                 kind, cells = orbit
                 if kind == "fixed":
                     cells = (cells,) if isinstance(cells, str) else tuple(cells)
                     if len(cells) != 1:
                         raise InputError("fixed orbit must hold one cell")
-                    perm[index[cells[0]]] = index[cells[0]]
+                    i = index[cells[0]]
+                    perm[i] = i
+                    fixed.append(i)
                 elif kind == "free":
                     cells = tuple(cells)
                     if len(cells) != p:
@@ -82,6 +86,7 @@ class EquivariantComplex:
             if sorted(seen) != sorted(labels):
                 raise InputError("orbits must partition the cells of degree %d" % d)
             perms[d] = tuple(perm)
+            self._fixed[d] = sorted(fixed)
         self.generator_perm = perms
         self._check_equivariance()
 
@@ -102,14 +107,8 @@ class EquivariantComplex:
                                          "degree %d" % d)
 
     def fixed_indices(self, d):
-        out = []
-        labels = self.complex.labels.get(d, ())
-        index = {lab: i for i, lab in enumerate(labels)}
-        for kind, cells in self.orbits.get(d, ()):
-            if kind == "fixed":
-                cell = cells if isinstance(cells, str) else cells[0]
-                out.append(index[cell])
-        return sorted(out)
+        """Sorted indices of the fixed cells of degree d."""
+        return list(self._fixed.get(d, ()))
 
 
 def fixed_part(equiv):
@@ -200,15 +199,17 @@ def cyclic_extension(m, q, p):
     boundaries = {d: base.boundary(d) for d in range(1, m + 1)}
     # l and every s_i kill c with multiplicity q and 1 respectively
     boundaries[m + 1] = IntegerMatrix.from_rows([[q] + [1] * p])
-    # column of t_i: +1 on l, -1 on the window s_i, s_(i+1), ..., s_(i+q-1)
-    # window entries accumulate: for q > p a cell can be hit more than once
+    # column of t_i: +1 on l, -1 on the window s_i, s_(i+1), ..., s_(i+q-1).
+    # The window runs q // p times round all p cells, then over the q % p
+    # cells from s_i on, so it hits s_(i+off) q // p + [off < q % p] times;
+    # for q < p only the q cells from s_i on are hit, once each.
     mat = IntegerMatrix(1 + p, p)
     rows = mat.entries
+    laps, extra = divmod(q, p)
     for i in range(p):
         rows[0][i] = 1
-        for off in range(q):
-            row = rows[1 + (i + off) % p]
-            row[i] = row.get(i, 0) - 1
+        for off in range(min(q, p)):
+            rows[1 + (i + off) % p][i] = -(laps + (off < extra))
     boundaries[m + 2] = mat
     total = ChainComplexZ(ranks, boundaries,
                           labels={d: tuple(v) for d, v in labels.items()})

@@ -6,13 +6,13 @@ monotone in the point names, so these keys sort exactly like the tuples of
 image names would.  A group is always closed from its generators, and its
 elements sort by key, which makes every listing deterministic, puts the
 identity first and numbers each element by its place in that order.  One
-index maps keys to numbers, and only FiniteGroup._mask_of turns elements
-given by a caller into a mask of numbers; on first use a group also builds a
-multiplication table and an inverse table over the numbers and keeps them
-on the instance, so a group that is only asked for its order never pays
-for a table.  Only the generators' rows of that table take tuple products;
-every other row is read off the row of a generator and a row already
-filled.
+index maps keys to numbers, and only FiniteGroup._mask_of turns a subgroup
+or the elements given by a caller into a mask of numbers; on first use a
+group also builds a multiplication table and an inverse table over the
+numbers and keeps them on the instance, so a group that is only asked for
+its order never pays for a table.  Only the generators' rows of that table
+take tuple products; every other row is read off the row of a generator
+and a row already filled.
 
 One closure routine, _close_under_products, discovers group elements, in
 whichever encoding its product function works on: int image tuples when a
@@ -49,9 +49,10 @@ without a normalizer.
 
 from itertools import repeat
 from math import lcm
+from operator import itemgetter
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .exactlin import _require_prime, is_prime, prime_power_base
+from .exactlin import _exponent, _require_prime, is_prime, prime_power_base
 
 DEFAULT_ORDER_BOUND = 20000
 
@@ -161,21 +162,8 @@ class Permutation:
 
     def cycles(self):
         """Non-singleton cycles, each starting at its least point."""
-        mapping = self.mapping
-        seen = set()
-        out = []
-        for p in self.points:
-            if p in seen or mapping[p] == p:
-                continue
-            cyc = [p]
-            seen.add(p)
-            q = mapping[p]
-            while q != p:
-                cyc.append(q)
-                seen.add(q)
-                q = mapping[q]
-            out.append(tuple(cyc))
-        return out
+        # a cycle has two or more positions, so itemgetter gives a tuple
+        return [itemgetter(*c)(self.points) for c in _cycles(self.key)]
 
     def __str__(self):
         cycs = self.cycles()
@@ -245,21 +233,24 @@ def _bits(mask):
     return out
 
 
-def _cycle_order(images):
-    """Order of a permutation from the lengths of its cycles."""
-    order = 1
+def _cycles(images):
+    """The cycles of length at least 2 of an int image tuple, each a list
+    of positions starting at its least one, in the order of those."""
     seen = bytearray(len(images))
-    for start in range(len(images)):
-        if seen[start]:
+    for start, i in enumerate(images):
+        if i == start or seen[start]:
             continue
-        length = 0
-        i = start
-        while not seen[i]:
+        cycle = [start]
+        while i != start:
+            cycle.append(i)
             seen[i] = 1
             i = images[i]
-            length += 1
-        order = lcm(order, length)
-    return order
+        yield cycle
+
+
+def _cycle_order(images):
+    """Order of a permutation from the lengths of its cycles."""
+    return lcm(*map(len, _cycles(images)))
 
 
 class FiniteGroup:
@@ -326,8 +317,11 @@ class FiniteGroup:
         return self._orders
 
     def _mask_of(self, elements, outside):
-        """Mask over the element numbers of the given elements; one that
-        lies outside the group raises InputError(outside)."""
+        """Mask over the element numbers of a subgroup of this group, or of
+        any iterable of elements; an element that lies outside the group
+        raises InputError(outside)."""
+        if isinstance(elements, (Subgroup, FiniteGroup)) and elements.group is self:
+            return elements.mask
         index = self._index
         mask = 0
         for g in elements:
@@ -437,7 +431,15 @@ class Subgroup:
         mask = group._mask_of(elements, "subgroup element lies outside the group")
         if not mask & 1:
             raise InputError("subgroup must contain the identity")
+        # the greedy generators close inside the bound |mask| exactly when
+        # the elements are closed under products
+        try:
+            generators = tuple(_generating_numbers(group, mask))
+        except ResourceLimitError:
+            raise InputError("subgroup elements are not closed under "
+                             "products") from None
         self._fill(group, mask)
+        self._generators = generators
 
     @classmethod
     def _of(cls, group, mask):
@@ -521,9 +523,8 @@ def _generating_numbers(group, mask):
 
 def _inner_mask(g, h):
     """Mask of h in the numbering of g's group; h must lie inside g."""
-    group = g.group
     outside = "not a subgroup of the ambient group"
-    mask = h.mask if h.group is group else group._mask_of(h.elements, outside)
+    mask = g.group._mask_of(h, outside)
     if mask & ~g.mask:
         raise InputError(outside)
     return mask
@@ -815,9 +816,7 @@ def is_normal(n, h):
 def is_p_group(h, p):
     _require_prime(p)
     n = len(h.elements)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p ** _exponent(n, p) == n
 
 
 def _orders(h):
@@ -849,10 +848,8 @@ def is_nilpotent(h):
     p = 2
     while rest > 1:
         if rest % p == 0:
-            part = 1
-            while rest % p == 0:
-                rest //= p
-                part *= p
+            part = p ** _exponent(rest, p)
+            rest //= part
             if sum(1 for o in orders if part % o == 0) != part:
                 return False
         p += 1
@@ -892,12 +889,7 @@ def is_elementary_abelian_any(h):
 def elementary_abelian_rank(h, p):
     if not is_elementary_abelian(h, p):
         raise InputError("group is not elementary abelian for p=%d" % p)
-    n = len(h.elements)
-    rank = 0
-    while n > 1:
-        n //= p
-        rank += 1
-    return rank
+    return _exponent(len(h.elements), p)
 
 
 def require_p_group(k):

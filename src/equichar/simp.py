@@ -9,12 +9,12 @@ and it is the single (-1)-cell of the reduced chain complex.
 
 from functools import reduce
 from itertools import combinations, compress
-from operator import and_, eq
+from operator import and_, eq, itemgetter
 
 from .errors import InputError, PreconditionError
 from .exactlin import (ChainComplexZ, IntegerMatrix, _homology,
                        _universal_coefficients)
-from .permgrp import FiniteGroup, Subgroup, homomorphism_images
+from .permgrp import Subgroup, _cycles, homomorphism_images
 
 
 def _adjacency(vertices, edges):
@@ -88,19 +88,8 @@ class SimplicialComplex:
             s = tuple(sorted(set(facet)))
             if not set(s) <= vset:
                 raise InputError("facet %r uses undeclared vertices" % (facet,))
-            if not s:
-                continue
-            stack = [s]
-            while stack:
-                t = stack.pop()
-                if t in simplices and len(t) == 1:
-                    continue
-                if t not in simplices:
-                    simplices.add(t)
-                    for i in range(len(t)):
-                        face = t[:i] + t[i + 1:]
-                        if face and face not in simplices:
-                            stack.append(face)
+            for k in range(2, len(s) + 1):
+                simplices.update(combinations(s, k))
         return cls(vset, simplices, check=False)
 
     @classmethod
@@ -310,6 +299,9 @@ def complex_of_chains(labels, strict_pairs):
                              check=False)
 
 
+_OUTSIDE = "subgroup lies outside the acting group"
+
+
 class GroupAction:
     """A simplicial action of a finite group on a complex.
 
@@ -373,17 +365,8 @@ class GroupAction:
         verts = self.complex.vertices
         simplices = self.complex.simplices
         for g, img in zip(self.group.elements, self.images.values()):
-            t = img.key
-            done = set()
-            for i, j in enumerate(t):
-                if i == j or i in done:
-                    continue
-                cycle = [i]
-                while j != i:
-                    cycle.append(j)
-                    j = t[j]
-                done.update(cycle)
-                if tuple(map(verts.__getitem__, sorted(cycle))) in simplices:
+            for cycle in _cycles(img.key):
+                if itemgetter(*sorted(cycle))(verts) in simplices:
                     return g
         return None
 
@@ -407,18 +390,8 @@ class GroupAction:
                 "action is not admissible: %s fixes %r setwise but not "
                 "pointwise" % (g, s))
 
-    def _mask(self, h):
-        """Mask over the group's element numbers of h: a subgroup of the
-        acting group, or an iterable of its elements."""
-        group = self.group
-        if isinstance(h, (Subgroup, FiniteGroup)):
-            if h.group is group:
-                return h.mask
-            h = h.elements
-        return group._mask_of(h, "subgroup lies outside the acting group")
-
     def fixed_vertices(self, h):
-        mask = self._mask(h)
+        mask = self.group._mask_of(h, _OUTSIDE)
         return tuple(v for v, m in self._stabilizers.items() if not mask & ~m)
 
     def fixed_subcomplex(self, h):
@@ -437,7 +410,7 @@ class GroupAction:
         if counts is None:
             counts = self._fixed_counts = _signed_counts_by_mask(
                 self.complex.simplices, self._stabilizers)
-        mask = self._mask(h)
+        mask = self.group._mask_of(h, _OUTSIDE)
         return sum(c for m, c in counts if not mask & ~m)
 
     def vertex_stabilizer(self, v):

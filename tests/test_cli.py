@@ -185,6 +185,25 @@ def test_exit_2_bad_group_files(capsys, tmp_path):
     assert code == 2 and "not a 3-group" in err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("cm-check", ["a"], "complex file must hold a JSON object"),
+    ("cm-check", {"maximal_simplices": [["a"]]},
+     "complex file needs a vertices list"),
+    ("cm-check", {"vertices": ["a"], "maximal_simplices": [["a"]],
+                  "flag": True}, "flag mode applies to graph input only"),
+    ("subgroups", {"generators": ["()"]},
+     "cannot infer points from identity-only generators"),
+    ("subgroups", {"generators": ["(1 2)"], "p": "2"},
+     "expected prime p must be an integer"),
+    ("subgroups", ["(1 2)"], "group file must hold a JSON object"),
+])
+def test_exit_2_malformed_files(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    flag = "--complex" if command == "cm-check" else "--group"
+    assert run(capsys, command, flag, path) == (2, "", "input error: %s\n" % message)
+
+
 def test_exit_2_non_simplicial_generators(capsys):
     code, _, err = run(capsys, "euler-class", "--complex", data("star.json"),
                        "--group", data("c2.json"))

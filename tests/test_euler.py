@@ -93,6 +93,22 @@ def test_two_edges_class_both_routes():
     assert not cls.is_zero
     assert euler_class_coefficient(act, trivial) == -1
     assert euler_class_coefficient(act, whole) == 1
+    # the acting group stands for its whole subgroup; another group does not
+    assert euler_class_coefficient(act, act.group) == 1
+    with pytest.raises(InputError, match="^h must be a subgroup of the "
+                       "acting group$"):
+        euler_class_coefficient(act, helpers.group_on(edges, "(1 3)(2 4)"))
+
+
+def test_trivial_acting_group():
+    # L^1 = L, and chi of two disjoint edges is 2
+    edges = helpers.two_edges()
+    act = GroupAction(edges, group_from_generators(edges.vertices, []))
+    assert euler_class_cyclic(act) == EulerClass({act.group.whole(): -1})
+    assert euler_class_cyclic(act) == euler_class(act)
+    for force in (False, True):
+        with pytest.raises(PreconditionError, match="^acting group is trivial$"):
+            acyclicity_condition(act, force=force)
 
 
 def test_two_edges_format():
@@ -327,6 +343,15 @@ def test_acyclicity_scope_errors_and_force():
         acyclicity_condition(d8)
     rep = acyclicity_condition(d8, force=True)
     assert rep.holds and rep.scope == "remark"
+    # the theorem scope is elementary abelian of rank 2 for any p, not 3
+    points = helpers.SimplicialComplex.from_maximal_simplices(
+        [str(i) for i in range(1, 7)], [])
+    c3xc3 = GroupAction(points, helpers.group_on(points, "(1 2 3)", "(4 5 6)"))
+    rep = acyclicity_condition(c3xc3)
+    assert rep.holds and rep.scope == "theorem"
+    rank3 = GroupAction(points, helpers.group_on(points, "(1 2)", "(3 4)", "(5 6)"))
+    with pytest.raises(PreconditionError, match="rank 2"):
+        acyclicity_condition(rank3)
 
 
 def test_acyclicity_equals_the_lattice_route():

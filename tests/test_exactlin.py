@@ -25,6 +25,12 @@ def test_is_prime():
     assert not is_prime(-7)
 
 
+def test_exponent_of_a_prime():
+    assert [exactlin._exponent(48, p) for p in (2, 3, 5)] == [4, 1, 0]
+    assert exactlin._exponent(1, 7) == 0
+    assert exactlin._exponent(3 ** 40, 3) == 40
+
+
 def test_prime_power_base():
     assert prime_power_base(8) == 2
     assert prime_power_base(27) == 3
@@ -449,6 +455,18 @@ def test_boundary_shape_checked():
         ChainComplexZ({0: 2, 1: 1}, {1: IntegerMatrix.from_rows([[1]])})
     with pytest.raises(InputError):
         ChainComplexZ({0: 1, 2: 1}, {2: IntegerMatrix.from_rows([[1]])})
+
+
+@pytest.mark.parametrize("ranks, boundaries, labels, message", [
+    ({0: 1}, {}, {0: ("a", "b")}, "label count mismatch in degree 0"),
+    ({}, {1: IntegerMatrix(0, 0)}, None, "boundary map without degrees"),
+    ({0: 1}, {0: IntegerMatrix.from_rows([[1]])}, None,
+     "nonzero boundary out of the lowest degree"),
+    ({0: 1, 1: 1}, {}, None, "missing boundary map in degree 1"),
+])
+def test_chain_complex_validation_messages(ranks, boundaries, labels, message):
+    with pytest.raises(InputError, match="^%s$" % message):
+        ChainComplexZ(ranks, boundaries, labels=labels)
 
 
 def test_homology_label_permutation_invariance():

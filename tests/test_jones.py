@@ -1,5 +1,8 @@
 """Moore complexes, cyclic-group extensions, and the acyclicity verifier."""
 
+import time
+from math import gcd
+
 import pytest
 
 import helpers
@@ -104,6 +107,36 @@ def test_extension_total_mod_q_concentrates_in_degree_zero():
         assert all(v == 0 for d, v in dims.items() if d > 0)
 
 
+def window_rows(q, p):
+    """Rows of the boundary out of the t cells, one step per window cell."""
+    rows = [{} for _ in range(1 + p)]
+    for i in range(p):
+        rows[0][i] = 1
+        for off in range(q):
+            row = rows[1 + (i + off) % p]
+            row[i] = row.get(i, 0) - 1
+    return rows
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_window_boundary_in_closed_form(p):
+    for q in range(2, 30):
+        if gcd(p, q) == 1:
+            for m in (1, 2):
+                ext = cyclic_extension(m, q, p)
+                assert ext.complex.boundary(m + 2).entries == window_rows(q, p)
+
+
+def test_window_boundary_does_not_walk_the_windows():
+    start = time.perf_counter()
+    ext = cyclic_extension(1, 10 ** 9 + 1, 2)
+    assert time.perf_counter() - start < 0.5
+    assert ext.acyclic
+    assert ext.complex.boundary(3).entries == [
+        {0: 1, 1: 1}, {0: -500000001, 1: -500000000},
+        {0: -500000000, 1: -500000001}]
+
+
 def test_extension_preconditions():
     with pytest.raises(PreconditionError):
         cyclic_extension(1, 2, 2)
@@ -143,6 +176,26 @@ def test_fixed_part_of_all_fixed_orbits():
               2: (("fixed", "l"),)}
     equiv = EquivariantComplex(c, 3, orbits)
     assert fixed_part(equiv) == c
+
+
+def test_fixed_part_trims_degrees_without_fixed_cells():
+    # degree 0 is one free orbit, so the fixed part starts in degree 1 and
+    # the boundary into degree 0 goes with it; degree 3 holds nothing
+    c = ChainComplexZ({0: 2, 1: 1, 2: 1, 3: 0},
+                      {1: IntegerMatrix(2, 1),
+                       2: IntegerMatrix.from_rows([[2]]),
+                       3: IntegerMatrix(1, 0)},
+                      labels={0: ("a0", "a1"), 1: ("e",), 2: ("f",)})
+    orbits = {0: (("free", ("a0", "a1")),), 1: (("fixed", "e"),),
+              2: (("fixed", ("f",)),)}
+    equiv = EquivariantComplex(c, 2, orbits)
+    assert [equiv.fixed_indices(d) for d in range(-1, 5)] == [[], [], [0], [0], [], []]
+    assert fixed_part(equiv) == ChainComplexZ(
+        {1: 1, 2: 1}, {2: IntegerMatrix.from_rows([[2]])},
+        labels={1: ("e",), 2: ("f",)})
+    points = ChainComplexZ({0: 2}, {}, labels={0: ("a0", "a1")})
+    assert fixed_part(EquivariantComplex(points, 2, {0: orbits[0]})) == \
+        ChainComplexZ({}, {})
 
 
 def test_equivariant_validation():

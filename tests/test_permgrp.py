@@ -56,6 +56,15 @@ def test_powers_inverse_order():
     assert perm("(1 2)(3 4)").order() == 2
 
 
+def test_cycles_start_at_their_least_position():
+    images = (0, 2, 3, 1, 4, 6, 5)
+    assert list(permgrp._cycles(images)) == [[1, 2, 3], [5, 6]]
+    assert list(permgrp._cycles((0, 1, 2))) == []
+    assert permgrp._cycle_order(images) == 6
+    assert permgrp._cycle_order(()) == 1
+    assert perm("(2 4 3)").cycles() == [("2", "4", "3")]
+
+
 def test_group_closure_and_membership():
     g = helpers.d8()
     assert g.order == 8
@@ -283,6 +292,25 @@ def test_subgroup_describe():
     assert g.trivial_subgroup().describe() == "1"
     h = g.subgroup_generated([perm("(1 3)(2 4)")])
     assert h.describe() == "⟨(1 3)(2 4)⟩"
+
+
+def test_subgroup_from_elements_must_be_a_subgroup():
+    g = helpers.cyclic(4)
+    r = perm("(1 2 3 4)")
+    with pytest.raises(InputError, match="^subgroup must contain the identity$"):
+        Subgroup(g, [r ** 2])
+    for elements in ([g.identity, r], [g.identity, r, r ** 2]):
+        with pytest.raises(InputError, match="^subgroup elements are not "
+                           "closed under products$"):
+            Subgroup(g, elements)
+    h = Subgroup(g, [r ** 2, g.identity])
+    assert h == g.subgroup_generated([r ** 2]) and h.order == 2
+    assert is_p_group(h, 2)
+    assert repr(h) == "Subgroup(order=2, ⟨(1 3)(2 4)⟩)"
+    d8 = helpers.d8()
+    for k in all_subgroups(d8):
+        again = Subgroup(d8, reversed(k.elements))
+        assert again == k and again.generating_set() == k.generating_set()
 
 
 def test_generating_set_regenerates():

@@ -1,5 +1,6 @@
 """Simplicial complexes, group actions on them, subcomplex embeddings."""
 
+import re
 import time
 from itertools import combinations, permutations
 
@@ -20,12 +21,34 @@ def test_face_closure():
     assert ("b",) in x.simplices
     assert x.dim == 2
     assert x.f_vector() == (3, 3, 1)
+    # overlapping, repeated, unsorted and empty facets
+    x = SimplicialComplex.from_maximal_simplices(
+        ["a", "b", "c", "d", "e"],
+        [("a", "b", "c", "d"), ("c", "b"), ("d", "c", "e"), ("e", "c", "d"), ()])
+    assert x.f_vector() == (5, 8, 5, 1)
+    assert SimplicialComplex(x.vertices, x.simplices) == x
 
 
 def test_isolated_vertices_kept():
     x = SimplicialComplex.from_maximal_simplices(["a", "b", "c"], [("a", "b")])
     assert ("c",) in x.simplices
     assert x.euler_characteristic() == 2
+
+
+@pytest.mark.parametrize("simplices, message", [
+    [[("a",), ("b",), ()], "the empty simplex is implicit; do not store it"],
+    [[("a",), ("b",), ("b", "a")],
+     "simplex ('b', 'a') is not a sorted duplicate-free tuple"],
+    [[("a",), ("b",), ("a", "a")],
+     "simplex ('a', 'a') is not a sorted duplicate-free tuple"],
+    [[("a",), ("b",), ("z",)], "simplex ('z',) uses undeclared vertices"],
+    [[("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("a", "b", "c")],
+     "face ('b', 'c') of ('a', 'b', 'c') is missing"],
+    [[("a",), ("c",)], "vertex 'b' has no 0-simplex"],
+])
+def test_complex_validation_messages(simplices, message):
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        SimplicialComplex(["a", "b", "c"], simplices)
 
 
 def test_unknown_vertex_rejected():
