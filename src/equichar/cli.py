@@ -20,7 +20,7 @@ from .duality import (cohen_macaulay, double_along, duality_obstruction_scan,
                       flag_duality, graded_cohomology_profile)
 from .exactlin import homology_mod_p, is_prime
 from .jones import cyclic_extension, fixed_part, moore_complex, reduced_homology_of
-from .permgrp import (Permutation, _subgroup_name, all_subgroups,
+from .permgrp import (Permutation, _cycle_names, _subgroup_name, all_subgroups,
                       conjugacy_classes_of_subgroups, group_from_generators,
                       is_p_group)
 from .posets import (FILTERS, quillen_thevenaz_check, subgroup_poset,
@@ -89,10 +89,8 @@ def load_group(path, complex=None):
     if complex is not None:
         points = complex.vertices
     else:
-        points = set()
-        for text in gens_text:
-            for chunk in text.replace("(", " ").replace(")", " ").replace(",", " ").split():
-                points.add(chunk)
+        points = {name for text in gens_text for names in _cycle_names(text)
+                  for name in names}
         if not points:
             raise InputError("cannot infer points from identity-only generators")
     gens = [Permutation.from_cycles(points, text) for text in gens_text]

@@ -183,15 +183,13 @@ def graded_cohomology_profile(x, max_degree=None):
     if max_degree < 0:
         raise InputError("max_degree must be non-negative")
     rows = {k: [] for k in range(max_degree + 1)}
+    # the table is in sorted order, so each row is too
     for s, hom in _link_table(x).items():
-        coh = _universal_coefficients(hom)
-        for k in range(max_degree + 1):
-            d = k - len(s) - 1
-            group = coh.get(d)
-            if group is not None and not group.is_trivial:
+        for d, group in _universal_coefficients(hom).items():
+            k = d + len(s) + 1
+            if k in rows and not group.is_trivial:
                 rows[k].append((s, group))
-    entries = {k: tuple(sorted(row, key=lambda sg: sg[0])) for k, row in rows.items()}
-    return GradedProfile(max_degree, entries)
+    return GradedProfile(max_degree, {k: tuple(row) for k, row in rows.items()})
 
 
 def double_along(x, a):

@@ -58,14 +58,23 @@ def prime_power_base(n):
     an int, as for is_prime."""
     if type(n) is not int:
         raise InputError("expected an int, got %r" % (n,))
-    if n < 2:
-        return None
+    factors = _factor(n)
+    return next(iter(factors)) if len(factors) == 1 else None
+
+
+def _factor(n):
+    """The prime factorization {p: exponent} of the int n, by trial
+    division; {} for n < 2."""
+    factors = {}
     p = 2
     while p * p <= n:
         if n % p == 0:
-            return p if p ** _exponent(n, p) == n else None
+            factors[p] = _exponent(n, p)
+            n //= p ** factors[p]
         p += 1
-    return n
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def _exponent(n, p):
@@ -457,8 +466,8 @@ class ChainComplexZ:
     """A bounded chain complex of free Z-modules over contiguous degrees.
 
     ranks maps degree -> rank; boundaries maps degree d -> the matrix of
-    the map from degree d to degree d - 1, required for every degree above
-    the lowest.  Composition of successive boundaries is checked to vanish.
+    the map from degree d to degree d - 1; a degree without one maps by
+    zero.  Composition of successive boundaries is checked to vanish.
     """
 
     __slots__ = ("ranks", "boundaries", "labels")
@@ -475,27 +484,24 @@ class ChainComplexZ:
             self._validate()
 
     def _validate(self):
-        degs = self.degrees()
         for d, lab in self.labels.items():
             if len(lab) != self.ranks.get(d, 0):
                 raise InputError("label count mismatch in degree %d" % d)
-        if not degs:
+        if not self.ranks:
             if self.boundaries:
                 raise InputError("boundary map without degrees")
             return
-        lo = degs[0]
-        for d in degs:
+        lo = min(self.ranks)
+        held = sorted(self.boundaries)
+        for d in held:
+            b = self.boundaries[d]
             if d == lo:
-                if d in self.boundaries and not self.boundaries[d].is_zero():
+                if not b.is_zero():
                     raise InputError("nonzero boundary out of the lowest degree")
-                continue
-            b = self.boundaries.get(d)
-            if b is None:
-                raise InputError("missing boundary map in degree %d" % d)
-            if b.rows != self.ranks[d - 1] or b.cols != self.ranks[d]:
+            elif b.rows != self.rank(d - 1) or b.cols != self.rank(d):
                 raise InputError("boundary shape mismatch in degree %d" % d)
-        for d in degs:
-            if d - 1 > lo and d in self.boundaries:
+        for d in held:
+            if d - 1 > lo and d - 1 in self.boundaries:
                 if not (self.boundaries[d - 1] * self.boundaries[d]).is_zero():
                     raise ConsistencyError("boundary composition is nonzero at degree %d" % d)
 
@@ -517,7 +523,10 @@ class ChainComplexZ:
             return NotImplemented
         if self.ranks != other.ranks or self.labels != other.labels:
             return False
-        return all(self.boundary(d) == other.boundary(d) for d in self.degrees())
+        return self._nonzero() == other._nonzero()
+
+    def _nonzero(self):
+        return {d: b for d, b in self.boundaries.items() if not b.is_zero()}
 
     def __hash__(self):
         return hash(tuple(sorted(self.ranks.items())))
@@ -525,24 +534,25 @@ class ChainComplexZ:
 
 def augment(c):
     """c with Z added in degree -1, the target of the all-ones map out of
-    degree 0 (no map when c is empty); reduced homology is the homology of
-    the result.  Degrees 0..lo-1 below the lowest degree lo of c are padded
-    with rank 0, so the augmentation is zero there.  A column of the
-    boundary out of degree 1 that does not sum to 0 makes the composition
-    with the augmentation nonzero and raises ConsistencyError."""
+    degree 0 (no map when degree 0 is empty); reduced homology is the
+    homology of the result.  Degrees 0..lo-1 below the lowest degree lo of
+    c are padded with rank 0, so the augmentation is zero there.  A column
+    of the boundary out of degree 1 that does not sum to 0 makes the
+    composition with the augmentation nonzero and raises ConsistencyError."""
     ranks = dict(c.ranks)
     for d in range(min(ranks, default=0)):
         ranks[d] = 0
     ranks[-1] = 1
     boundaries = dict(c.boundaries)
-    if 0 in ranks:
-        b = c.boundary(1)
-        sums = [0] * b.cols
-        for row in b.entries:
-            for j, v in row.items():
-                sums[j] += v
-        if any(sums):
-            raise ConsistencyError("boundary composition is nonzero at degree 1")
+    boundaries.pop(0, None)
+    if ranks.get(0):
+        if 1 in boundaries:
+            sums = [0] * boundaries[1].cols
+            for row in boundaries[1].entries:
+                for j, v in row.items():
+                    sums[j] += v
+            if any(sums):
+                raise ConsistencyError("boundary composition is nonzero at degree 1")
         boundaries[0] = IntegerMatrix(1, ranks[0], [[1] * ranks[0]])
     labels = dict(c.labels)
     labels[-1] = ("*",)

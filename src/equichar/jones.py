@@ -17,6 +17,11 @@ from .errors import ConsistencyError, InputError, PreconditionError
 from .exactlin import ChainComplexZ, IntegerMatrix, augment, homology
 
 
+def _require_order(p):
+    if type(p) is not int or p < 2:
+        raise InputError("group order p must be at least 2")
+
+
 def moore_complex(m, q):
     """Cells pt (degree 0), c (degree m), l (degree m + 1); boundary of l is q.c."""
     if m < 1:
@@ -24,18 +29,11 @@ def moore_complex(m, q):
     if q < 2:
         raise InputError("torsion order q must be at least 2")
     ranks = {d: 0 for d in range(m + 2)}
-    ranks[0] = 1
-    ranks[m] = 1
-    ranks[m + 1] = 1
+    ranks[0] = ranks[m] = ranks[m + 1] = 1
     labels = {d: () for d in range(m + 2)}
-    labels[0] = ("pt",)
-    labels[m] = ("c",)
-    labels[m + 1] = ("l",)
-    boundaries = {}
-    for d in range(1, m + 2):
-        boundaries[d] = IntegerMatrix(ranks[d - 1], ranks[d])
-    boundaries[m + 1] = IntegerMatrix.from_rows([[q]])
-    return ChainComplexZ(ranks, boundaries, labels=labels)
+    labels[0], labels[m], labels[m + 1] = ("pt",), ("c",), ("l",)
+    return ChainComplexZ(ranks, {m + 1: IntegerMatrix.from_rows([[q]])},
+                         labels=labels)
 
 
 def rp2_complex():
@@ -54,6 +52,7 @@ class EquivariantComplex:
     __slots__ = ("complex", "p", "orbits", "generator_perm", "_fixed")
 
     def __init__(self, complex, p, orbits):
+        _require_order(p)
         self.complex = complex
         self.p = p
         self.orbits = {d: tuple(orbits.get(d, ())) for d in complex.degrees()}
@@ -91,12 +90,11 @@ class EquivariantComplex:
         self._check_equivariance()
 
     def _check_equivariance(self):
-        for d in self.complex.degrees():
-            if d - 1 not in self.generator_perm:
+        perms = self.generator_perm
+        for d, b in self.complex.boundaries.items():
+            if d not in perms or d - 1 not in perms:
                 continue
-            b = self.complex.boundary(d)
-            pd = self.generator_perm[d]
-            pd1 = self.generator_perm[d - 1]
+            pd, pd1 = perms[d], perms[d - 1]
             # The permutations biject the entries, so matching every
             # nonzero entry also matches every zero one.
             for i, row in enumerate(b.entries):
@@ -118,40 +116,29 @@ def fixed_part(equiv):
     else means the orbit data is inconsistent.
     """
     c = equiv.complex
-    idx = {d: equiv.fixed_indices(d) for d in c.degrees()}
-    ranks = {d: len(idx[d]) for d in c.degrees()}
-    labels = {d: tuple(c.labels[d][i] for i in idx[d]) for d in c.degrees()}
+    idx = equiv._fixed
     boundaries = {}
-    degs = c.degrees()
-    for d in degs:
-        if d == degs[0]:
+    for d in sorted(c.boundaries):
+        if d not in idx or d - 1 not in idx:
             continue
-        b = c.boundary(d)
+        b = c.boundaries[d]
         keep_rows = set(idx[d - 1])
         keep_cols = {j: k for k, j in enumerate(idx[d])}
         for i, row in enumerate(b.entries):
             if i not in keep_rows and not keep_cols.keys().isdisjoint(row):
                 raise ConsistencyError("boundary of a fixed cell leaves "
                                        "the fixed span at degree %d" % d)
-        mat = IntegerMatrix(ranks[d - 1], ranks[d])
+        mat = IntegerMatrix(len(keep_rows), len(keep_cols))
         for row, i in zip(mat.entries, idx[d - 1]):
             row.update((keep_cols[j], v) for j, v in b.entries[i].items()
                        if j in keep_cols)
-        boundaries[d] = mat
-    keep = list(degs)
-    while keep and ranks[keep[-1]] == 0:
-        boundaries.pop(keep[-1], None)
-        ranks.pop(keep[-1])
-        labels.pop(keep[-1])
-        keep.pop()
-    while keep and ranks[keep[0]] == 0:
-        d = keep.pop(0)
-        ranks.pop(d)
-        labels.pop(d)
-        boundaries.pop(d, None)
-        if keep:
-            boundaries.pop(keep[0], None)
-    return ChainComplexZ(ranks, boundaries, labels=labels)
+        if not mat.is_zero():
+            boundaries[d] = mat
+    held = [d for d in c.degrees() if idx[d]]
+    span = range(held[0], held[-1] + 1) if held else ()
+    return ChainComplexZ({d: len(idx[d]) for d in span}, boundaries,
+                         labels={d: tuple(c.labels[d][i] for i in idx[d])
+                                 for d in span})
 
 
 def reduced_homology_of(c):
@@ -182,8 +169,7 @@ def cyclic_extension(m, q, p):
     Requires gcd(p, q) = 1.  The acyclicity of the result is verified and
     reported, not asserted; a failing check returns the offending homology.
     """
-    if p < 2:
-        raise InputError("group order p must be at least 2")
+    _require_order(p)
     base = moore_complex(m, q)
     if gcd(p, q) != 1:
         raise PreconditionError("gcd(p, q) must be 1, got gcd(%d, %d) = %d"
@@ -196,7 +182,7 @@ def cyclic_extension(m, q, p):
     labels[m + 1].extend(s_cells)
     ranks[m + 2] = p
     labels[m + 2] = t_cells
-    boundaries = {d: base.boundary(d) for d in range(1, m + 1)}
+    boundaries = dict(base.boundaries)
     # l and every s_i kill c with multiplicity q and 1 respectively
     boundaries[m + 1] = IntegerMatrix.from_rows([[q] + [1] * p])
     # column of t_i: +1 on l, -1 on the window s_i, s_(i+1), ..., s_(i+q-1).
@@ -216,8 +202,6 @@ def cyclic_extension(m, q, p):
     orbits = {0: (("fixed", "pt"),), m: (("fixed", "c"),),
               m + 1: (("fixed", "l"), ("free", tuple(s_cells))),
               m + 2: (("free", tuple(t_cells)),)}
-    for d in range(1, m):
-        orbits[d] = ()
     equiv = EquivariantComplex(total, p, orbits)
     hom = reduced_homology_of(total)
     witness = {d: g for d, g in hom.items() if not g.is_trivial}

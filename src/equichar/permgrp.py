@@ -47,14 +47,17 @@ mask, so the sections E/H that Euler classes sum over are tested by masks,
 without a normalizer.
 """
 
+import re
 from itertools import repeat
 from math import lcm
 from operator import itemgetter
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .exactlin import _exponent, _require_prime, is_prime, prime_power_base
+from .exactlin import (_exponent, _factor, _require_prime, is_prime,
+                       prime_power_base)
 
 DEFAULT_ORDER_BOUND = 20000
+_CYCLE_GAP = re.compile(r"\)\s*\(")  # between two cycles
 
 
 class Permutation:
@@ -97,17 +100,12 @@ class Permutation:
     def from_cycles(cls, points, text):
         """Parse disjoint cycle notation like "(1 2)(3 4)"; "()" is the identity."""
         points = _sorted_points(points)
-        body = text.strip()
-        if body in ("", "()"):
+        cycles = _cycle_names(text)
+        if not cycles:
             return cls.identity(points)
-        if not body.startswith("(") or not body.endswith(")"):
-            raise InputError("cycle notation must be parenthesized: %r" % text)
         mapping = {p: p for p in points}
         seen = set()
-        for chunk in body[1:-1].split(")("):
-            names = chunk.replace(",", " ").split()
-            if len(names) < 2:
-                raise InputError("cycle needs at least two points: %r" % chunk)
+        for names in cycles:
             for name in names:
                 if name not in mapping:
                     raise InputError("unknown point %r in %r" % (name, text))
@@ -183,6 +181,27 @@ class Permutation:
 
     def __lt__(self, other):
         return self.key < other.key
+
+
+def _cycle_names(text):
+    """The cycles of the cycle notation text as lists of point names, [] for
+    the identity "" or "()".  Whitespace may separate the cycles, and
+    whitespace or commas the names; a name never holds a parenthesis."""
+    body = text.strip()
+    if body in ("", "()"):
+        return []
+    if not body.startswith("(") or not body.endswith(")"):
+        raise InputError("cycle notation must be parenthesized: %r" % text)
+    cycles = []
+    for chunk in _CYCLE_GAP.split(body[1:-1]):
+        names = chunk.replace(",", " ").split()
+        if len(names) < 2:
+            raise InputError("cycle needs at least two points: %r" % chunk)
+        if "(" in chunk or ")" in chunk:
+            name = next(n for n in names if "(" in n or ")" in n)
+            raise InputError("unknown point %r in %r" % (name, text))
+        cycles.append(names)
+    return cycles
 
 
 def _sorted_points(points):
@@ -840,19 +859,14 @@ def is_nilpotent(h):
     when each of its Sylow subgroups is normal, i.e. when for every prime p
     dividing |h| the elements of p-power order number exactly |h|_p (they
     number more as soon as two Sylow p-subgroups differ)."""
-    n = len(h.elements)
-    if n == 1 or prime_power_base(n) is not None:
+    factors = _factor(len(h.elements))
+    if len(factors) < 2:
         return True
     orders = _orders(h)
-    rest = n
-    p = 2
-    while rest > 1:
-        if rest % p == 0:
-            part = p ** _exponent(rest, p)
-            rest //= part
-            if sum(1 for o in orders if part % o == 0) != part:
-                return False
-        p += 1
+    for p, e in factors.items():
+        part = p ** e
+        if sum(1 for o in orders if part % o == 0) != part:
+            return False
     return True
 
 
@@ -864,24 +878,13 @@ def is_elementary_abelian(h, p):
     return is_abelian(h)
 
 
-def _squarefree(n):
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
-
-
 def is_elementary_abelian_any(h):
     """Nontrivial abelian with squarefree exponent: a direct product of
     prime-order cyclic groups, possibly over different primes.  Within a
     p-group this is the usual notion of elementary abelian subgroup."""
     if len(h.elements) == 1:
         return False
-    if any(not _squarefree(o) for o in _orders(h)):
+    if any(e > 1 for e in _factor(lcm(*_orders(h))).values()):
         return False
     return is_abelian(h)
 

@@ -185,6 +185,17 @@ def test_exit_2_bad_group_files(capsys, tmp_path):
     assert code == 2 and "not a 3-group" in err
 
 
+def test_group_file_cycles_separated_by_whitespace(capsys, tmp_path):
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text(json.dumps({"generators": ["(a b) (c d)", "(a c)(b d)"]}))
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps({"generators": ["(a b)(c d)", "(a c)(b d)"]}))
+    code, out, err = run(capsys, "--json", "subgroups", "--group", spaced)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order"] == 4
+    assert run(capsys, "--json", "subgroups", "--group", tight) == (0, out, "")
+
+
 @pytest.mark.parametrize("command, doc, message", [
     ("cm-check", ["a"], "complex file must hold a JSON object"),
     ("cm-check", {"maximal_simplices": [["a"]]},
@@ -196,6 +207,9 @@ def test_exit_2_bad_group_files(capsys, tmp_path):
     ("subgroups", {"generators": ["(1 2)"], "p": "2"},
      "expected prime p must be an integer"),
     ("subgroups", ["(1 2)"], "group file must hold a JSON object"),
+    ("subgroups", {"generators": ["((1 2))"]}, "unknown point '(1' in '((1 2))'"),
+    ("subgroups", {"generators": ["(1 2)(3"]},
+     "cycle notation must be parenthesized: '(1 2)(3'"),
 ])
 def test_exit_2_malformed_files(capsys, tmp_path, command, doc, message):
     path = tmp_path / "input.json"

@@ -31,6 +31,19 @@ def test_exponent_of_a_prime():
     assert exactlin._exponent(3 ** 40, 3) == 40
 
 
+def test_factor_against_trial_products():
+    assert exactlin._factor(1) == {}
+    assert exactlin._factor(360) == {2: 3, 3: 2, 5: 1}
+    assert exactlin._factor(2 * 10007) == {2: 1, 10007: 1}
+    for n in range(1, 300):
+        factors = exactlin._factor(n)
+        assert all(exactlin.is_prime(p) and e >= 1 for p, e in factors.items())
+        product = 1
+        for p, e in factors.items():
+            product *= p ** e
+        assert product == n
+
+
 def test_prime_power_base():
     assert prime_power_base(8) == 2
     assert prime_power_base(27) == 3
@@ -414,13 +427,16 @@ def test_zero_complex():
 
 
 def test_missing_boundary_is_zero(monkeypatch):
-    # no elimination runs on a boundary the complex does not hold
+    # an omitted map is the zero map, and no elimination runs on it
     held = {1: IntegerMatrix.from_rows([[1], [-1]]),
             3: IntegerMatrix.from_rows([[2]])}
     ranks = {0: 2, 1: 1, 2: 1, 3: 1}
-    missing = ChainComplexZ(ranks, held, check=False)
+    missing = ChainComplexZ(ranks, held)
     explicit = ChainComplexZ(ranks, {**held, 0: IntegerMatrix(0, 2),
                                      2: IntegerMatrix(1, 1)})
+    assert missing == explicit and explicit == missing
+    assert missing.boundary(2) == IntegerMatrix(1, 1)
+    assert missing != ChainComplexZ(ranks, {1: held[1]})
     calls = []
     reduce = exactlin._reduce
 
@@ -462,7 +478,8 @@ def test_boundary_shape_checked():
     ({}, {1: IntegerMatrix(0, 0)}, None, "boundary map without degrees"),
     ({0: 1}, {0: IntegerMatrix.from_rows([[1]])}, None,
      "nonzero boundary out of the lowest degree"),
-    ({0: 1, 1: 1}, {}, None, "missing boundary map in degree 1"),
+    ({0: 1, 1: 1}, {3: IntegerMatrix.from_rows([[1]])}, None,
+     "boundary shape mismatch in degree 3"),
 ])
 def test_chain_complex_validation_messages(ranks, boundaries, labels, message):
     with pytest.raises(InputError, match="^%s$" % message):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import helpers
+from equichar import exactlin
 from equichar import (ChainComplexZ, ConsistencyError, EquivariantComplex,
                       HomologyGroup, InputError, IntegerMatrix,
                       PreconditionError, cyclic_extension, fixed_part,
@@ -62,6 +63,32 @@ def test_moore_complex_shape():
     assert m.boundary(1) == IntegerMatrix(1, 1)
     assert m.labels[2] == ("l",)
     assert m == rp2_complex()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000])
+def test_moore_complex_holds_only_its_one_map(m):
+    c = moore_complex(m, 3)
+    assert list(c.boundaries) == [m + 1]
+    assert cyclic_extension(m, 3, 2).complex.boundaries.keys() == {m + 1, m + 2}
+
+
+def test_zero_maps_are_never_reduced(monkeypatch):
+    # only the held maps and the augmentation are eliminated, however
+    # many degrees lie between them
+    calls = []
+    reduce = exactlin._reduce
+
+    def counting(rows, *args):
+        calls.append(len(rows))
+        return reduce(rows, *args)
+
+    monkeypatch.setattr(exactlin, "_reduce", counting)
+    assert reduced_homology_of(moore_complex(1000, 2))[1000] == HomologyGroup(0, (2,))
+    assert calls == [1, 1]
+    ext = cyclic_extension(1000, 3, 2)
+    calls.clear()
+    assert verify_acyclic(ext.equivariant)
+    assert calls == [3, 1, 1]
 
 
 def test_moore_validation():
@@ -209,6 +236,21 @@ def test_equivariant_validation():
         EquivariantComplex(c, 2, {0: (("orbit", "pt"),)})
     with pytest.raises(InputError):
         EquivariantComplex(c, 2, {0: ()})
+
+
+@pytest.mark.parametrize("p", [1, True, 0, -3, "x", 2.0])
+def test_group_order_checked(p):
+    # with p = 1 a one-cell "free" orbit would pass although the generator
+    # fixes the cell, and fixed_part would drop it
+    free_point = {0: (("free", ("pt",)),), 1: (("fixed", "c"),),
+                  2: (("fixed", "l"),)}
+    all_fixed = {0: (("fixed", "pt"),), 1: (("fixed", "c"),),
+                 2: (("fixed", "l"),)}
+    for orbits in (free_point, all_fixed):
+        with pytest.raises(InputError, match="^group order p must be at least 2$"):
+            EquivariantComplex(moore_complex(1, 2), p, orbits)
+    with pytest.raises(InputError, match="^group order p must be at least 2$"):
+        cyclic_extension(1, 3, p)
 
 
 def test_equivariance_of_boundary_enforced():

@@ -39,6 +39,28 @@ def test_cycle_parsing_rejects_garbage():
         perm("(1 2)(2 3)")
 
 
+def test_cycles_may_be_separated_by_whitespace():
+    pts = ("a", "b", "c", "d")
+    g = perm("(a b)(c d)", pts)
+    for text in ("(a b) (c d)", " (a, b)\t( c d ) ", "(a b)\n(c d)"):
+        assert perm(text, pts) == g
+        assert permgrp._cycle_names(text) == [["a", "b"], ["c", "d"]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(a b)(c d", "cycle notation must be parenthesized: '(a b)(c d'"),
+    ("((a b))", "unknown point '(a' in '((a b))'"),
+    ("(a b)()", "cycle needs at least two points: ''"),
+    ("(a)(b c)", "cycle needs at least two points: 'a'"),
+    ("(a b) (b c)", "point 'b' repeated; cycles must be disjoint"),
+    ("(a e)", "unknown point 'e' in '(a e)'"),
+])
+def test_malformed_cycle_messages(text, message):
+    with pytest.raises(InputError) as info:
+        perm(text, ("a", "b", "c", "d"))
+    assert str(info.value) == message
+
+
 def test_composition_order():
     a = perm("(1 2)")
     b = perm("(2 3)")
