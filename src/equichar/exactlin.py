@@ -230,34 +230,22 @@ def _eliminate(rows, p=None):
         pivots.add(i)
         for c in row:
             cols[c].discard(i)
-        if row and p is not None:
+        if row and p:
             inv = pow(v, p - 2, p)
         for k in column:
             other = rows[k]
             f = other.pop(j)  # all that a pivot alone in its row asks
-            if row and p is None:
-                f *= -v  # a unit pivot is its own inverse
+            if row:
+                f = -f * inv % p if p else -f * v  # a unit is its own inverse
                 for c, w in row.items():
                     x = other.get(c)
                     if x is None:
-                        other[c] = f * w
+                        other[c] = f * w % p if p else f * w
                         cols[c].add(k)
                     else:
                         x += f * w
-                        if x:
-                            other[c] = x
-                        else:
-                            del other[c]
-                            cols[c].discard(k)
-            elif row:
-                f = -f * inv % p
-                for c, w in row.items():
-                    x = other.get(c)
-                    if x is None:
-                        other[c] = f * w % p
-                        cols[c].add(k)
-                    else:
-                        x = (x + f * w) % p
+                        if p:
+                            x %= p
                         if x:
                             other[c] = x
                         else:
@@ -463,20 +451,19 @@ class HomologyGroup:
 
 
 class ChainComplexZ:
-    """A bounded chain complex of free Z-modules over contiguous degrees.
+    """A bounded chain complex of free Z-modules.
 
     ranks maps degree -> rank; boundaries maps degree d -> the matrix of
-    the map from degree d to degree d - 1; a degree without one maps by
-    zero.  Composition of successive boundaries is checked to vanish.
+    the map from degree d to degree d - 1.  A degree that ranks omits holds
+    the zero module, and a degree without a boundary maps by zero, so a
+    complex lists only what it has.  Composition of successive boundaries
+    is checked to vanish.  Equality ignores zero ranks, empty labels and
+    zero maps.
     """
 
     __slots__ = ("ranks", "boundaries", "labels")
 
     def __init__(self, ranks, boundaries, labels=None, check=True):
-        degrees = sorted(ranks)
-        for a, b in zip(degrees, degrees[1:]):
-            if b != a + 1:
-                raise InputError("degrees must be contiguous")
         self.ranks = dict(ranks)
         self.boundaries = dict(boundaries)
         self.labels = {d: tuple(v) for d, v in labels.items()} if labels else {}
@@ -484,6 +471,13 @@ class ChainComplexZ:
             self._validate()
 
     def _validate(self):
+        for d in (*self.ranks, *self.boundaries, *self.labels):
+            if type(d) is not int:
+                raise InputError("degree must be an int, got %r" % (d,))
+        for d, r in self.ranks.items():
+            if type(r) is not int or r < 0:
+                raise InputError("rank in degree %d must be a non-negative "
+                                 "int, got %r" % (d, r))
         for d, lab in self.labels.items():
             if len(lab) != self.ranks.get(d, 0):
                 raise InputError("label count mismatch in degree %d" % d)
@@ -521,27 +515,25 @@ class ChainComplexZ:
     def __eq__(self, other):
         if not isinstance(other, ChainComplexZ):
             return NotImplemented
-        if self.ranks != other.ranks or self.labels != other.labels:
-            return False
         return self._nonzero() == other._nonzero()
 
     def _nonzero(self):
-        return {d: b for d, b in self.boundaries.items() if not b.is_zero()}
+        """The nonzero ranks, the nonempty labels and the nonzero maps."""
+        return ({d: r for d, r in self.ranks.items() if r},
+                {d: lab for d, lab in self.labels.items() if lab},
+                {d: b for d, b in self.boundaries.items() if not b.is_zero()})
 
     def __hash__(self):
-        return hash(tuple(sorted(self.ranks.items())))
+        return hash(frozenset((d, r) for d, r in self.ranks.items() if r))
 
 
 def augment(c):
     """c with Z added in degree -1, the target of the all-ones map out of
-    degree 0 (no map when degree 0 is empty); reduced homology is the
-    homology of the result.  Degrees 0..lo-1 below the lowest degree lo of
-    c are padded with rank 0, so the augmentation is zero there.  A column
-    of the boundary out of degree 1 that does not sum to 0 makes the
-    composition with the augmentation nonzero and raises ConsistencyError."""
+    degree 0 (no map when degree 0 is empty or absent); reduced homology is
+    the homology of the result.  A column of the boundary out of degree 1
+    that does not sum to 0 makes the composition with the augmentation
+    nonzero and raises ConsistencyError."""
     ranks = dict(c.ranks)
-    for d in range(min(ranks, default=0)):
-        ranks[d] = 0
     ranks[-1] = 1
     boundaries = dict(c.boundaries)
     boundaries.pop(0, None)
@@ -568,7 +560,10 @@ def _homology(ranks, boundary, p=None):
     cleared, fresh rows that the eliminator consumes; over GF(p) every
     entry must be nonzero mod p.  The boundaries are reduced from the top
     degree down, and the pivot rows that may clear (module docstring) are
-    passed down as the next cleared columns.
+    passed down as the next cleared columns.  Only the degrees in ranks are
+    visited, so the next one down need not be d - 1; clearing stays sound
+    across a missing degree, since a boundary into an absent degree has no
+    rows, hence no pivots to clear.
     """
     if p is not None:
         _require_prime(p)

@@ -24,16 +24,13 @@ def _require_order(p):
 
 def moore_complex(m, q):
     """Cells pt (degree 0), c (degree m), l (degree m + 1); boundary of l is q.c."""
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise InputError("degree m must be at least 1")
-    if q < 2:
+    if type(q) is not int or q < 2:
         raise InputError("torsion order q must be at least 2")
-    ranks = {d: 0 for d in range(m + 2)}
-    ranks[0] = ranks[m] = ranks[m + 1] = 1
-    labels = {d: () for d in range(m + 2)}
-    labels[0], labels[m], labels[m + 1] = ("pt",), ("c",), ("l",)
-    return ChainComplexZ(ranks, {m + 1: IntegerMatrix.from_rows([[q]])},
-                         labels=labels)
+    return ChainComplexZ({0: 1, m: 1, m + 1: 1},
+                         {m + 1: IntegerMatrix.from_rows([[q]])},
+                         labels={0: ("pt",), m: ("c",), m + 1: ("l",)})
 
 
 def rp2_complex():
@@ -104,13 +101,9 @@ class EquivariantComplex:
                         raise InputError("boundary is not equivariant at "
                                          "degree %d" % d)
 
-    def fixed_indices(self, d):
-        """Sorted indices of the fixed cells of degree d."""
-        return list(self._fixed.get(d, ()))
-
 
 def fixed_part(equiv):
-    """Subcomplex spanned by the fixed cells, trimmed of empty end degrees.
+    """Subcomplex spanned by the fixed cells, in the degrees that hold one.
 
     Boundaries of fixed cells must already lie in the fixed span; anything
     else means the orbit data is inconsistent.
@@ -135,10 +128,9 @@ def fixed_part(equiv):
         if not mat.is_zero():
             boundaries[d] = mat
     held = [d for d in c.degrees() if idx[d]]
-    span = range(held[0], held[-1] + 1) if held else ()
-    return ChainComplexZ({d: len(idx[d]) for d in span}, boundaries,
+    return ChainComplexZ({d: len(idx[d]) for d in held}, boundaries,
                          labels={d: tuple(c.labels[d][i] for i in idx[d])
-                                 for d in span})
+                                 for d in held})
 
 
 def reduced_homology_of(c):

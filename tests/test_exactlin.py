@@ -486,6 +486,24 @@ def test_chain_complex_validation_messages(ranks, boundaries, labels, message):
         ChainComplexZ(ranks, boundaries, labels=labels)
 
 
+@pytest.mark.parametrize("ranks, boundaries, labels, message", [
+    ({"a": 1, "b": 1}, {}, None, "degree must be an int, got 'a'"),
+    ({0.5: 1}, {}, None, "degree must be an int, got 0.5"),
+    ({True: 1}, {}, None, "degree must be an int, got True"),
+    ({0: 1}, {"x": IntegerMatrix(1, 0)}, None, "degree must be an int, got 'x'"),
+    ({0: 1}, {}, {0.0: ("a",)}, "degree must be an int, got 0.0"),
+    ({0: -1}, {}, None, "rank in degree 0 must be a non-negative int, got -1"),
+    ({0: 1, 1: 1.0}, {}, None,
+     "rank in degree 1 must be a non-negative int, got 1.0"),
+    ({0: True}, {}, None, "rank in degree 0 must be a non-negative int, got True"),
+])
+def test_malformed_degrees_and_ranks(ranks, boundaries, labels, message):
+    # an absent degree is the zero module, so degrees need not be
+    # contiguous, but each must be an int and each rank a non-negative int
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        ChainComplexZ(ranks, boundaries, labels=labels)
+
+
 def test_homology_label_permutation_invariance():
     star = helpers.star5()
     h = augment(star.chain_complex())

@@ -20,10 +20,11 @@ def oracle_acyclic(c):
     Rational betti numbers must vanish, and mod-p betti numbers must
     vanish for every prime that could carry torsion, i.e. every prime
     dividing the gcd of full-rank minors of some boundary (augmentation
-    included).  Uses only the Fraction/GF(p) eliminators from helpers.
+    included).  A degree the complex omits is read as rank 0.  Uses only
+    the Fraction/GF(p) eliminators from helpers.
     """
-    degs = c.degrees()
-    assert degs[0] == 0
+    assert c.degrees()[0] == 0
+    degs = range(c.degrees()[-1] + 1)
     rows = {0: [[1] * c.rank(0)]}
     for d in degs[1:]:
         rows[d] = helpers.matrix_rows(c.boundary(d))
@@ -65,11 +66,15 @@ def test_moore_complex_shape():
     assert m == rp2_complex()
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 1000])
+@pytest.mark.parametrize("m", [1, 2, 7, 1000, 10 ** 12])
 def test_moore_complex_holds_only_its_one_map(m):
     c = moore_complex(m, 3)
     assert list(c.boundaries) == [m + 1]
-    assert cyclic_extension(m, 3, 2).complex.boundaries.keys() == {m + 1, m + 2}
+    assert c.degrees() == [0, m, m + 1]
+    ext = cyclic_extension(m, 3, 2)
+    assert ext.complex.boundaries.keys() == {m + 1, m + 2}
+    assert ext.complex.degrees() == [0, m, m + 1, m + 2]
+    assert fixed_part(ext.equivariant).degrees() == [0, m, m + 1]
 
 
 def test_zero_maps_are_never_reduced(monkeypatch):
@@ -96,6 +101,27 @@ def test_moore_validation():
         moore_complex(0, 2)
     with pytest.raises(InputError):
         moore_complex(1, 1)
+
+
+@pytest.mark.parametrize("m, q", [(1.5, 2), (2.0, 3), (True, 3), ("3", 3),
+                                  (1, 3.0), (1, None)])
+def test_moore_parameters_must_be_ints(m, q):
+    with pytest.raises(InputError):
+        moore_complex(m, q)
+    with pytest.raises(InputError):
+        cyclic_extension(m, q, 2)
+
+
+def test_moore_complex_equals_one_listing_its_zero_degrees():
+    listed = ChainComplexZ({0: 1, 1: 0, 2: 1, 3: 1},
+                           {1: IntegerMatrix(1, 0), 2: IntegerMatrix(0, 1),
+                            3: IntegerMatrix.from_rows([[2]])},
+                           labels={0: ("pt",), 1: (), 2: ("c",), 3: ("l",)})
+    moore = moore_complex(2, 2)
+    assert listed == moore and moore == listed
+    assert hash(listed) == hash(moore)
+    assert listed != moore_complex(2, 3)
+    assert listed != moore_complex(1, 2)
 
 
 def test_rp2_homology_columns():
@@ -187,13 +213,12 @@ def test_verify_acyclic_examples():
     assert verify_acyclic(ChainComplexZ({0: 1}, {}))
 
 
-def test_reduced_homology_pads_missing_low_degrees():
-    # a complex starting in degree 1 gets a zero degree 0, so the
-    # augmentation out of it is the zero map
+def test_reduced_homology_of_a_complex_without_degree_0():
+    # degree 0 is the zero module, so no augmentation map leaves it and
+    # degree -1 keeps its Z; no degree is added between -1 and 1
     c = ChainComplexZ({1: 1, 2: 1}, {2: IntegerMatrix.from_rows([[2]])})
     assert reduced_homology_of(c) == {
-        -1: HomologyGroup(1), 0: HomologyGroup(), 1: HomologyGroup(0, (2,)),
-        2: HomologyGroup()}
+        -1: HomologyGroup(1), 1: HomologyGroup(0, (2,)), 2: HomologyGroup()}
     assert reduced_homology_of(ChainComplexZ({}, {})) == {-1: HomologyGroup(1)}
 
 
@@ -216,10 +241,10 @@ def test_fixed_part_trims_degrees_without_fixed_cells():
     orbits = {0: (("free", ("a0", "a1")),), 1: (("fixed", "e"),),
               2: (("fixed", ("f",)),)}
     equiv = EquivariantComplex(c, 2, orbits)
-    assert [equiv.fixed_indices(d) for d in range(-1, 5)] == [[], [], [0], [0], [], []]
     assert fixed_part(equiv) == ChainComplexZ(
         {1: 1, 2: 1}, {2: IntegerMatrix.from_rows([[2]])},
         labels={1: ("e",), 2: ("f",)})
+    assert fixed_part(equiv).degrees() == [1, 2]
     points = ChainComplexZ({0: 2}, {}, labels={0: ("a0", "a1")})
     assert fixed_part(EquivariantComplex(points, 2, {0: orbits[0]})) == \
         ChainComplexZ({}, {})
