@@ -220,7 +220,7 @@ def double_along(x, a):
     simplices = set(x.simplices)
     for s in x.simplices:
         simplices.add(tuple(sorted(rename[v] for v in s)))
-    doubled = SimplicialComplex(verts, simplices, check=False)
+    doubled = SimplicialComplex._of(verts, simplices)
     swap = {}
     for v in x.vertices:
         swap[v] = rename[v]

@@ -456,19 +456,20 @@ class ChainComplexZ:
     ranks maps degree -> rank; boundaries maps degree d -> the matrix of
     the map from degree d to degree d - 1.  A degree that ranks omits holds
     the zero module, and a degree without a boundary maps by zero, so a
-    complex lists only what it has.  Composition of successive boundaries
-    is checked to vanish.  Equality ignores zero ranks, empty labels and
-    zero maps.
+    complex lists only what it has.  The constructor always validates:
+    every degree is an int, every rank a non-negative int, every boundary
+    an IntegerMatrix of shape rank(d - 1) x rank(d), and successive
+    boundaries compose to zero; the library's own complexes are checked
+    too.  Equality ignores zero ranks, empty labels and zero maps.
     """
 
     __slots__ = ("ranks", "boundaries", "labels")
 
-    def __init__(self, ranks, boundaries, labels=None, check=True):
+    def __init__(self, ranks, boundaries, labels=None):
         self.ranks = dict(ranks)
         self.boundaries = dict(boundaries)
         self.labels = {d: tuple(v) for d, v in labels.items()} if labels else {}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for d in (*self.ranks, *self.boundaries, *self.labels):
@@ -489,10 +490,12 @@ class ChainComplexZ:
         held = sorted(self.boundaries)
         for d in held:
             b = self.boundaries[d]
-            if d == lo:
-                if not b.is_zero():
-                    raise InputError("nonzero boundary out of the lowest degree")
-            elif b.rows != self.rank(d - 1) or b.cols != self.rank(d):
+            if not isinstance(b, IntegerMatrix):
+                raise InputError("boundary in degree %d must be an "
+                                 "IntegerMatrix" % d)
+            if d == lo and not b.is_zero():
+                raise InputError("nonzero boundary out of the lowest degree")
+            if b.rows != self.rank(d - 1) or b.cols != self.rank(d):
                 raise InputError("boundary shape mismatch in degree %d" % d)
         for d in held:
             if d - 1 > lo and d - 1 in self.boundaries:
@@ -532,23 +535,16 @@ def augment(c):
     degree 0 (no map when degree 0 is empty or absent); reduced homology is
     the homology of the result.  A column of the boundary out of degree 1
     that does not sum to 0 makes the composition with the augmentation
-    nonzero and raises ConsistencyError."""
+    nonzero, which the constructor rejects with ConsistencyError."""
     ranks = dict(c.ranks)
     ranks[-1] = 1
     boundaries = dict(c.boundaries)
     boundaries.pop(0, None)
     if ranks.get(0):
-        if 1 in boundaries:
-            sums = [0] * boundaries[1].cols
-            for row in boundaries[1].entries:
-                for j, v in row.items():
-                    sums[j] += v
-            if any(sums):
-                raise ConsistencyError("boundary composition is nonzero at degree 1")
         boundaries[0] = IntegerMatrix(1, ranks[0], [[1] * ranks[0]])
     labels = dict(c.labels)
     labels[-1] = ("*",)
-    return ChainComplexZ(ranks, boundaries, labels=labels, check=False)
+    return ChainComplexZ(ranks, boundaries, labels=labels)
 
 
 def _homology(ranks, boundary, p=None):
@@ -604,8 +600,7 @@ def homology(c):
 
     Only the boundaries c holds are reduced; a missing one is zero.  The
     reduction clears columns (module docstring), which assumes that
-    d_(d-1) d_d = 0 in every degree; ChainComplexZ checks that unless it is
-    built with check=False."""
+    d_(d-1) d_d = 0 in every degree, as ChainComplexZ checks."""
     return _homology(c.ranks, _held(c))
 
 

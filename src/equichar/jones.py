@@ -43,7 +43,9 @@ class EquivariantComplex:
 
     orbits[d] lists ("fixed", label) and ("free", labels) descriptors; a
     free orbit has exactly p cells, cyclically shifted by the generator.
-    The generator's permutation must commute with the boundary maps.
+    The descriptors of each degree must partition its cells, so a degree
+    the complex does not hold, the zero module, takes none.  The
+    generator's permutation must commute with the boundary maps.
     """
 
     __slots__ = ("complex", "p", "orbits", "generator_perm", "_fixed")
@@ -52,35 +54,28 @@ class EquivariantComplex:
         _require_order(p)
         self.complex = complex
         self.p = p
+        cells = {d: _orbit_cells(orbits.get(d, ()), p)
+                 for d in (*complex.degrees(), *orbits)}
+        for d, orbit_cells in cells.items():
+            seen = [c for _, group in orbit_cells for c in group]
+            if sorted(seen) != sorted(complex.labels.get(d, ())):
+                raise InputError("orbits must partition the cells of degree %r" % (d,))
         self.orbits = {d: tuple(orbits.get(d, ())) for d in complex.degrees()}
         perms = {}
         self._fixed = {}
         for d in complex.degrees():
             labels = complex.labels.get(d, ())
             index = {lab: i for i, lab in enumerate(labels)}
-            seen = []
             perm = [None] * len(labels)
             fixed = []
-            for orbit in self.orbits[d]:
-                kind, cells = orbit
+            for kind, group in cells[d]:
                 if kind == "fixed":
-                    cells = (cells,) if isinstance(cells, str) else tuple(cells)
-                    if len(cells) != 1:
-                        raise InputError("fixed orbit must hold one cell")
-                    i = index[cells[0]]
+                    i = index[group[0]]
                     perm[i] = i
                     fixed.append(i)
-                elif kind == "free":
-                    cells = tuple(cells)
-                    if len(cells) != p:
-                        raise InputError("free orbit must hold exactly p cells")
-                    for a, b in zip(cells, cells[1:] + cells[:1]):
-                        perm[index[a]] = index[b]
                 else:
-                    raise InputError("unknown orbit kind %r" % (kind,))
-                seen.extend(cells)
-            if sorted(seen) != sorted(labels):
-                raise InputError("orbits must partition the cells of degree %d" % d)
+                    for a, b in zip(group, group[1:] + group[:1]):
+                        perm[index[a]] = index[b]
             perms[d] = tuple(perm)
             self._fixed[d] = sorted(fixed)
         self.generator_perm = perms
@@ -100,6 +95,25 @@ class EquivariantComplex:
                     if image.get(pd[j], 0) != v:
                         raise InputError("boundary is not equivariant at "
                                          "degree %d" % d)
+
+
+def _orbit_cells(descriptors, p):
+    """[(kind, cells), ...] of a degree's orbit descriptors, each checked
+    for its kind and size before any cell is looked up."""
+    out = []
+    for kind, cells in descriptors:
+        if kind == "fixed":
+            cells = (cells,) if isinstance(cells, str) else tuple(cells)
+            if len(cells) != 1:
+                raise InputError("fixed orbit must hold one cell")
+        elif kind == "free":
+            cells = tuple(cells)
+            if len(cells) != p:
+                raise InputError("free orbit must hold exactly p cells")
+        else:
+            raise InputError("unknown orbit kind %r" % (kind,))
+        out.append((kind, cells))
+    return out
 
 
 def fixed_part(equiv):

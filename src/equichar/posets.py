@@ -31,35 +31,57 @@ FILTERS = ("nontrivial", "nilpotent", "elementary-abelian", "proper-nontrivial")
 
 
 class FinitePoset:
-    """A finite strict poset over opaque elements with string labels."""
+    """A finite strict poset over opaque elements with string labels.
+
+    lt holds the pairs (i, j) of element indices with element i below
+    element j.  The constructor validates them as a strict order and the
+    labels as distinct, one per element; the library builds inclusion
+    posets, which are strict orders by construction, through the trusted
+    _of instead.
+    """
 
     __slots__ = ("elements", "labels", "lt")
 
-    def __init__(self, elements, lt_pairs, labels=None, check=True):
-        self.elements = tuple(elements)
-        n = len(self.elements)
+    def __init__(self, elements, lt_pairs, labels=None):
+        elements = tuple(elements)
         if labels is None:
-            labels = tuple("x%d" % i for i in range(n))
-        self.labels = tuple(labels)
-        if len(self.labels) != n or len(set(self.labels)) != n:
-            raise InputError("labels must be distinct and match the elements")
-        self.lt = frozenset(lt_pairs)
-        if check:
-            self._validate()
+            labels = ("x%d" % i for i in range(len(elements)))
+        self._fill(elements, frozenset(lt_pairs), tuple(labels))
+        self._validate()
+
+    @classmethod
+    def _of(cls, elements, lt, labels):
+        """The poset of the element tuple, the frozenset lt of a strict
+        order on their indices and the tuple of their distinct labels."""
+        p = object.__new__(cls)
+        p._fill(elements, lt, labels)
+        return p
+
+    def _fill(self, elements, lt, labels):
+        self.elements = elements
+        self.lt = lt
+        self.labels = labels
 
     def _validate(self):
+        """Transitivity is read from bitmasks: above[i] has bit j for each
+        pair (i, j), and i < j < k forces i < k iff above[j] lies inside
+        above[i] for every pair (i, j)."""
         n = len(self.elements)
+        if len(self.labels) != n or len(set(self.labels)) != n:
+            raise InputError("labels must be distinct and match the elements")
+        above = [0] * n
         for i, j in self.lt:
-            if not (0 <= i < n and 0 <= j < n):
+            if not (type(i) is int and type(j) is int
+                    and 0 <= i < n and 0 <= j < n):
                 raise InputError("relation index out of range")
             if i == j:
                 raise InputError("strict order must be irreflexive")
             if (j, i) in self.lt:
                 raise InputError("strict order must be antisymmetric")
+            above[i] |= 1 << j
         for i, j in self.lt:
-            for k in range(n):
-                if (j, k) in self.lt and (i, k) not in self.lt:
-                    raise InputError("strict order must be transitive")
+            if above[j] & ~above[i]:
+                raise InputError("strict order must be transitive")
 
     def __len__(self):
         return len(self.elements)
@@ -137,12 +159,12 @@ def subgroup_poset(g, which, p=None):
 def _inclusion_poset(subs):
     """Inclusion poset of subgroups of one group, compared by mask: in
     (order, key) order, a smaller subgroup can only come first."""
-    subs = sorted(subs, key=lambda s: (s.order, s.key))
+    subs = tuple(sorted(subs, key=lambda s: (s.order, s.key)))
     labels = tuple("H%d" % i for i in range(len(subs)))
     masks = [s.mask for s in subs]
-    pairs = {(i, j) for j, mj in enumerate(masks) for i in range(j)
-             if not masks[i] & ~mj}
-    return FinitePoset(subs, pairs, labels=labels, check=False)
+    pairs = frozenset((i, j) for j, mj in enumerate(masks) for i in range(j)
+                      if not masks[i] & ~mj)
+    return FinitePoset._of(subs, pairs, labels)
 
 
 def poset_strictly_above(g, h):

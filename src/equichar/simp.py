@@ -46,17 +46,34 @@ def _cliques(adj):
 
 
 class SimplicialComplex:
+    """A finite simplicial complex on string vertices.
+
+    The constructor validates its input: every simplex is a nonempty
+    sorted duplicate-free tuple of declared vertices, every face of a
+    simplex is a simplex, and every vertex is a 0-simplex.  Library
+    builders whose output is a complex by construction go through the
+    trusted _of instead, which skips that check.
+    """
 
     __slots__ = ("vertices", "simplices", "_dim", "_star", "_link_table")
 
-    def __init__(self, vertices, simplices, check=True):
+    def __init__(self, vertices, simplices):
+        self._fill(vertices, simplices)
+        self._validate()
+
+    @classmethod
+    def _of(cls, vertices, simplices):
+        """The complex on vertices and simplices that already form one."""
+        x = object.__new__(cls)
+        x._fill(vertices, simplices)
+        return x
+
+    def _fill(self, vertices, simplices):
         self.vertices = tuple(sorted(set(vertices)))
         self.simplices = frozenset(tuple(s) for s in simplices)
         self._dim = None
         self._star = None  # {vertex: its star}, built by _stars()
         self._link_table = None  # {simplex: link homology}, filled by duality
-        if check:
-            self._validate()
 
     def _validate(self):
         vset = set(self.vertices)
@@ -77,7 +94,7 @@ class SimplicialComplex:
 
     @classmethod
     def empty(cls):
-        return cls((), (), check=False)
+        return cls._of((), ())
 
     @classmethod
     def from_maximal_simplices(cls, vertices, facets):
@@ -90,7 +107,7 @@ class SimplicialComplex:
                 raise InputError("facet %r uses undeclared vertices" % (facet,))
             for k in range(2, len(s) + 1):
                 simplices.update(combinations(s, k))
-        return cls(vset, simplices, check=False)
+        return cls._of(vset, simplices)
 
     @classmethod
     def flag_from_graph(cls, vertices, edges):
@@ -104,7 +121,7 @@ class SimplicialComplex:
             if not set(pair) <= vset:
                 raise InputError("edge %r uses undeclared vertices" % (e,))
             pairs.append(pair)
-        return cls(vset, _cliques(_adjacency(vset, pairs)), check=False)
+        return cls._of(vset, _cliques(_adjacency(vset, pairs)))
 
     @property
     def dim(self):
@@ -159,7 +176,7 @@ class SimplicialComplex:
         sset = set(s)
         simplices = {tuple(v for v in t if v not in sset) for t in cofaces}
         verts = set(v for t in simplices for v in t)
-        return SimplicialComplex(verts, simplices, check=False)
+        return SimplicialComplex._of(verts, simplices)
 
     def _stars(self):
         """{vertex: its star, the list of the simplices holding it}, built
@@ -196,7 +213,7 @@ class SimplicialComplex:
         if len(sub) == len(self.vertices):
             return self
         simplices = {s for s in self.simplices if set(s) <= sub}
-        return SimplicialComplex(sub, simplices, check=False)
+        return SimplicialComplex._of(sub, simplices)
 
     def chain_complex(self):
         """Simplicial chain complex, cells labelled "a|b|..."."""
@@ -204,8 +221,7 @@ class SimplicialComplex:
         return ChainComplexZ({d: len(group) for d, group in cells.items()},
                              {d: boundary(d) for d in cells if d > 0},
                              labels={d: tuple("|".join(s) for s in group)
-                                     for d, group in cells.items()},
-                             check=False)
+                                     for d, group in cells.items()})
 
     def _chains(self, reduced):
         """(cells, boundary): cells[d] lists the d-simplices, sorted, and
@@ -274,7 +290,7 @@ class SimplicialComplex:
             raise InputError("relabeling must be injective")
         verts = [mapping[v] for v in self.vertices]
         simplices = {tuple(sorted(mapping[v] for v in s)) for s in self.simplices}
-        return SimplicialComplex(verts, simplices, check=False)
+        return SimplicialComplex._of(verts, simplices)
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -295,8 +311,7 @@ def complex_of_chains(labels, strict_pairs):
     an irreflexive transitive relation, whose chains are exactly the
     cliques of its comparability graph.
     """
-    return SimplicialComplex(labels, _cliques(_adjacency(labels, strict_pairs)),
-                             check=False)
+    return SimplicialComplex._of(labels, _cliques(_adjacency(labels, strict_pairs)))
 
 
 _OUTSIDE = "subgroup lies outside the acting group"

@@ -11,6 +11,7 @@ import pytest
 import helpers
 from equichar import cli, permgrp
 from equichar.cli import main
+from equichar.posets import FILTERS
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -446,3 +447,61 @@ def test_commands_are_looked_up_when_they_run(capsys, monkeypatch):
     assert main(argv) == 0
     assert seen == ["subgroups"]
     capsys.readouterr()
+
+
+SWEEP_COMPLEXES = ("T", "artinL", "octahedron", "star", "tetra_boundary")
+SWEEP_GROUPS = ("c2", "c2swap", "c4", "d8", "k1", "k2", "s4")
+
+
+def sweep_argvs():
+    """Every subcommand on every pairing of the data/ complexes and groups,
+    with each --filter, with and without --force and --subdivide, and
+    jones-verify on a grid that includes gcd(p, q) > 1."""
+    for g in SWEEP_GROUPS:
+        for x in (None, *SWEEP_COMPLEXES):
+            args = ["--group", data(g + ".json")]
+            if x is not None:
+                args += ["--complex", data(x + ".json")]
+            yield ["subgroups", *args]
+            for which in FILTERS:
+                yield ["poset-euler", "--filter", which, *args]
+            yield ["quillen-check", *args]
+            yield ["weyl-check", *args]
+    for x in SWEEP_COMPLEXES:
+        for g in SWEEP_GROUPS:
+            pair = ["--complex", data(x + ".json"), "--group", data(g + ".json")]
+            yield ["euler-class", *pair]
+            yield ["euler-free-coeff", *pair]
+            yield ["acyclicity-check", *pair]
+            yield ["acyclicity-check", "--force", *pair]
+            yield ["duality-report", *pair]
+        yield ["cm-check", "--complex", data(x + ".json")]
+        yield ["duality-report", "--complex", data(x + ".json")]
+        for pattern in SWEEP_COMPLEXES:
+            pair = ["--complex", data(x + ".json"),
+                    "--pattern", data(pattern + ".json")]
+            yield ["double", *pair]
+            yield ["double", "--subdivide", *pair]
+    for m in (1, 2):
+        for q, p in ((2, 3), (3, 2), (2, 4), (4, 3), (6, 3)):
+            yield ["jones-verify", "--m", m, "--q", q, "--p", p]
+
+
+def test_every_subcommand_on_every_data_pairing(capsys):
+    # no input from data/ lets an exception escape main: every call exits
+    # 0 - 3, a refusal prints only its one-line diagnostic, and --json
+    # prints one document whenever the command ran
+    codes = {}
+    for mode in ((), ("--json",)):
+        for argv in sweep_argvs():
+            code, out, err = run(capsys, *mode, *argv)
+            codes[code] = codes.get(code, 0) + 1
+            if code in (2, 3):
+                assert out == "", argv
+                assert err.startswith(("input error: ", "precondition failed: ")), argv
+                assert err.count("\n") == 1, argv
+            else:
+                assert code in (0, 1) and err == "", argv
+                if mode:
+                    assert json.loads(out)["schema"] == cli.SCHEMA, argv
+    assert codes == {0: 478, 1: 88, 2: 432, 3: 80}

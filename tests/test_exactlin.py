@@ -480,8 +480,18 @@ def test_boundary_shape_checked():
      "nonzero boundary out of the lowest degree"),
     ({0: 1, 1: 1}, {3: IntegerMatrix.from_rows([[1]])}, None,
      "boundary shape mismatch in degree 3"),
+    ({0: 1, 1: 1}, {1: [[1]]}, None,
+     "boundary in degree 1 must be an IntegerMatrix"),
+    ({0: 1}, {0: IntegerMatrix(5, 7)}, None,
+     "boundary shape mismatch in degree 0"),
+    ({2: 1}, {2: IntegerMatrix(0, 1)}, None, None),
 ])
 def test_chain_complex_validation_messages(ranks, boundaries, labels, message):
+    # the map out of the lowest degree has the shape 0 x rank of every
+    # held map into an absent degree
+    if message is None:
+        assert ChainComplexZ(ranks, boundaries, labels=labels).degrees() == [2]
+        return
     with pytest.raises(InputError, match="^%s$" % message):
         ChainComplexZ(ranks, boundaries, labels=labels)
 
@@ -674,7 +684,8 @@ def test_callers_matrices_are_left_untouched():
 def test_augment_checks_the_composition_out_of_degree_1():
     # an edge whose boundary is one endpoint
     bad = ChainComplexZ({0: 2, 1: 1}, {1: IntegerMatrix.from_rows([[1], [0]])})
-    with pytest.raises(ConsistencyError, match="degree 1"):
+    with pytest.raises(ConsistencyError,
+                       match="^boundary composition is nonzero at degree 1$"):
         augment(bad)
     good = ChainComplexZ({0: 2, 1: 1}, {1: IntegerMatrix.from_rows([[1], [-1]])})
     assert homology(augment(good)) == {-1: HomologyGroup(), 0: HomologyGroup(),

@@ -263,6 +263,32 @@ def test_equivariant_validation():
         EquivariantComplex(c, 2, {0: ()})
 
 
+@pytest.mark.parametrize("degree, descriptors", [
+    (2, (("fixed", "zz"),)),
+    (7, (("fixed", "zz"),)),
+    (7, (("fixed", "l"),)),
+    (-1, (("free", ("a", "b", "c")),)),
+])
+def test_orbit_descriptors_name_cells_of_their_degree(degree, descriptors):
+    # a descriptor naming a cell its degree does not hold fails the
+    # partition check, before any cell is looked up, also in a degree the
+    # complex does not hold
+    orbits = {0: (("fixed", "pt"),), 1: (("fixed", "c"),),
+              2: (("fixed", "l"),), degree: descriptors}
+    with pytest.raises(InputError, match="^orbits must partition the cells "
+                                         "of degree %d$" % degree):
+        EquivariantComplex(moore_complex(1, 2), 3, orbits)
+
+
+def test_empty_descriptors_for_an_absent_degree():
+    # an absent degree is the zero module, which no-orbit descriptors
+    # partition
+    orbits = {0: (("fixed", "pt"),), 1: (("fixed", "c"),),
+              2: (("fixed", "l"),), 7: ()}
+    equiv = EquivariantComplex(moore_complex(1, 2), 3, orbits)
+    assert sorted(equiv.orbits) == [0, 1, 2]
+
+
 @pytest.mark.parametrize("p", [1, True, 0, -3, "x", 2.0])
 def test_group_order_checked(p):
     # with p = 1 a one-cell "free" orbit would pass although the generator

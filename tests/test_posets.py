@@ -28,6 +28,8 @@ def test_poset_validation():
         FinitePoset([0, 1], {(0, 2)})
     with pytest.raises(InputError):
         FinitePoset([0, 1], set(), labels=("a", "a"))
+    with pytest.raises(InputError, match="^relation index out of range$"):
+        FinitePoset([0, 1], {("0", 1)})
 
 
 def test_chain_poset():
@@ -230,6 +232,13 @@ def test_cone_rule_equals_the_order_complex_route():
         assert s.augmented_euler() == helpers.mobius_euler(len(s), s.lt), name
         cones += s._cone_length() is not None
     assert 0 < cones < len(posets)
+
+
+def test_inclusion_posets_pass_the_public_validator():
+    # the library builds inclusion posets through the trusted
+    # FinitePoset._of; the public constructor accepts each of them
+    for name, s in corpus_posets():
+        assert FinitePoset(s.elements, s.lt, s.labels).lt == s.lt, name
 
 
 def test_hand_built_cones():

@@ -9,7 +9,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
-from equichar import (IntegerMatrix, Permutation,  # noqa: E402
+from equichar import (FinitePoset, InputError,  # noqa: E402
+                      IntegerMatrix, Permutation,
                       SimplicialComplex, all_subgroups, augment, cohomology,
                       conjugacy_classes_of_subgroups,
                       duality, euler_class, euler_class_cyclic, exactlin,
@@ -243,3 +244,21 @@ def test_link_table_matches_link_homology_on_flag_complexes(x):
     assert list(table) == [()] + sorted(x.simplices)
     for s, hom in table.items():
         assert hom == homology(augment(x.link(s).chain_complex()))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    if n else st.just(set()))))
+def test_poset_validator_equals_the_triple_loop(relation):
+    # the bitmask check accepts exactly the irreflexive, antisymmetric,
+    # transitive relations, read off pair by pair
+    n, lt = relation
+    strict = (all(i != j and (j, i) not in lt for i, j in lt)
+              and all((i, k) in lt for i, j in lt for j2, k in lt if j2 == j))
+    try:
+        FinitePoset(range(n), lt)
+    except InputError:
+        assert not strict
+    else:
+        assert strict

@@ -7,7 +7,8 @@ from itertools import combinations, permutations
 import pytest
 
 import helpers
-from equichar import (GroupAction, HomologyGroup, InputError, Permutation,
+from equichar import (ChainComplexZ, FinitePoset, GroupAction,
+                      HomologyGroup, InputError, Permutation,
                       PreconditionError, SimplicialComplex, all_subgroups,
                       augment, complex_of_chains,
                       conjugacy_classes_of_subgroups, double_along,
@@ -487,3 +488,58 @@ def test_pattern_size_bound():
         [str(i) for i in range(9)], [(str(i),) for i in range(9)])
     with pytest.raises(PreconditionError):
         find_full_subcomplex_isomorphic(big, big)
+
+
+def trusted_builds():
+    """(name, complex) for every builder that skips the public validator
+    through SimplicialComplex._of: the empty complex, face closure, flag
+    complexes, links, full and fixed subcomplexes, subdivisions, relabels,
+    doubles and order complexes, over the complex corpus and p-group
+    actions on it."""
+    yield "empty", SimplicialComplex.empty()
+    corpus = dict(helpers.complex_corpus())
+    corpus.update(("flag%d" % i, x)
+                  for i, x in enumerate(helpers.random_flag_complexes()))
+    for name, x in corpus.items():
+        yield name, x
+        yield name + "/bary", x.barycentric_subdivision()
+        yield name + "/relabel", x.relabel({v: v + "~" for v in x.vertices})
+        yield name + "/double", double_along(x, x.vertices[:2])[0]
+        for s in sorted(x.simplices):
+            yield "%s/link %r" % (name, s), x.link(s)
+        for k in range(len(x.vertices)):
+            for sub in combinations(x.vertices, k):
+                yield "%s/full %r" % (name, sub), x.full_subcomplex(sub)
+    octa = helpers.octahedron()
+    star = helpers.star5()
+    edges = helpers.two_edges()
+    actions = {
+        "star5 D8": GroupAction(star, helpers.group_on(star, "(1 2 3 4)", "(1 3)")),
+        "two-edge swap": GroupAction(edges, helpers.group_on(edges, "(1 3)(2 4)")),
+        "Sylow on bary(octahedron)": helpers.subdivided_action(
+            octa, helpers.group_on(octa, "(1 6)", "(1 2)(5 6)", "(3 4)")),
+        "doubled T": double_along(helpers.t_complex(), ["u", "v1", "w1"])[1],
+    }
+    for name, act in actions.items():
+        for h in all_subgroups(act.group):
+            yield "%s/fixed %s" % (name, h.key), act.fixed_subcomplex(h)
+    yield "chains", complex_of_chains(["a", "b", "c"], [("a", "b"), ("a", "c")])
+
+
+def test_trusted_builds_pass_the_public_validator():
+    count = 0
+    for name, x in trusted_builds():
+        assert SimplicialComplex(x.vertices, x.simplices) == x, name
+        count += 1
+    assert count > 1000
+
+
+def test_public_constructors_always_validate():
+    # the one unchecked route is the private _of; no public flag skips
+    # the validator of a complex, a chain complex or a poset
+    with pytest.raises(TypeError):
+        SimplicialComplex(["a"], [("a",)], check=False)
+    with pytest.raises(TypeError):
+        ChainComplexZ({0: 1}, {}, check=False)
+    with pytest.raises(TypeError):
+        FinitePoset([0], set(), check=False)
