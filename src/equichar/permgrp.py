@@ -37,14 +37,20 @@ is a minimal overgroup of one of its maximal subgroups M, so a conjugate
 of K is <H, z> for the processed representative H of M's class and any z
 of that conjugate outside H.  One such z has prime-power order and z^p in
 H: take the last of the p-th powers of a prime-power element outside H
-that still lies outside H (_cyclic_extension gives the details).  The
-lattice and its conjugacy classes, which share their Subgroup objects,
-are memoised on the group, per subgroup mask; callers always get a fresh
-list.  A subgroup H <= E is normal in E with E/H elementary abelian
-for p exactly when H holds x^p for every x in E and the commutators that
-_commutator_mask lists; _power_preimages turns the first condition into a
-mask, so the sections E/H that Euler classes sum over are tested by masks,
-without a normalizer.
+that still lies outside H (_cyclic_extension gives the details).  A join
+with an x that normalizes H is the union of p cosets of H, translated on
+the multiplication table with no closure.  In a solvable group (every
+group whose order has at most two prime divisors, or whose derived series
+ends in 1) the joins with an x outside the normalizer of H are skipped
+too: each K > 1 there has a normal subgroup of prime index, so the z
+above can be taken to normalize H (Neubüser's method for solvable
+groups).  The lattice and its conjugacy classes, which share their
+Subgroup objects, are memoised on the group, per subgroup mask; callers
+always get a fresh list.  A subgroup H <= E is normal in E with E/H
+elementary abelian for p exactly when H holds x^p for every x in E and the
+commutators that _commutator_mask lists; _power_preimages turns the first
+condition into a mask, so the sections E/H that Euler classes sum over are
+tested by masks, without a normalizer.
 """
 
 import re
@@ -242,6 +248,14 @@ def _close_under_products(generators, times, bound, base):
     return elements
 
 
+def _mask(numbers):
+    """Mask of the element numbers."""
+    mask = 0
+    for t in numbers:
+        mask |= 1 << t
+    return mask
+
+
 def _bits(mask):
     """Element numbers in a mask, ascending."""
     out = []
@@ -353,11 +367,8 @@ class FiniteGroup:
         """Mask of the subgroup generated by the numbered elements and the
         subgroup mask base, whose generators must be among them."""
         mul = self._tables()[0]
-        mask = 0
-        for t in _close_under_products(numbers, lambda a, b: mul[a][b], bound,
-                                       _bits(base)):
-            mask |= 1 << t
-        return mask
+        return _mask(_close_under_products(numbers, lambda a, b: mul[a][b],
+                                           bound, _bits(base)))
 
     # ------------------------------------------------ public interface
 
@@ -549,13 +560,11 @@ def _inner_mask(g, h):
     return mask
 
 
-def _conjugate_mask(mul, inv, hs, x):
-    """Mask of x^-1 H x, for H listed by element numbers hs."""
+def _conjugate(mul, inv, hs, x):
+    """The element numbers of x^-1 H x, for H listed by element numbers hs,
+    in the order of hs."""
     row = mul[inv[x]]
-    mask = 0
-    for y in hs:
-        mask |= 1 << row[mul[y][x]]
-    return mask
+    return [row[mul[y][x]] for y in hs]
 
 
 class SubgroupClass:
@@ -696,12 +705,28 @@ def _cyclic_extension(group, top):
     the last one z outside H has z^p in H.  So the power rule admits <z>,
     and <H, z> = K^g by minimality.  Were <z> skipped by the cover rule, z
     would lie in a minimal overgroup J of H, and then J = <H, z> = K^g.
+
+    Two more rules make the joins that remain cheap or skip them:
+
+    - the coset union: when x normalizes H (x^-1 g x lies in H for each
+      of the generators g of H that the sweep joined) and x^p lies in H,
+      then <H, x> = H u Hx u ... u Hx^(p-1), of index p over H.  Those
+      cosets are p - 1 right translations of H's listed elements on the
+      multiplication table, with no closure, and the join is a cover of
+      H.
+    - the solvable skip: when top is solvable (_is_solvable), an x
+      outside N(H) is never joined with H.  Every K > 1 in a solvable
+      group has a normal subgroup M of prime index, as K/K' is a
+      nontrivial abelian group, and M is maximal in K.  Run the argument
+      above with that M: H = M^g is normal in K^g, so the z found there
+      normalizes H, and <H, z> = K^g is a coset union.
     """
     mul, inv = group._tables()
     orders = group._element_orders()
     bases = {n: prime_power_base(n) for n in set(orders)}
     bound = top.bit_count()
     conjugators = _generating_numbers(group, top)
+    solvable = _is_solvable(group, top)
     cyclic = {}
     for x in _bits(top)[1:]:
         p = bases[orders[x]]
@@ -716,28 +741,54 @@ def _cyclic_extension(group, top):
         # y is the identity again, and p more steps reach x^p
         for _ in range(p):
             y = row[y]
-        cyclic.setdefault(mask, (x, y))
+        cyclic.setdefault(mask, (x, y, p))
     seen = set()
-    orbits = [_conjugates(mul, inv, 1, conjugators, seen)]
+    orbits = [_conjugates(mul, inv, 1, [0], conjugators, seen)]
     frontier = []
-    for mask, (x, _) in cyclic.items():
+    for mask, (x, _, _) in cyclic.items():
         if mask not in seen:
-            orbits.append(_conjugates(mul, inv, mask, conjugators, seen))
-            frontier.append((mask, (x,)))
+            hs = _bits(mask)
+            orbits.append(_conjugates(mul, inv, mask, hs, conjugators, seen))
+            frontier.append((mask, (x,), hs))
+    # each frontier entry lists its elements, so none is decoded again
     while frontier:
         fresh = []
-        for h, gens in frontier:
+        for h, gens, hs in frontier:
             covered = h
-            order = h.bit_count()
-            for x, xp in cyclic.values():
+            order = len(hs)
+            gen_rows = [mul[g] for g in gens]
+            for x, xp, p in cyclic.values():
                 if covered >> x & 1 or not h >> xp & 1:
                     continue
-                joined = group._generate(gens + (x,), bound, h)
-                if is_prime(joined.bit_count() // order):
+                # x normalizes H when it conjugates each generator into H
+                row = mul[inv[x]]
+                normal = True
+                for gen_row in gen_rows:
+                    if not h >> row[gen_row[x]] & 1:
+                        normal = False
+                        break
+                if normal:
+                    joined = h
+                    elements = hs
+                    coset = hs
+                    for _ in range(p - 1):
+                        coset = [mul[y][x] for y in coset]
+                        joined |= _mask(coset)
+                        elements = elements + coset
                     covered |= joined
+                elif solvable:
+                    continue
+                else:
+                    joined = group._generate(gens + (x,), bound, h)
+                    if is_prime(joined.bit_count() // order):
+                        covered |= joined
+                    elements = None
                 if joined not in seen:
-                    orbits.append(_conjugates(mul, inv, joined, conjugators, seen))
-                    fresh.append((joined, gens + (x,)))
+                    if elements is None:
+                        elements = _bits(joined)
+                    orbits.append(_conjugates(mul, inv, joined, elements,
+                                              conjugators, seen))
+                    fresh.append((joined, gens + (x,), elements))
         frontier = fresh
     by_mask = {mask: Subgroup._of(group, mask) for mask in seen}
     subs = sorted(by_mask.values(), key=lambda s: (s.order, s.key))
@@ -746,24 +797,47 @@ def _cyclic_extension(group, top):
     return tuple(subs), tuple(classes)
 
 
+def _is_solvable(group, top):
+    """Whether the subgroup mask top of group is solvable.
+
+    A group whose order has at most two prime divisors is solvable
+    (Burnside's p^a q^b theorem), which settles every p-group at once.
+    Otherwise the derived series, each term generated by the commutators
+    _commutator_mask lists, must reach the trivial group; it stops early
+    at a perfect term.
+    """
+    if len(_factor(top.bit_count())) <= 2:
+        return True
+    while top != 1:
+        derived = group._generate(
+            _bits(_commutator_mask(Subgroup._of(group, top))), top.bit_count())
+        if derived == top:
+            return False
+        top = derived
+    return True
+
+
 def _subgroup_class(by_mask, orbit):
     """The SubgroupClass of the masks in orbit, members read from by_mask."""
     members = sorted(map(by_mask.__getitem__, orbit), key=lambda s: s.key)
     return SubgroupClass(members[0], members)
 
 
-def _conjugates(mul, inv, mask, conjugators, seen):
-    """Orbit of the subgroup mask under conjugation by the group that the
-    numbered conjugators generate, mask first; each member joins seen."""
+def _conjugates(mul, inv, mask, elements, conjugators, seen):
+    """Orbit of the subgroup mask, whose element numbers elements lists in
+    any order, under conjugation by the group that the numbered
+    conjugators generate, mask first; each member joins seen."""
     orbit = [mask]
     seen.add(mask)
-    for h in orbit:
-        hs = _bits(h)
+    listed = [elements]
+    for hs in listed:
         for x in conjugators:
-            k = _conjugate_mask(mul, inv, hs, x)
+            ks = _conjugate(mul, inv, hs, x)
+            k = _mask(ks)
             if k not in seen:
                 seen.add(k)
                 orbit.append(k)
+                listed.append(ks)
     return orbit
 
 
@@ -807,7 +881,7 @@ def normalizer(g, h):
     hs = _bits(hmask)
     mask = 0
     for x in _bits(g.mask):
-        if _conjugate_mask(mul, inv, hs, x) == hmask:
+        if _mask(_conjugate(mul, inv, hs, x)) == hmask:
             mask |= 1 << x
     return Subgroup._of(g.group, mask)
 
@@ -829,7 +903,8 @@ def is_normal(n, h):
     hmask = _inner_mask(n, h)
     mul, inv = n.group._tables()
     hs = _bits(hmask)
-    return all(_conjugate_mask(mul, inv, hs, x) == hmask for x in _bits(n.mask))
+    return all(_mask(_conjugate(mul, inv, hs, x)) == hmask
+               for x in _bits(n.mask))
 
 
 def is_p_group(h, p):

@@ -46,7 +46,11 @@ class FinitePoset:
         elements = tuple(elements)
         if labels is None:
             labels = ("x%d" % i for i in range(len(elements)))
-        self._fill(elements, frozenset(lt_pairs), tuple(labels))
+        try:
+            lt = frozenset(lt_pairs)
+        except TypeError:
+            raise InputError("relation pairs must be (i, j) tuples") from None
+        self._fill(elements, lt, tuple(labels))
         self._validate()
 
     @classmethod
@@ -70,7 +74,10 @@ class FinitePoset:
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise InputError("labels must be distinct and match the elements")
         above = [0] * n
-        for i, j in self.lt:
+        for pair in self.lt:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise InputError("relation pairs must be (i, j) tuples")
+            i, j = pair
             if not (type(i) is int and type(j) is int
                     and 0 <= i < n and 0 <= j < n):
                 raise InputError("relation index out of range")

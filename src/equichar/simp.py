@@ -18,11 +18,16 @@ from .permgrp import Subgroup, _cycles, homomorphism_images
 
 
 def _adjacency(vertices, edges):
-    """{vertex: set of neighbours} of a graph."""
+    """{vertex: set of neighbours} of a graph; an edge with an undeclared
+    end is an InputError."""
     adj = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    try:
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+    except KeyError as missing:
+        raise InputError("pair %r uses undeclared vertex %r"
+                         % ((a, b), missing.args[0])) from None
     return adj
 
 
@@ -58,7 +63,12 @@ class SimplicialComplex:
     __slots__ = ("vertices", "simplices", "_dim", "_star", "_link_table")
 
     def __init__(self, vertices, simplices):
-        self._fill(vertices, simplices)
+        try:
+            self._fill(vertices, simplices)
+        except TypeError:
+            raise InputError("vertices must be hashable and sortable "
+                             "together, and each simplex a tuple of them"
+                             ) from None
         self._validate()
 
     @classmethod
@@ -80,10 +90,11 @@ class SimplicialComplex:
         for s in self.simplices:
             if not s:
                 raise InputError("the empty simplex is implicit; do not store it")
-            if list(s) != sorted(set(s)):
-                raise InputError("simplex %r is not a sorted duplicate-free tuple" % (s,))
+            # declared vertices sort together, so sorted(s) cannot raise
             if not set(s) <= vset:
                 raise InputError("simplex %r uses undeclared vertices" % (s,))
+            if list(s) != sorted(set(s)):
+                raise InputError("simplex %r is not a sorted duplicate-free tuple" % (s,))
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
                 if face and face not in self.simplices:
@@ -288,7 +299,11 @@ class SimplicialComplex:
         """Rename vertices along an injective map."""
         if len(set(mapping.values())) != len(mapping):
             raise InputError("relabeling must be injective")
-        verts = [mapping[v] for v in self.vertices]
+        try:
+            verts = [mapping[v] for v in self.vertices]
+        except KeyError as missing:
+            raise InputError("relabeling misses vertex %r"
+                             % missing.args[0]) from None
         simplices = {tuple(sorted(mapping[v] for v in s)) for s in self.simplices}
         return SimplicialComplex._of(verts, simplices)
 

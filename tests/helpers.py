@@ -98,15 +98,34 @@ def b4():
     return group("(1 2)(5 6)", "(1 2 3 4)(5 6 7 8)", "(1 5)")
 
 
+def a5():
+    return group("(1 2 3)", "(1 2 3 4 5)")
+
+
+def s3xc5():
+    return group("(1 2)", "(1 2 3)", "(4 5 6 7 8)")
+
+
+def c7c3xc2():
+    """C7 x| C3 x C2 of order 42: 3 acts on Z/7 (point 7 for 0) by
+    doubling, and (8 9) is the C2 factor."""
+    return group("(1 2 3 4 5 6 7)", "(1 2 4)(3 6 5)", "(8 9)")
+
+
+def s4xc5():
+    return group("(1 2)", "(1 2 3 4)", "(5 6 7 8 9)")
+
+
 _LATTICE_JOINS = {}  # id(group) -> (group, joins made building its lattice)
 
 
 def lattice_joins(g):
-    """Number of joins the cyclic extension made building the subgroup
-    lattice of g: the _generate calls made from _cyclic_extension itself,
-    not the ones that pick conjugators.  The lattice is built here, with
-    the count on, at the first call for g, which must come before anything
-    else builds it; later calls return the same count."""
+    """Number of closure joins the cyclic extension made building the
+    subgroup lattice of g: the _generate calls made from _cyclic_extension
+    itself, not the ones that pick conjugators; a join built as a union of
+    cosets takes no closure and is not counted.  The lattice is built here,
+    with the count on, at the first call for g, which must come before
+    anything else builds it; later calls return the same count."""
     if id(g) not in _LATTICE_JOINS:
         calls = [0]
         generate = permgrp.FiniteGroup._generate
@@ -142,6 +161,17 @@ def pgroup_corpus():
         "C4xC2": c4xc2(), "D8": d8(), "Q8": q8(),
         "C3": cyclic(3), "C9": cyclic(9), "C3xC3": elem_ab(3, 2),
     }
+
+
+# the p-groups and groups of orders 6 to 384; the last six have three
+# prime divisors, so only their derived series decides their solvability
+def group_corpus():
+    return dict(pgroup_corpus(), **{
+        "S3": s3(), "C6": cyclic(6), "S4": s4(), "A4": a4(), "D12": d12(),
+        "C4xC4": c4xc4(), "D8xC2": d8xc2(), "S3xS3": s3xs3(), "B4": b4(),
+        "A5": a5(), "S5": symmetric(5), "S3xC5": s3xc5(),
+        "C7:C3xC2": c7c3xc2(), "S4xC5": s4xc5(), "C30": cyclic(30),
+    })
 
 
 # ------------------------------------------------------------- complexes
@@ -415,6 +445,31 @@ def coset_quotient(n, h):
     gens = [Permutation(points, {p: label[x * min(c)] for p, c in zip(points, cosets)})
             for x in n.generating_set()]
     return group_from_generators(points, gens)
+
+
+def solvable_by_derived_series(g):
+    """Solvability of the group g by its derived series on the product
+    table filled directly: each term is the closure of all commutators
+    a^-1 b^-1 a b of two of its elements, until a term is trivial or
+    equals the one before it."""
+    table = product_table(g)
+    inv = [row.index(0) for row in table]
+    term = set(range(len(table)))
+    while len(term) > 1:
+        commutators = {table[table[inv[a]][inv[b]]][table[a][b]]
+                       for a in term for b in term}
+        closed = set(commutators)
+        todo = list(closed)
+        while todo:
+            row = table[todo.pop()]
+            for b in commutators:
+                if row[b] not in closed:
+                    closed.add(row[b])
+                    todo.append(row[b])
+        if closed == term:
+            return False
+        term = closed
+    return True
 
 
 def nilpotent_by_central_series(h):

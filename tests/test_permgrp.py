@@ -5,7 +5,7 @@ import time
 import pytest
 
 import helpers
-from equichar import permgrp
+from equichar import exactlin, permgrp
 from equichar import (InputError, Permutation, ResourceLimitError, Subgroup,
                       all_subgroups, centralizer,
                       conjugacy_classes_of_subgroups,
@@ -151,13 +151,64 @@ def test_subgroup_enumeration_against_brute_force():
 
 
 @pytest.mark.parametrize("build, joins",
-                         [(helpers.d8xc2, 93), (helpers.s4, 61),
-                          (lambda: helpers.s6(), 6949)])
+                         [(helpers.d8xc2, 0), (helpers.s4, 0),
+                          (lambda: helpers.s6(), 6814)])
 def test_cyclic_extension_join_counts(build, joins):
-    # the power and cover rules skip joins that cannot find a new
-    # subgroup (without them: 244, 116 and 12,257); counts are exact on
-    # any machine, unlike CPU time.  S6 is the session's shared build.
+    # the closure joins only: a join with an x that normalizes H is a
+    # union of cosets, and a solvable group joins no other x, so D8xC2
+    # and S4 close none; S6 is not solvable, and 135 of the 6,949 joins
+    # that the power and cover rules leave (of 12,257) are coset unions.
+    # Counts are exact on any machine, unlike CPU time.  S6 is the
+    # session's shared build.
     assert helpers.lattice_joins(build()) == joins
+
+
+@pytest.mark.parametrize("build, subgroups, classes",
+                         [(helpers.a5, 59, 9),
+                          (lambda: helpers.symmetric(5), 156, 19)])
+def test_non_solvable_lattices_join_outside_the_normalizer(build, subgroups,
+                                                           classes):
+    # a non-solvable group still closes the joins with an x outside N(H)
+    g = build()
+    assert not permgrp._is_solvable(g, g.mask)
+    assert helpers.lattice_joins(g) > 0
+    subs = all_subgroups(g)
+    assert len(subs) == subgroups
+    found = conjugacy_classes_of_subgroups(g)
+    assert len(found) == classes
+    assert ({frozenset(frozenset(h.key) for h in c.members) for c in found}
+            == helpers.brute_classes(g, {frozenset(h.key) for h in subs}))
+
+
+@pytest.mark.parametrize("build", [helpers.s3xc5, helpers.c7c3xc2])
+def test_three_prime_solvable_lattices_against_brute_force(build):
+    # three primes divide the order, so the derived series decides that
+    # the group is solvable, and every join is a union of cosets
+    g = build()
+    assert len(exactlin._factor(g.order)) == 3
+    assert permgrp._is_solvable(g, g.mask)
+    assert helpers.lattice_joins(g) == 0
+    brute = helpers.brute_subgroups(g)
+    assert {frozenset(h.key) for h in all_subgroups(g)} == brute
+    assert ({frozenset(frozenset(h.key) for h in c.members)
+             for c in conjugacy_classes_of_subgroups(g)}
+            == helpers.brute_classes(g, brute))
+
+
+def test_solvability_equals_the_derived_series():
+    # whole groups, those with at most two prime divisors included, and
+    # every subgroup of S5 as the top mask
+    for name, g in helpers.group_corpus().items():
+        assert (permgrp._is_solvable(g, g.mask)
+                == helpers.solvable_by_derived_series(g)), name
+    s5 = helpers.symmetric(5)
+    verdicts = set()
+    for h in all_subgroups(s5):
+        alone = group_from_generators(s5.points, h.generating_set())
+        verdict = permgrp._is_solvable(s5, h.mask)
+        assert verdict == helpers.solvable_by_derived_series(alone), h
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_s5_lattice_and_classes():

@@ -32,6 +32,13 @@ def test_poset_validation():
         FinitePoset([0, 1], {("0", 1)})
 
 
+@pytest.mark.parametrize("pairs", [{(0,)}, {(0, 1, 1)}, {0}, [[0, 1]]])
+def test_relation_pairs_must_be_pairs(pairs):
+    with pytest.raises(InputError,
+                       match=r"^relation pairs must be \(i, j\) tuples$"):
+        FinitePoset([0, 1], pairs)
+
+
 def test_chain_poset():
     p = chain_poset(3)
     assert p.chain_counts() == (3, 3, 1)

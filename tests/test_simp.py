@@ -543,3 +543,37 @@ def test_public_constructors_always_validate():
         ChainComplexZ({0: 1}, {}, check=False)
     with pytest.raises(TypeError):
         FinitePoset([0], set(), check=False)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: complex_of_chains(["a"], [("a", "b")]),
+     "pair ('a', 'b') uses undeclared vertex 'b'"),
+    (lambda: complex_of_chains(["b"], [("a", "b")]),
+     "pair ('a', 'b') uses undeclared vertex 'a'"),
+    (lambda: SimplicialComplex.from_maximal_simplices(
+        ["a", "b"], [("a", "b")]).relabel({"a": "z"}),
+     "relabeling misses vertex 'b'"),
+])
+def test_a_missing_vertex_is_an_input_error(build, message):
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("vertices, simplices", [
+    (["a"], [1]),
+    (["a", 1], [("a",), (1,)]),
+    (["a"], None),
+    (["a"], [(["a"],)]),
+])
+def test_malformed_shapes_are_input_errors(vertices, simplices):
+    # a simplex that is no tuple of vertices, or vertices that do not
+    # sort together, fail before the validator can read them
+    with pytest.raises(InputError, match="^vertices must be hashable and "
+                       "sortable together, and each simplex a tuple of them$"):
+        SimplicialComplex(vertices, simplices)
+
+
+def test_a_simplex_of_another_type_is_undeclared():
+    with pytest.raises(InputError,
+                       match=re.escape("simplex ('a', 1) uses undeclared")):
+        SimplicialComplex(["a"], [("a",), ("a", 1)])
