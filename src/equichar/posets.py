@@ -43,14 +43,18 @@ class FinitePoset:
     __slots__ = ("elements", "labels", "lt")
 
     def __init__(self, elements, lt_pairs, labels=None):
-        elements = tuple(elements)
-        if labels is None:
-            labels = ("x%d" % i for i in range(len(elements)))
+        try:
+            elements = tuple(elements)
+            if labels is None:
+                labels = ("x%d" % i for i in range(len(elements)))
+            labels = tuple(labels)
+        except TypeError:
+            raise InputError("elements and labels must be iterables") from None
         try:
             lt = frozenset(lt_pairs)
         except TypeError:
             raise InputError("relation pairs must be (i, j) tuples") from None
-        self._fill(elements, lt, tuple(labels))
+        self._fill(elements, lt, labels)
         self._validate()
 
     @classmethod

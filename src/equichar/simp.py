@@ -19,7 +19,7 @@ from .permgrp import Subgroup, _cycles, homomorphism_images
 
 def _adjacency(vertices, edges):
     """{vertex: set of neighbours} of a graph; an edge with an undeclared
-    end is an InputError."""
+    end, or one that is no pair, is an InputError."""
     adj = {v: set() for v in vertices}
     try:
         for a, b in edges:
@@ -28,6 +28,8 @@ def _adjacency(vertices, edges):
     except KeyError as missing:
         raise InputError("pair %r uses undeclared vertex %r"
                          % ((a, b), missing.args[0])) from None
+    except (TypeError, ValueError):
+        raise InputError("pairs must be 2-tuples of vertices") from None
     return adj
 
 
@@ -37,15 +39,42 @@ def _cliques(adj):
     Depth first from an explicit stack of (clique, candidates) entries,
     where the candidates are the common neighbours of the clique that sort
     after all of its vertices; a caller that stops early stops the search.
+
+    The vertices are numbered in sorted order and later[i] is the bitmask
+    of the neighbours of vertex i numbered after it, so the candidates are
+    one int: a child's are cand & later[i], and the set bits are walked
+    lowest first by low = cand & -cand.  The root's children are the
+    vertices themselves, with later[i] as their candidates, so no mask of
+    all the vertices is walked.  Walking bits lowest first is walking the
+    candidates in sorted order, and each entry yields all of its children
+    before the stack pops the last of them, so the cliques come in the same
+    order as from a scan of sorted candidate lists, an order every caller
+    sees in its output.
     """
-    stack = [((), sorted(adj))]
+    verts = sorted(adj)
+    index = {v: i for i, v in enumerate(verts)}
+    later = []
+    stack = []
+    for i, v in enumerate(verts):
+        mask = 0
+        for w in adj[v]:
+            j = index[w]
+            if j > i:
+                mask |= 1 << j
+        later.append(mask)
+        s = (v,)
+        yield s
+        if mask:
+            stack.append((s, mask))
     while stack:
-        clique, candidates = stack.pop()
-        for i, v in enumerate(candidates):
-            s = clique + (v,)
+        clique, cand = stack.pop()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            s = clique + (verts[i],)
             yield s
-            nbrs = adj[v]
-            rest = [w for w in candidates[i + 1:] if w in nbrs]
+            rest = cand & later[i]
             if rest:
                 stack.append((s, rest))
 
@@ -110,29 +139,40 @@ class SimplicialComplex:
     @classmethod
     def from_maximal_simplices(cls, vertices, facets):
         """Close the facet list under faces; isolated vertices stay as points."""
-        vset = set(vertices)
-        simplices = set((v,) for v in vset)
-        for facet in facets:
-            s = tuple(sorted(set(facet)))
-            if not set(s) <= vset:
-                raise InputError("facet %r uses undeclared vertices" % (facet,))
-            for k in range(2, len(s) + 1):
-                simplices.update(combinations(s, k))
-        return cls._of(vset, simplices)
+        try:
+            vset = set(vertices)
+            simplices = set((v,) for v in vset)
+            for facet in facets:
+                fset = set(facet)
+                if not fset <= vset:
+                    raise InputError("facet %r uses undeclared vertices" % (facet,))
+                s = tuple(sorted(fset))
+                for k in range(2, len(s) + 1):
+                    simplices.update(combinations(s, k))
+            return cls._of(vset, simplices)
+        except TypeError:
+            raise InputError("vertices must be hashable and sortable "
+                             "together, and each facet an iterable of them"
+                             ) from None
 
     @classmethod
     def flag_from_graph(cls, vertices, edges):
         """The flag complex of a graph: simplices are the cliques."""
-        vset = set(vertices)
-        pairs = []
-        for e in edges:
-            pair = tuple(sorted(set(e)))
-            if len(pair) != 2:
-                raise InputError("edge %r must join two distinct vertices" % (e,))
-            if not set(pair) <= vset:
-                raise InputError("edge %r uses undeclared vertices" % (e,))
-            pairs.append(pair)
-        return cls._of(vset, _cliques(_adjacency(vset, pairs)))
+        try:
+            vset = set(vertices)
+            pairs = []
+            for e in edges:
+                pair = set(e)
+                if len(pair) != 2:
+                    raise InputError("edge %r must join two distinct vertices" % (e,))
+                if not pair <= vset:
+                    raise InputError("edge %r uses undeclared vertices" % (e,))
+                pairs.append(pair)
+            return cls._of(vset, _cliques(_adjacency(vset, pairs)))
+        except TypeError:
+            raise InputError("vertices must be hashable and sortable "
+                             "together, and each edge an iterable of them"
+                             ) from None
 
     @property
     def dim(self):
@@ -326,7 +366,12 @@ def complex_of_chains(labels, strict_pairs):
     an irreflexive transitive relation, whose chains are exactly the
     cliques of its comparability graph.
     """
-    return SimplicialComplex._of(labels, _cliques(_adjacency(labels, strict_pairs)))
+    try:
+        return SimplicialComplex._of(
+            labels, _cliques(_adjacency(labels, strict_pairs)))
+    except TypeError:
+        raise InputError("labels must be hashable and sortable together"
+                         ) from None
 
 
 _OUTSIDE = "subgroup lies outside the acting group"

@@ -257,6 +257,14 @@ def complex_corpus():
     }
 
 
+def complex_and_flag_corpus():
+    """complex_corpus() and the random flag complexes, named flag0 to flag2."""
+    corpus = complex_corpus()
+    corpus.update(("flag%d" % i, x)
+                  for i, x in enumerate(random_flag_complexes()))
+    return corpus
+
+
 # ----------------------------------------------------- linear algebra oracles
 
 
@@ -571,6 +579,23 @@ def mobius_euler(n, lt_pairs):
 
 
 # -------------------------------------------------------- simplicial oracles
+
+
+def list_cliques(adj):
+    """Every nonempty clique of the graph {vertex: set of neighbours}, in
+    the order simp._cliques yields them: depth first from an explicit stack
+    of (clique, candidates) entries, each candidate list scanned for the
+    neighbours of the vertex just added."""
+    stack = [((), sorted(adj))]
+    while stack:
+        clique, candidates = stack.pop()
+        for i, v in enumerate(candidates):
+            s = clique + (v,)
+            yield s
+            nbrs = adj[v]
+            rest = [w for w in candidates[i + 1:] if w in nbrs]
+            if rest:
+                stack.append((s, rest))
 
 
 def brute_link(x, s):

@@ -309,3 +309,13 @@ def test_obstruction_scan_empty_fixed_passes():
     assert len(empty_cases) == 1
     assert not empty_cases[0].obstructed
     assert empty_cases[0].note == "empty fixed complex; trivial factor"
+
+
+@pytest.mark.parametrize("name", sorted(helpers.complex_and_flag_corpus()))
+def test_subdivision_keeps_homology_and_cm_verdict(name):
+    # bary(L) is homeomorphic to L, and both reduced homology and the
+    # Cohen-Macaulay property are topological invariants (Munkres 1984)
+    x = helpers.complex_and_flag_corpus()[name]
+    bary = x.barycentric_subdivision()
+    assert bary.reduced_homology() == x.reduced_homology()
+    assert cohen_macaulay(bary).is_cm == cohen_macaulay(x).is_cm

@@ -30,6 +30,10 @@ def test_poset_validation():
         FinitePoset([0, 1], set(), labels=("a", "a"))
     with pytest.raises(InputError, match="^relation index out of range$"):
         FinitePoset([0, 1], {("0", 1)})
+    for elements, labels in ((5, None), ([0], 5)):
+        with pytest.raises(InputError,
+                           match="^elements and labels must be iterables$"):
+            FinitePoset(elements, set(), labels=labels)
 
 
 @pytest.mark.parametrize("pairs", [{(0,)}, {(0, 1, 1)}, {0}, [[0, 1]]])

@@ -1,5 +1,6 @@
 """Simplicial complexes, group actions on them, subcomplex embeddings."""
 
+import random
 import re
 import time
 from itertools import combinations, permutations
@@ -12,7 +13,8 @@ from equichar import (ChainComplexZ, FinitePoset, GroupAction,
                       PreconditionError, SimplicialComplex, all_subgroups,
                       augment, complex_of_chains,
                       conjugacy_classes_of_subgroups, double_along,
-                      find_full_subcomplex_isomorphic, group_from_generators)
+                      find_full_subcomplex_isomorphic, group_from_generators,
+                      simp)
 
 
 def test_face_closure():
@@ -64,6 +66,38 @@ def test_flag_from_graph_builds_cliques():
     assert ("a", "b", "c") in x.simplices
     assert ("a", "b", "c", "d") not in x.simplices
     assert x.is_flag()
+
+
+def clique_graphs():
+    """{name: adjacency} of the graphs the clique enumerator is checked
+    on: edge cases, a complete graph, seeded G(n, p) on string labels, and
+    int labels as FinitePoset.chain_counts passes them."""
+    k12 = [str(i) for i in range(12)]
+    graphs = {
+        "empty": {},
+        "point": {"a": set()},
+        "isolated": simp._adjacency("dbca", []),
+        "K12": simp._adjacency(k12, combinations(k12, 2)),
+    }
+    rng = random.Random(20261020)
+    for n in (10, 25, 40):
+        for p in (0.25, 0.55):
+            verts = [str(i) for i in range(n)]
+            rng.shuffle(verts)
+            graphs["gnp-%d-%s" % (n, p)] = simp._adjacency(
+                verts, [e for e in combinations(verts, 2) if rng.random() < p])
+            graphs["gnp-%d-%s-ints" % (n, p)] = simp._adjacency(
+                range(n), [e for e in combinations(range(n), 2)
+                           if rng.random() < p])
+    return graphs
+
+
+@pytest.mark.parametrize("name", list(clique_graphs()))
+def test_cliques_match_the_list_scan(name):
+    # the bitmask walk yields the cliques of the list scan in its order,
+    # which fixes the order of every table the cliques feed
+    adj = clique_graphs()[name]
+    assert list(simp._cliques(adj)) == list(helpers.list_cliques(adj))
 
 
 def test_flagness():
@@ -497,10 +531,7 @@ def trusted_builds():
     doubles and order complexes, over the complex corpus and p-group
     actions on it."""
     yield "empty", SimplicialComplex.empty()
-    corpus = dict(helpers.complex_corpus())
-    corpus.update(("flag%d" % i, x)
-                  for i, x in enumerate(helpers.random_flag_complexes()))
-    for name, x in corpus.items():
+    for name, x in helpers.complex_and_flag_corpus().items():
         yield name, x
         yield name + "/bary", x.barycentric_subdivision()
         yield name + "/relabel", x.relabel({v: v + "~" for v in x.vertices})
@@ -553,6 +584,14 @@ def test_public_constructors_always_validate():
     (lambda: SimplicialComplex.from_maximal_simplices(
         ["a", "b"], [("a", "b")]).relabel({"a": "z"}),
      "relabeling misses vertex 'b'"),
+    (lambda: complex_of_chains(["a"], [("a",)]),
+     "pairs must be 2-tuples of vertices"),
+    (lambda: complex_of_chains(["a", "b"], [("a", "b", "a")]),
+     "pairs must be 2-tuples of vertices"),
+    (lambda: SimplicialComplex.from_maximal_simplices(["a"], [("a", 1)]),
+     "facet ('a', 1) uses undeclared vertices"),
+    (lambda: SimplicialComplex.flag_from_graph(["a"], [("a", 1)]),
+     "edge ('a', 1) uses undeclared vertices"),
 ])
 def test_a_missing_vertex_is_an_input_error(build, message):
     with pytest.raises(InputError, match="^%s$" % re.escape(message)):
@@ -564,6 +603,7 @@ def test_a_missing_vertex_is_an_input_error(build, message):
     (["a", 1], [("a",), (1,)]),
     (["a"], None),
     (["a"], [(["a"],)]),
+    (["a", 1], [("a", 1)]),
 ])
 def test_malformed_shapes_are_input_errors(vertices, simplices):
     # a simplex that is no tuple of vertices, or vertices that do not
@@ -571,6 +611,12 @@ def test_malformed_shapes_are_input_errors(vertices, simplices):
     with pytest.raises(InputError, match="^vertices must be hashable and "
                        "sortable together, and each simplex a tuple of them$"):
         SimplicialComplex(vertices, simplices)
+    # and the same shapes, read as facets, edges or strict pairs, fail as
+    # input errors in every public builder
+    for build in (SimplicialComplex.from_maximal_simplices,
+                  SimplicialComplex.flag_from_graph, complex_of_chains):
+        with pytest.raises(InputError):
+            build(vertices, simplices)
 
 
 def test_a_simplex_of_another_type_is_undeclared():
