@@ -9,8 +9,7 @@ reduced link cohomology in degree k - dim(simplex) - 2; for a duality
 group everything lands in a single k.
 """
 
-from dataclasses import dataclass
-
+from ._record import _Record
 from .errors import InputError, PreconditionError
 from .exactlin import HomologyGroup, _universal_coefficients
 from .permgrp import (Permutation, conjugacy_classes_of_subgroups,
@@ -18,8 +17,9 @@ from .permgrp import (Permutation, conjugacy_classes_of_subgroups,
 from .simp import GroupAction, SimplicialComplex
 
 
-@dataclass
-class CMReport:
+class CMReport(_Record):
+    __slots__ = ("dimension", "failures")
+
     dimension: int
     failures: tuple  # (simplex, degree, HomologyGroup) triples
 
@@ -141,8 +141,9 @@ def cohen_macaulay(x):
     return CMReport(n, tuple(failures))
 
 
-@dataclass
-class DualityReport:
+class DualityReport(_Record):
+    __slots__ = ("is_duality", "cm")
+
     is_duality: bool
     cm: CMReport
 
@@ -155,8 +156,9 @@ def flag_duality(x):
     return DualityReport(report.is_cm, report)
 
 
-@dataclass
-class GradedProfile:
+class GradedProfile(_Record):
+    __slots__ = ("max_degree", "entries")
+
     max_degree: int
     entries: dict  # degree -> tuple of (simplex, HomologyGroup)
 
@@ -230,8 +232,9 @@ def double_along(x, a):
     return doubled, GroupAction(doubled, group)
 
 
-@dataclass
-class ClassObstruction:
+class ClassObstruction(_Record):
+    __slots__ = ("subgroup", "fixed_vertices", "cm", "obstructed", "note")
+
     subgroup: object
     fixed_vertices: tuple
     cm: CMReport | None
@@ -239,8 +242,9 @@ class ClassObstruction:
     note: str
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(_Record):
+    __slots__ = ("classes",)
+
     classes: tuple
 
     @property

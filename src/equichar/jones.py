@@ -10,9 +10,9 @@ computing reduced homology, never assumed: when gcd(p, q) > 1 the window
 sums become degenerate and the construction genuinely fails.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import _Record
 from .errors import ConsistencyError, InputError, PreconditionError
 from .exactlin import ChainComplexZ, IntegerMatrix, augment, homology
 
@@ -158,8 +158,9 @@ def verify_acyclic(c):
     return all(g.is_trivial for g in reduced_homology_of(c).values())
 
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(_Record):
+    __slots__ = ("equivariant", "acyclic", "witness")
+
     equivariant: EquivariantComplex
     acyclic: bool
     witness: dict  # nonzero reduced homology when the check fails

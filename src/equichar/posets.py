@@ -17,9 +17,9 @@ subgroups above h is such a cone.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
+from ._record import _Record
 from .errors import InputError
 from .exactlin import HomologyGroup
 from .permgrp import (all_subgroups, is_elementary_abelian,
@@ -75,7 +75,11 @@ class FinitePoset:
         pair (i, j), and i < j < k forces i < k iff above[j] lies inside
         above[i] for every pair (i, j)."""
         n = len(self.elements)
-        if len(self.labels) != n or len(set(self.labels)) != n:
+        try:
+            distinct = len(set(self.labels))
+        except TypeError:
+            raise InputError("labels must be hashable") from None
+        if len(self.labels) != n or distinct != n:
             raise InputError("labels must be distinct and match the elements")
         above = [0] * n
         for pair in self.lt:
@@ -195,8 +199,10 @@ def homology_tables_equal(a, b):
     return all(a.get(d, trivial) == b.get(d, trivial) for d in degrees)
 
 
-@dataclass
-class PosetComparison:
+class PosetComparison(_Record):
+    __slots__ = ("left_size", "right_size", "left_homology", "right_homology",
+                 "equal")
+
     left_size: int
     right_size: int
     left_homology: dict
@@ -215,8 +221,9 @@ def quillen_thevenaz_check(g):
                            homology_tables_equal(hn, ha))
 
 
-@dataclass
-class WeylPosetReport:
+class WeylPosetReport(_Record):
+    __slots__ = ("subgroup", "comparison")
+
     subgroup: object
     comparison: PosetComparison
 

@@ -215,7 +215,11 @@ class SimplicialComplex:
 
         lk(s) = {t - s : t a coface of s}, read from _cofaces.
         """
-        s = tuple(sorted(set(simplex)))
+        try:
+            s = tuple(sorted(set(simplex)))
+        except TypeError:
+            raise InputError("simplex must be an iterable of vertices that "
+                             "sort together") from None
         if s == ():
             return self
         if s not in self.simplices:
@@ -258,7 +262,11 @@ class SimplicialComplex:
     def full_subcomplex(self, vertex_subset):
         """All simplices whose vertices lie in the subset; the complex itself
         when the subset holds every vertex."""
-        sub = set(vertex_subset)
+        try:
+            sub = set(vertex_subset)
+        except TypeError:
+            raise InputError("vertex subset must be an iterable of hashable "
+                             "vertices") from None
         if not sub <= set(self.vertices):
             raise InputError("subset contains undeclared vertices")
         if len(sub) == len(self.vertices):
@@ -337,15 +345,19 @@ class SimplicialComplex:
 
     def relabel(self, mapping):
         """Rename vertices along an injective map."""
-        if len(set(mapping.values())) != len(mapping):
-            raise InputError("relabeling must be injective")
         try:
+            if len(set(mapping.values())) != len(mapping):
+                raise InputError("relabeling must be injective")
             verts = [mapping[v] for v in self.vertices]
+            simplices = {tuple(sorted(mapping[v] for v in s))
+                         for s in self.simplices}
+            return SimplicialComplex._of(verts, simplices)
         except KeyError as missing:
             raise InputError("relabeling misses vertex %r"
                              % missing.args[0]) from None
-        simplices = {tuple(sorted(mapping[v] for v in s)) for s in self.simplices}
-        return SimplicialComplex._of(verts, simplices)
+        except (AttributeError, TypeError):
+            raise InputError("relabeling must be a mapping onto hashable "
+                             "labels that sort together") from None
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)

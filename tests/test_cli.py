@@ -389,6 +389,33 @@ def test_module_entry_point():
     assert proc.returncode == 2
 
 
+LEAN = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def loaded_after(code):
+    """Which LEAN modules a fresh interpreter holds after running code."""
+    probe = "%s\nimport sys\nprint(*(m for m in %r if m in sys.modules))" % (
+        code, LEAN)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_command_loads_no_code_introspection_modules():
+    # a command process imports the library and the CLI and runs one
+    # command, and needs none of the code-introspection modules, whose
+    # import would be a large share of its startup; the stdlib modules the
+    # CLI does import are the baseline, in case a Python version loads some
+    # of these names by itself
+    ran = loaded_after(
+        "import contextlib, io\nimport equichar, equichar.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert equichar.cli.main(%r) == 0"
+        % ["--json", "subgroups", "--group", str(data("d8.json"))])
+    baseline = loaded_after("import argparse, fractions, json")
+    assert ran - baseline == set()
+
+
 def test_double_pattern_covering_host_is_precondition_failure(capsys, tmp_path):
     edge = tmp_path / "edge.json"
     edge.write_text(json.dumps({"vertices": ["1", "2"],

@@ -1,5 +1,6 @@
 """Cohen-Macaulay checks, cohomology profiles, doubling, obstruction scans."""
 
+import re
 import time
 
 import pytest
@@ -10,7 +11,7 @@ from equichar import (GroupAction, HomologyGroup, InputError,
                       cohen_macaulay, double_along, duality,
                       duality_obstruction_scan,
                       find_full_subcomplex_isomorphic, flag_duality,
-                      graded_cohomology_profile, homology)
+                      graded_cohomology_profile, homology, jones, posets)
 
 
 def doubled_pipeline():
@@ -319,3 +320,37 @@ def test_subdivision_keeps_homology_and_cm_verdict(name):
     bary = x.barycentric_subdivision()
     assert bary.reduced_homology() == x.reduced_homology()
     assert cohen_macaulay(bary).is_cm == cohen_macaulay(x).is_cm
+
+
+@pytest.mark.parametrize("record, text", [
+    (duality.CMReport, "CMReport(dimension=0, failures='x')"),
+    (duality.DualityReport, "DualityReport(is_duality=0, cm='x')"),
+    (duality.GradedProfile, "GradedProfile(max_degree=0, entries='x')"),
+    (duality.ClassObstruction, "ClassObstruction(subgroup=0, "
+     "fixed_vertices=1, cm=2, obstructed=3, note='x')"),
+    (duality.ObstructionReport, "ObstructionReport(classes='x')"),
+    (posets.PosetComparison, "PosetComparison(left_size=0, right_size=1, "
+     "left_homology=2, right_homology=3, equal='x')"),
+    (posets.WeylPosetReport, "WeylPosetReport(subgroup=0, comparison='x')"),
+    (jones.ExtensionResult,
+     "ExtensionResult(equivariant=0, acyclic=1, witness='x')"),
+])
+def test_result_records(record, text):
+    # built by position or keyword in field order, equal by field values
+    # within one type only, unhashable, shown as Type(field=value, ...)
+    names = re.findall(r"(\w+)=", text)
+    values = tuple(range(len(names) - 1)) + ("x",)
+    r = record(*values)
+    assert r == record(**dict(zip(names, values)))
+    assert repr(r) == text
+    for bad in (values[:-1], values + (0,)):
+        with pytest.raises(TypeError):
+            record(*bad)
+    with pytest.raises(TypeError):
+        record(*values, extra=0)
+    assert r != record(*values[:-1], -1)
+    assert r != values and values != r
+    other = type("Other", (record,), {})
+    assert r != other(*values) and other(*values) != r
+    with pytest.raises(TypeError):
+        hash(r)

@@ -34,6 +34,8 @@ def test_poset_validation():
         with pytest.raises(InputError,
                            match="^elements and labels must be iterables$"):
             FinitePoset(elements, set(), labels=labels)
+    with pytest.raises(InputError, match="^labels must be hashable$"):
+        FinitePoset([0], set(), labels=[["x"]])
 
 
 @pytest.mark.parametrize("pairs", [{(0,)}, {(0, 1, 1)}, {0}, [[0, 1]]])

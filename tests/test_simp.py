@@ -584,6 +584,9 @@ def test_public_constructors_always_validate():
     (lambda: SimplicialComplex.from_maximal_simplices(
         ["a", "b"], [("a", "b")]).relabel({"a": "z"}),
      "relabeling misses vertex 'b'"),
+    (lambda: SimplicialComplex.from_maximal_simplices(
+        "abc", ["ab", "bc"]).relabel({"a": 1, "b": "q", "c": "r"}),
+     "relabeling must be a mapping onto hashable labels that sort together"),
     (lambda: complex_of_chains(["a"], [("a",)]),
      "pairs must be 2-tuples of vertices"),
     (lambda: complex_of_chains(["a", "b"], [("a", "b", "a")]),
@@ -604,6 +607,9 @@ def test_a_missing_vertex_is_an_input_error(build, message):
     (["a"], None),
     (["a"], [(["a"],)]),
     (["a", 1], [("a", 1)]),
+    (["a", "b", "c"], 5),
+    (["a", "b", "c"], ["a", 5]),
+    (["a", 1], [[1]]),
 ])
 def test_malformed_shapes_are_input_errors(vertices, simplices):
     # a simplex that is no tuple of vertices, or vertices that do not
@@ -617,6 +623,12 @@ def test_malformed_shapes_are_input_errors(vertices, simplices):
                   SimplicialComplex.flag_from_graph, complex_of_chains):
         with pytest.raises(InputError):
             build(vertices, simplices)
+    # and passed to a complex as a simplex, a vertex subset or a
+    # relabeling, they are input errors too
+    x = SimplicialComplex.from_maximal_simplices("abc", ["ab", "bc"])
+    for method in (x.link, x.full_subcomplex, x.relabel):
+        with pytest.raises(InputError):
+            method(simplices)
 
 
 def test_a_simplex_of_another_type_is_undeclared():
