@@ -1,8 +1,8 @@
 """Exact invariants of finite group actions on flag complexes.
 
 Integer and rational arithmetic throughout: Smith normal form homology,
-subgroup posets and their order complexes, equivariant Euler classes for
-p-group actions, Cohen-Macaulay and duality checks, the doubling
+subgroup posets and their order complexes, equivariant Euler classes of
+finite group actions, Cohen-Macaulay and duality checks, the doubling
 construction, and verified acyclic extensions of Moore complexes.
 """
 

@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .euler import (_format_terms, acyclicity_condition, euler_class,
@@ -136,11 +137,66 @@ def _homology_doc(table):
             for d, g in sorted(table.items()) if not g.is_trivial}
 
 
+def _json_text(doc):
+    """json.dumps(doc, sort_keys=True, indent=2), byte for byte, for the
+    documents the commands build: str-keyed dicts, lists, tuples, str,
+    int, bool and None; anything else is a TypeError.  json.dumps encodes
+    in pure Python whenever it indents, through machinery these documents
+    do not need; this writer appends the pieces to one list."""
+    out = []
+    write = out.append
+
+    def dump(value, newline):
+        # newline is the line break and indent of value's own level
+        if isinstance(value, str):
+            write(encode_basestring_ascii(value))
+        elif value is None:
+            write("null")
+        elif value is True:
+            write("true")
+        elif value is False:
+            write("false")
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                write("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError("JSON object keys must be str, not %s"
+                                    % type(key).__name__)
+                write(sep)
+                write(encode_basestring_ascii(key))
+                write(": ")
+                dump(value[key], inner)
+                sep = "," + inner
+            write(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                write("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                write(sep)
+                dump(item, inner)
+                sep = "," + inner
+            write(newline + "]")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(value).__name__)
+    dump(doc, "\n")
+    return "".join(out)
+
+
 def _emit(args, doc, text_lines):
     if args.json:
         doc = dict(doc)
         doc["schema"] = SCHEMA
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(_json_text(doc))
     else:
         for line in text_lines:
             print(line)

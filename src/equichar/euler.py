@@ -1,24 +1,29 @@
 """Equivariant Euler characteristics for K acting on a flag complex L.
 
-The ambient group is the semidirect product of a finite p-group K with the
+The ambient group is the semidirect product of a finite group K with the
 right-angled Artin group on L; its classifying-space Euler characteristic
 decomposes over conjugacy classes of subgroups of K with exact rational
-coefficients.  Two independent routes are implemented: the general
-weighted-sum formula (euler_class) and a telescope for cyclic K
-(euler_class_cyclic); they must agree on cyclic inputs.  The general route
-reads chi(L^E) off the action's vertex stabilizer masks without building
-L^E; the telescope builds each fixed complex, so the two routes share no
-fixed-set code.
+coefficients.  Three routes compute them, and they share no fixed-set code:
+
+- euler_class and euler_class_coefficient count simplices by stabilizer
+  class (K. S. Brown, "Complete Euler characteristics and fixed-point
+  theory", JPAA 1982), from the signed counts that the action keeps per
+  stabilizer mask.  This holds for every finite K.
+- The paper's weighted sum over elementary abelian sections, _weyl_sum,
+  holds for p-groups only.  It stays behind free_coefficient and
+  vanishing_identity, and the tests check it against the count.
+- euler_class_cyclic telescopes a cyclic p-group's class from the built
+  fixed complexes of its subgroup tower.
 """
 
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .exactlin import _exponent
-from .permgrp import (Subgroup, _inner_mask, _lattice, _prime_of_order,
-                      conjugacy_classes_of_subgroups, is_cyclic,
-                      is_elementary_abelian, is_elementary_abelian_any,
-                      require_p_group)
+from .permgrp import (Subgroup, _bits, _conjugates, _inner_mask, _lattice,
+                      _prime_of_order, conjugacy_classes_of_subgroups,
+                      is_cyclic, is_elementary_abelian,
+                      is_elementary_abelian_any, require_p_group)
 from .posets import elementary_abelian_euler_formula
 
 
@@ -90,8 +95,8 @@ def free_coefficient(k, chi):
     chi maps class representatives (any member works) to integers, usually
     Euler characteristics of centralizer pieces.  Each E of rank n for the
     prime p contributes (-1)^n p^(n choose 2) / |k| times the chi value of
-    its class, E = 1 included with weight 1.  This is the sum of
-    euler_class_coefficient for h = 1.
+    its class, E = 1 included with weight 1.  With chi(E) = 1 - chi(L^E)
+    for an action on L it is euler_class_coefficient for h = 1.
     """
     require_p_group(k)
     return _weyl_sum(k, k.group.trivial_subgroup(), lambda cls: _chi_lookup(chi, cls))
@@ -112,15 +117,11 @@ def vanishing_identity(k):
 def euler_class_coefficient(action, h):
     """Coefficient of the class of h; any member of the class may be passed.
 
-    It is the free coefficient of the Weyl group N/h, N the normalizer of
-    h, acting on L^h; since (L^h)^(E/h) = L^E, it is a sum over single
-    subgroups E of the acting group K:
-
-        |h| |(h)| / |K| * sum of (-1)^n p^(n choose 2) (1 - chi(L^E))
-
-    over the E with h normal in E and E/h elementary abelian of rank n,
-    E = h included; |(h)| is the size of the class of h, and
-    |K| / |(h)| = |N|.
+    It is |h| / |K| times the signed count of the simplices whose
+    stabilizer is conjugate to h (see euler_class), read from the counts
+    of the masks in the conjugacy orbit of h's mask, so no subgroup
+    lattice is built; the trivial and the whole subgroup are their own
+    orbits, so for them no multiplication table is built either.
     """
     action.require_admissible()
     k = action.group
@@ -128,10 +129,16 @@ def euler_class_coefficient(action, h):
         if h is not k:
             raise InputError("h must be a subgroup of the acting group")
         h = k.whole()
-
-    def chi(cls):
-        return 1 - action._fixed_euler(cls.rep)
-    return _weyl_sum(k, h, chi)
+    hmask = _inner_mask(k, h)
+    if hmask in (1, k.mask):
+        orbit = [hmask]
+    else:
+        mul, inv = k._tables()
+        orbit = _conjugates(mul, inv, hmask, _bits(hmask),
+                            [k._index[g.key] for g in k.generators], set())
+    counts = action._signed_counts()
+    total = (hmask == k.mask) - sum(counts.get(m, 0) for m in orbit)
+    return Fraction(total * h.order, k.order)
 
 
 def _weyl_sum(k, h, chi):
@@ -160,23 +167,25 @@ def _weyl_sum(k, h, chi):
 
 
 def euler_class(action):
-    """Equivariant Euler class of a p-group action, over all subgroup classes.
+    """Equivariant Euler class of the action of any finite group K.
 
-    1 - chi(L^E) is computed once per class of E, for all the
-    coefficients.
+    The coefficient of the class (H) is |H| / |K| times the sum of
+    (-1)^|s| over the simplices s of L with stabilizer K_s in (H), the
+    empty simplex included with stabilizer K: each K-orbit of simplices
+    with stabilizer conjugate to H has |K : H| members.  An admissible
+    action fixes a simplex setwise only pointwise, so K_s is the AND of
+    the stabilizer masks of its vertices; the action keeps the sum per
+    mask, and each mask is mapped to its class once.
     """
     action.require_admissible()
     k = action.group
-    require_p_group(k)
-    values = {}
-
-    def chi(cls):
-        value = values.get(cls)
-        if value is None:
-            value = values[cls] = 1 - action._fixed_euler(cls.rep)
-        return value
-    return EulerClass({cls.rep: _weyl_sum(k, cls.rep, chi)
-                       for cls in conjugacy_classes_of_subgroups(k)})
+    lattice = _lattice(k)
+    totals = dict.fromkeys(lattice.classes, 0)
+    totals[lattice.class_of(k.mask)] = 1
+    for m, c in action._signed_counts().items():
+        totals[lattice.class_of(m)] -= c
+    return EulerClass({cls.rep: Fraction(t * cls.rep.order, k.order)
+                       for cls, t in totals.items()})
 
 
 def euler_class_cyclic(action):

@@ -49,8 +49,8 @@ Subgroup objects, are memoised on the group, per subgroup mask; callers
 always get a fresh list.  A subgroup H <= E is normal in E with E/H
 elementary abelian for p exactly when H holds x^p for every x in E and the
 commutators that _commutator_mask lists; _power_preimages turns the first
-condition into a mask, so the sections E/H that Euler classes sum over are
-tested by masks, without a normalizer.
+condition into a mask, so the sections E/H that the paper's Euler class
+formula sums over are tested by masks, without a normalizer.
 """
 
 import re
@@ -614,9 +614,10 @@ def _lattice(g):
 
 class _Lattice:
     """The subgroups and the conjugacy classes of a subgroup of group,
-    which share their Subgroup objects, with the lookups of the Euler class
-    sums, each built on first use: the class of a subgroup by its mask,
-    and the sections E/H over a given H that are elementary abelian."""
+    which share their Subgroup objects, with the lookups that the Euler
+    class routes read, each built on first use: the class of a subgroup by
+    its mask, and the sections E/H over a given H that are elementary
+    abelian."""
 
     __slots__ = ("group", "subgroups", "classes", "_class_of", "_holding",
                  "_powers", "_commutators")

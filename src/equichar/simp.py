@@ -9,7 +9,7 @@ and it is the single (-1)-cell of the reduced chain complex.
 
 from functools import reduce
 from itertools import combinations, compress
-from operator import and_, eq, itemgetter
+from operator import add, and_, eq, itemgetter
 
 from .errors import InputError, PreconditionError
 from .exactlin import (ChainComplexZ, IntegerMatrix, _homology,
@@ -394,9 +394,10 @@ class GroupAction:
 
     generator_images maps each group generator to a permutation of the
     complex's vertices; omit it when the group already permutes the
-    vertices.  Images of all elements are built by closing products, which
-    checks that the assignment is a homomorphism; each generator image
-    must carry simplices to simplices.
+    vertices, and each element is then its own image.  Given images are
+    extended to all elements by closing products, which checks that the
+    assignment is a homomorphism.  Each generator image must carry
+    simplices to simplices.
 
     Each vertex keeps its stabilizer as a bitmask over the group's element
     numbers, the encoding of Subgroup.mask.  A subgroup fixes a vertex iff
@@ -409,17 +410,25 @@ class GroupAction:
         self.group = group
         verts = complex.vertices
         if generator_images is None:
-            if tuple(sorted(group.points)) != verts:
+            if group.points != verts:
                 raise InputError("group points differ from complex vertices; "
                                  "supply generator images")
+            # the group's elements permute the vertices themselves, so they
+            # are their own images and no second closure is needed
+            self.images = {g.key: g for g in group.elements}
             generator_images = {g: g for g in group.generators}
-        self.images = homomorphism_images(group, verts, generator_images)
-        simplices = sorted(complex.simplices)
+        else:
+            self.images = homomorphism_images(group, verts, generator_images)
+        simplices = complex.simplices
         for g in group.generators:
             img = generator_images[g].mapping.__getitem__
-            for s in simplices:
-                if tuple(sorted(map(img, s))) not in complex.simplices:
-                    raise InputError("generator %s breaks simplex %r" % (g, s))
+            broken = [s for s in simplices
+                      if tuple(sorted(map(img, s))) not in simplices]
+            if broken:
+                # the least one, so the message does not hang on the
+                # set's iteration order
+                raise InputError("generator %s breaks simplex %r"
+                                 % (g, min(broken)))
         n = len(verts)
         masks = [0] * n
         for e, img in enumerate(self.images.values()):
@@ -428,7 +437,7 @@ class GroupAction:
                 masks[i] |= bit
         self._stabilizers = dict(zip(verts, masks))
         self._admissible = None
-        self._fixed_counts = None  # built by _fixed_euler()
+        self._counts = None  # built by _signed_counts()
 
     def image(self, g):
         if g not in self.group:
@@ -447,11 +456,23 @@ class GroupAction:
 
         g does so iff one of its nontrivial cycles on the vertices spans a
         simplex: a setwise-fixed simplex is a union of cycles of g, and
-        every face of a simplex is a simplex.
+        every face of a simplex is a simplex.  Such a cycle holds the edge
+        from a vertex v to g(v), so the cycles of an element that moves no
+        vertex along an edge are not walked.
         """
         verts = self.complex.vertices
         simplices = self.complex.simplices
+        n = len(verts)
+        number = dict(zip(verts, range(n)))
+        along = set()  # i * n + j for each edge {verts[i], verts[j]}, both ways
+        for s in simplices:
+            if len(s) == 2:
+                i, j = number[s[0]], number[s[1]]
+                along.update((i * n + j, j * n + i))
+        rows = range(0, n * n, n)
         for g, img in zip(self.group.elements, self.images.values()):
+            if along.isdisjoint(map(add, rows, img.key)):
+                continue
             for cycle in _cycles(img.key):
                 if itemgetter(*sorted(cycle))(verts) in simplices:
                     return g
@@ -486,32 +507,29 @@ class GroupAction:
         self.require_admissible()
         return self.complex.full_subcomplex(self.fixed_vertices(h))
 
-    def _fixed_euler(self, h):
-        """Euler characteristic of fixed_subcomplex(h), without building it.
-
-        The simplices of L^h are those whose stabilizer mask, the AND of
-        their vertices' masks, contains h's mask; the simplices are grouped
-        by that mask once per action, each group kept as a signed count.
-        """
-        counts = self._fixed_counts
-        if counts is None:
-            counts = self._fixed_counts = _signed_counts_by_mask(
-                self.complex.simplices, self._stabilizers)
-        mask = self.group._mask_of(h, _OUTSIDE)
-        return sum(c for m, c in counts if not mask & ~m)
+    def _signed_counts(self):
+        """{stabilizer mask: signed count} of _signed_counts_by_mask over
+        the complex, built on the first call."""
+        if self._counts is None:
+            self._counts = _signed_counts_by_mask(self.complex.simplices,
+                                                  self._stabilizers)
+        return self._counts
 
     def vertex_stabilizer(self, v):
         return Subgroup._of(self.group, self._stabilizers[v])
 
 
 def _signed_counts_by_mask(simplices, stabilizers):
-    """((mask, sum of (-1)^dim s over the simplices s with that stabilizer
-    mask), ...), the mask of a simplex being the AND of its vertices'."""
+    """{mask: sum of (-1)^dim s over the simplices s with that stabilizer
+    mask}, the mask of a simplex being the AND of its vertices'.  A
+    subgroup fixes a simplex pointwise iff its mask lies inside the
+    simplex's, so chi(L^H) is the sum of the counts over the masks that
+    contain H's."""
     counts = {}
     for s in simplices:
         m = reduce(and_, map(stabilizers.__getitem__, s))
         counts[m] = counts.get(m, 0) + (1 if len(s) % 2 else -1)
-    return tuple(counts.items())
+    return counts
 
 
 class Embedding:

@@ -512,7 +512,8 @@ def admissibility_scan(action):
 
 
 def orbit_count_euler_class(action):
-    """{class representative key: signed orbit count} for a p-group action.
+    """{class representative key: signed orbit count} for an action of any
+    finite group.
 
     For each conjugacy class (H) of subgroups, the sum of (-1)^|s| over the
     orbits of simplices s of the complex (the empty simplex included, with

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -531,4 +532,33 @@ def test_every_subcommand_on_every_data_pairing(capsys):
                 assert code in (0, 1) and err == "", argv
                 if mode:
                     assert json.loads(out)["schema"] == cli.SCHEMA, argv
-    assert codes == {0: 478, 1: 88, 2: 432, 3: 80}
+    assert codes == {0: 482, 1: 88, 2: 432, 3: 76}
+
+
+def test_json_writer_equals_json_dumps_on_every_document(capsys, monkeypatch):
+    # the writer behind --json against json.dumps, on every document of
+    # the data/ sweep and of the README samples
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, doc, lines:
+                        docs.append(doc) or emit(args, doc, lines))
+    monkeypatch.chdir(DATA.parent)
+    written = 0
+    for argv in (*sweep_argvs(), *README_SAMPLES):
+        del docs[:]
+        main(["--json", *map(str, argv)])
+        out = capsys.readouterr().out
+        if docs:
+            doc = dict(docs[0], schema=cli.SCHEMA)
+            assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", argv
+            written += 1
+    assert written == 296
+
+
+def test_json_writer_refuses_what_the_documents_never_hold():
+    assert cli._json_text({"a": ({}, [[]])}) == \
+        '{\n  "a": [\n    {},\n    [\n      []\n    ]\n  ]\n}'
+    for value in (1.5, {1: "x"}, {"a": {None: 1}}, {"x"}, Fraction(1, 2),
+                  b"bytes"):
+        with pytest.raises(TypeError):
+            cli._json_text(value)

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,7 @@ import helpers
 from equichar import (EulerClass, GroupAction, InputError, Permutation,
                       PreconditionError, acyclicity_condition, all_subgroups,
                       conjugacy_classes_of_subgroups, double_along,
-                      elementary_abelian_classes, euler_class,
+                      elementary_abelian_classes, euler, euler_class,
                       euler_class_coefficient, euler_class_cyclic,
                       find_full_subcomplex_isomorphic, free_coefficient,
                       group_from_generators, permgrp, simp,
@@ -176,6 +177,38 @@ def oracle_actions():
     yield "doubled swap", double_along(bary, emb.mapping.values())[1]
 
 
+def assert_orbit_count(act, name=None):
+    """euler_class(act) against the orbit-count oracle, class for class."""
+    counts = helpers.orbit_count_euler_class(act)
+    coeffs = {h.key: c for h, c in euler_class(act).entries()}
+    assert set(counts) <= set(coeffs), name
+    assert coeffs == {k: counts.get(k, 0) for k in coeffs}, name
+
+
+def fixed_chi(act):
+    """cls -> 1 - chi(L^E) for E in the class, read off the built fixed
+    complex, one per fixed vertex set."""
+    by_class, by_verts = {}, {}
+
+    def chi(cls):
+        if cls.rep not in by_class:
+            verts = act.fixed_vertices(cls.rep)
+            if verts not in by_verts:
+                fixed = act.complex.full_subcomplex(verts)
+                by_verts[verts] = 1 - fixed.euler_characteristic()
+            by_class[cls.rep] = by_verts[verts]
+        return by_class[cls.rep]
+    return chi
+
+
+def weyl_route(act):
+    """The Euler class of a p-group action by the paper's weighted sum."""
+    k = act.group
+    chi = fixed_chi(act)
+    return EulerClass({c.rep: euler._weyl_sum(k, c.rep, chi)
+                       for c in conjugacy_classes_of_subgroups(k)})
+
+
 def test_euler_class_equals_orbit_count():
     for name, act in oracle_actions():
         counts = helpers.orbit_count_euler_class(act)
@@ -238,29 +271,25 @@ def class_member_actions():
 
 
 def test_every_class_member_gives_the_class_coefficient(monkeypatch):
-    # the sum over single subgroups reads h's class from the lattice, so
-    # any member of a class gives its coefficient; euler_class takes no
-    # normalizer and reads chi(L^E) once per class of E
-    normalizers, fixed = [], []
+    # a single coefficient sums the counts over h's conjugacy orbit, so any
+    # member of a class gives its coefficient; neither function takes a
+    # normalizer, and the counts are grouped by stabilizer once per action
+    normalizers, grouped = [], []
     normalizer = permgrp.normalizer
     monkeypatch.setattr(permgrp, "normalizer",
                         lambda *args: normalizers.append(1) or normalizer(*args))
-    fixed_euler = GroupAction._fixed_euler
-    monkeypatch.setattr(GroupAction, "_fixed_euler",
-                        lambda self, h: fixed.append(h) or fixed_euler(self, h))
+    count = simp._signed_counts_by_mask
+    monkeypatch.setattr(simp, "_signed_counts_by_mask",
+                        lambda *args: grouped.append(1) or count(*args))
     for name, act in class_member_actions():
-        classes = conjugacy_classes_of_subgroups(act.group)
-        del fixed[:]
+        del grouped[:]
         cls = euler_class(act)
-        assert normalizers == [], name
-        read = [next(i for i, c in enumerate(classes) if h in c.members)
-                for h in fixed]
-        assert len(read) == len(set(read)) <= len(classes), name
         assert not cls.is_zero, name
-        for c in classes:
+        for c in conjugacy_classes_of_subgroups(act.group):
             expected = cls.coefficients[c.rep]
             for h in c.members:
                 assert euler_class_coefficient(act, h) == expected, name
+        assert normalizers == [] and grouped == [1], name
 
 
 def test_euler_class_of_the_order_256_action():
@@ -277,6 +306,58 @@ def test_euler_class_of_the_order_256_action():
     coeffs = {h.key: c for h, c in entries}
     assert set(counts) <= set(coeffs)
     assert coeffs == {key: counts.get(key, 0) for key in coeffs}
+
+
+def non_p_group_actions():
+    """Groups that are not p-groups, each on bary of the complete graph on
+    its points, taken as a 1-dimensional complex, and on bary of the
+    boundary of the simplex they span.  Neither is contractible: on the
+    flag complex of the complete graph, a simplex, every coefficient is
+    0."""
+    groups = {"S3": helpers.s3(), "C6": helpers.cyclic(6),
+              "D12": helpers.d12(), "A4": helpers.a4(), "S4": helpers.s4(),
+              "C3xS3": helpers.group("(1 2 3)", "(4 5)", "(4 5 6)")}
+    for name, g in groups.items():
+        points = g.points
+        for what, k in (("K_n", 2), ("the boundary", len(points) - 1)):
+            x = helpers.SimplicialComplex.from_maximal_simplices(
+                points, combinations(points, k))
+            yield ("%s on bary(%s)" % (name, what),
+                   helpers.subdivided_action(x, g))
+
+
+def test_euler_class_of_groups_that_are_not_p_groups():
+    # the count holds for every finite K, and each member of a class
+    # gives its class's coefficient
+    for name, act in non_p_group_actions():
+        assert act.group.order in (6, 12, 18, 24), name
+        assert_orbit_count(act, name)
+        cls = euler_class(act)
+        assert not cls.is_zero, name
+        for c in conjugacy_classes_of_subgroups(act.group):
+            expected = cls.coefficients[c.rep]
+            for h in c.members:
+                assert euler_class_coefficient(act, h) == expected, name
+
+
+def test_weyl_sum_equals_the_count_on_p_groups():
+    # the paper's formula, kept behind free_coefficient, against the count
+    # class for class
+    cases = list(oracle_actions())
+    x = helpers.cross_polytope(4)
+    cases.append(("order 128", helpers.subdivided_action(x, helpers.group_on(
+        x, "(1 5)", "(1 2 3 4)(5 6 7 8)", "(1 3)(5 7)"))))
+    x = helpers.cross_polytope(5)
+    cases.append(("order 256", helpers.subdivided_action(x, helpers.group_on(
+        x, "(1 6)", "(1 2)(6 7)", "(3 4)(8 9)", "(1 3)(2 4)(6 8)(7 9)",
+        "(5 10)"))))
+    for name, act in cases:
+        k = act.group
+        assert weyl_route(act) == euler_class(act), name
+        chi = fixed_chi(act)
+        table = {c.rep: chi(c) for c in elementary_abelian_classes(k)}
+        assert free_coefficient(k, table) \
+            == euler_class_coefficient(act, k.trivial_subgroup()), name
 
 
 def test_euler_class_of_the_order_128_action_on_bary2():
@@ -305,8 +386,11 @@ def test_cyclic_route_needs_cyclic_p_group():
     s3act = GroupAction(points, helpers.group_on(points, "(1 2)", "(1 2 3)"))
     with pytest.raises(PreconditionError):
         euler_class_cyclic(s3act)
-    with pytest.raises(PreconditionError):
-        euler_class(s3act)
+    # the count takes every finite K: S3 moves the points in one orbit
+    # with stabilizers of order 2, and the empty simplex gives [Γ/S3]
+    assert_orbit_count(s3act)
+    assert euler_class(s3act).format_text() == (
+        "0·[Γ/1] - 1·[Γ/⟨(2 3)⟩] + 0·[Γ/⟨(1 2 3)⟩] + 1·[Γ/⟨(2 3), (1 2)⟩]")
 
 
 def test_euler_class_requires_admissible():

@@ -1,6 +1,7 @@
 """Property tests: random small permutation groups, integer matrices and
 flag complexes against brute-force oracles and theorems."""
 
+import json
 from itertools import combinations
 
 import pytest
@@ -9,11 +10,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import helpers  # noqa: E402
-from equichar import (FinitePoset, InputError,  # noqa: E402
+from equichar import (FinitePoset, InputError, cli,  # noqa: E402
                       IntegerMatrix, Permutation,
                       SimplicialComplex, all_subgroups, augment, cohomology,
                       conjugacy_classes_of_subgroups,
-                      duality, euler_class, euler_class_cyclic, exactlin,
+                      duality, euler, euler_class, euler_class_cyclic,
+                      exactlin,
                       group_from_generators, homology, homology_mod_p,
                       normalizer, smith_normal_form)
 
@@ -220,12 +222,34 @@ def test_euler_class_equals_orbit_count(act):
 def test_fixed_euler_characteristic_congruence(act):
     # the simplices off L^K fall into K-orbits of size divisible by p, so
     # chi(L^K) = chi(L) mod p; checked on the stabilizer-mask count that
-    # the Euler class sum reads and on the built fixed complex
+    # the Euler class reads and on the built fixed complex
     k = act.group
     p = exactlin.prime_power_base(k.order)
     chi = act.complex.euler_characteristic()
-    assert (act._fixed_euler(k.whole()) - chi) % p == 0
+    assert (act._signed_counts().get(k.mask, 0) - chi) % p == 0
     assert (act.fixed_subcomplex(k.whole()).euler_characteristic() - chi) % p == 0
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(admissible_actions())
+def test_weyl_route_is_supported_on_stabilizer_classes(act):
+    # the coefficient of (H) counts the simplices with stabilizer in (H),
+    # so it is nonzero only for H = K (the empty simplex) or H conjugate
+    # to a simplex stabilizer; the count has this by construction, and
+    # the paper's weighted sum must have it too
+    k = act.group
+    images = [(g.key, act.image(g)) for g in k.elements]
+    stabilizers = {frozenset(key for key, img in images
+                             if tuple(sorted(map(img, s))) == s)
+                   for s in act.complex.simplices}
+    chi = {}
+    for c in conjugacy_classes_of_subgroups(k):
+        fixed = act.fixed_subcomplex(c.rep)
+        chi[c.rep] = 1 - fixed.euler_characteristic()
+    for c in conjugacy_classes_of_subgroups(k):
+        if euler._weyl_sum(k, c.rep, lambda e: chi[e.rep]):
+            assert c.rep.order == k.order or any(
+                frozenset(h.key) in stabilizers for h in c.members)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -262,3 +286,20 @@ def test_poset_validator_equals_the_triple_loop(relation):
         assert not strict
     else:
         assert strict
+
+
+# strings with the characters JSON escapes, beside any other
+json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud7ff\U0001f600')
+                    | st.characters(), max_size=8)
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([2 ** 100, -3 ** 70]) | json_text,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(json_text, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(json_documents)
+def test_json_writer_equals_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)

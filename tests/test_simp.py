@@ -1,5 +1,6 @@
 """Simplicial complexes, group actions on them, subcomplex embeddings."""
 
+import pathlib
 import random
 import re
 import time
@@ -15,6 +16,10 @@ from equichar import (ChainComplexZ, FinitePoset, GroupAction,
                       conjugacy_classes_of_subgroups, double_along,
                       find_full_subcomplex_isomorphic, group_from_generators,
                       simp)
+from equichar.cli import load_complex, load_group
+from equichar.permgrp import homomorphism_images
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def test_face_closure():
@@ -348,6 +353,71 @@ def test_generators_must_generate_the_group():
         GroupAction(square, g, {gen: Permutation.from_cycles("abcd", "(a b c d)")})
 
 
+def test_implicit_images_equal_the_closed_homomorphism():
+    # a group that permutes the vertices is its own image, as closing the
+    # identity assignment on its generators would give, and a generator
+    # that breaks a simplex is refused alike on both paths
+    actions = refused = 0
+    for x_name in ("T", "artinL", "octahedron", "star", "tetra_boundary"):
+        x = load_complex(DATA / (x_name + ".json"))
+        for g_name in ("c2", "c2swap", "c4", "d8", "k1", "k2", "s4"):
+            try:
+                g = load_group(DATA / (g_name + ".json"), complex=x)
+            except InputError:
+                continue
+            identity = {gen: gen for gen in g.generators}
+            try:
+                act = GroupAction(x, g)
+            except InputError as exc:
+                with pytest.raises(InputError, match="^%s$" % re.escape(str(exc))):
+                    GroupAction(x, g, generator_images=identity)
+                refused += 1
+                continue
+            closed = homomorphism_images(g, x.vertices, identity)
+            assert list(act.images.items()) == list(closed.items())
+            assert act._stabilizers == GroupAction(x, g, identity)._stabilizers
+            actions += 1
+    assert (actions, refused) == (10, 11)
+
+
+def test_explicit_images_are_still_closed():
+    # images given for a group that permutes the vertices itself still go
+    # through the closure, which refuses a non-homomorphism: (1 2) does
+    # not invert (1 2 3 4) by conjugation as the image of (1 3) must
+    square = SimplicialComplex.from_maximal_simplices(
+        "1234", [("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
+    g = helpers.d8()
+    rotation, reflection = g.generators
+    images = {rotation: rotation,
+              reflection: Permutation.from_cycles(square.vertices, "(1 2)")}
+    with pytest.raises(InputError, match="^generator images do not define "
+                       "a homomorphism$"):
+        GroupAction(square, g, generator_images=images)
+
+
+def test_broken_simplex_named_is_the_least():
+    # the check walks the simplex set in its own order but names the least
+    # broken simplex; the vertex names are varied until that order meets
+    # another broken simplex first.  (v2 v3)(v4 v5)(v6 v7)(v8 v9) breaks
+    # each of the four edges
+    for prefix in "abcdefghijklmnopqrst":
+        v = [prefix + str(i) for i in range(10)]
+        x = SimplicialComplex.from_maximal_simplices(
+            v[1:], [(v[1], v[2]), (v[3], v[4]), (v[5], v[6]), (v[7], v[8])])
+        g = helpers.group_on(x, "(%s %s)(%s %s)(%s %s)(%s %s)" % tuple(v[2:]))
+        gen = g.generators[0]
+        broken = [s for s in x.simplices
+                  if tuple(sorted(map(gen, s))) not in x.simplices]
+        if broken[0] != min(broken):
+            break
+    else:
+        pytest.fail("every vertex naming meets the least broken simplex first")
+    assert len(broken) == 4 and min(broken) == (v[1], v[2])
+    with pytest.raises(InputError, match="^%s$" % re.escape(
+            "generator %s breaks simplex %r" % (gen, (v[1], v[2])))):
+        GroupAction(x, g)
+
+
 def _assert_homomorphism(act):
     images = act.images
     assert list(images) == [g.key for g in act.group.elements]
@@ -476,7 +546,8 @@ def test_admissibility_equals_the_scan():
 
 def test_fixed_sets_equal_permutation_calls():
     # fixed vertices, stabilizers and chi(L^E) read from the stabilizer
-    # masks, against Permutation calls and the built fixed complexes
+    # masks (the signed counts of the masks holding E's), against
+    # Permutation calls and the built fixed complexes
     checked = 0
     for name, act in (*corpus_actions(), *subdivided_actions()):
         imgs = {g: act.image(g) for g in act.group.elements}
@@ -490,7 +561,8 @@ def test_fixed_sets_equal_permutation_calls():
             assert act.fixed_vertices(list(e.elements)) == fixed, name
             if act.is_admissible():
                 fixed = act.fixed_subcomplex(e)
-                assert act._fixed_euler(e) == fixed.euler_characteristic(), name
+                assert sum(c for m, c in act._signed_counts().items()
+                           if not e.mask & ~m) == fixed.euler_characteristic(), name
                 checked += 1
     assert checked > 250  # 277 subgroups of admissible actions
 
