@@ -9,9 +9,10 @@ coefficients.  Three routes compute them, and they share no fixed-set code:
   class (K. S. Brown, "Complete Euler characteristics and fixed-point
   theory", JPAA 1982), from the signed counts that the action keeps per
   stabilizer mask.  This holds for every finite K.
-- The paper's weighted sum over elementary abelian sections, _weyl_sum,
-  holds for p-groups only.  It stays behind free_coefficient and
-  vanishing_identity, and the tests check it against the count.
+- The paper's weighted sum holds for p-groups only.  At H = 1 it runs
+  over the classes of elementary abelian subgroups, behind
+  free_coefficient and vanishing_identity; the tests check its general
+  form against the count.
 - euler_class_cyclic telescopes a cyclic p-group's class from the built
   fixed complexes of its subgroup tower.
 """
@@ -21,9 +22,9 @@ from fractions import Fraction
 from .errors import InputError, PreconditionError
 from .exactlin import _exponent
 from .permgrp import (Subgroup, _bits, _conjugates, _inner_mask, _lattice,
-                      _prime_of_order, conjugacy_classes_of_subgroups,
-                      is_cyclic, is_elementary_abelian,
-                      is_elementary_abelian_any, require_p_group)
+                      conjugacy_classes_of_subgroups, is_cyclic,
+                      is_elementary_abelian, is_elementary_abelian_any,
+                      require_p_group)
 from .posets import elementary_abelian_euler_formula
 
 
@@ -33,7 +34,8 @@ class EulerClass:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        self.coefficients = {h: Fraction(c) for h, c in coefficients.items()}
+        self.coefficients = {h: c if type(c) is Fraction else Fraction(c)
+                             for h, c in coefficients.items()}
 
     def entries(self):
         """(subgroup, coefficient) pairs, smallest subgroups first."""
@@ -98,8 +100,7 @@ def free_coefficient(k, chi):
     its class, E = 1 included with weight 1.  With chi(E) = 1 - chi(L^E)
     for an action on L it is euler_class_coefficient for h = 1.
     """
-    require_p_group(k)
-    return _weyl_sum(k, k.group.trivial_subgroup(), lambda cls: _chi_lookup(chi, cls))
+    return _elementary_abelian_sum(k, lambda cls: _chi_lookup(chi, cls))
 
 
 def vanishing_identity(k):
@@ -110,8 +111,23 @@ def vanishing_identity(k):
     """
     if len(k.elements) == 1:
         raise PreconditionError("identity holds only for nontrivial groups")
-    require_p_group(k)
-    return _weyl_sum(k, k.group.trivial_subgroup(), lambda cls: 1)
+    return _elementary_abelian_sum(k, lambda cls: 1)
+
+
+def _elementary_abelian_sum(k, chi):
+    """The sum of free_coefficient for the p-group k, one term per class
+    C of elementary abelian subgroups, |C| times the weight of its
+    representative times chi(C); the trivial class weighs 1, also when k
+    is trivial and has no prime."""
+    p = require_p_group(k)
+    total = 0
+    for cls in elementary_abelian_classes(k):
+        weight = 1
+        if not cls.rep.is_trivial:
+            rank = _exponent(cls.rep.order, p)
+            weight = elementary_abelian_euler_formula(p, rank)
+        total += cls.size * weight * chi(cls)
+    return Fraction(total, k.order)
 
 
 def euler_class_coefficient(action, h):
@@ -139,31 +155,6 @@ def euler_class_coefficient(action, h):
     counts = action._signed_counts()
     total = (hmask == k.mask) - sum(counts.get(m, 0) for m in orbit)
     return Fraction(total * h.order, k.order)
-
-
-def _weyl_sum(k, h, chi):
-    """|h| |(h)| / |k| times the sum, over the subgroups E of k with h
-    normal in E and E/h elementary abelian of rank n, of
-    (-1)^n p^(n choose 2) chi(class of E).
-
-    This is the sum over the classes of elementary abelian subgroups of the
-    Weyl group N_k(h)/h, each weighted by its size over |N_k(h)|, taken one
-    subgroup at a time: no normalizer and no conjugation orbit is needed.
-    p is the prime of |N_k(h) : h| = |k| / (|(h)| |h|); the subgroups E
-    and their classes are read from k's memoised lattice.
-    """
-    hmask = _inner_mask(k, h)
-    lattice = _lattice(k)
-    cls = lattice.class_of(hmask)
-    p = _prime_of_order(k.order // (cls.size * h.order))
-    if p is None:  # h = N_k(h), so E = h alone
-        return Fraction(chi(cls))
-    total = 0
-    for e in lattice.sections(hmask, p):
-        rank = _exponent(e.order // h.order, p)
-        weight = elementary_abelian_euler_formula(p, rank)
-        total += weight * chi(lattice.class_of(e.mask))
-    return Fraction(total * h.order * cls.size, k.order)
 
 
 def euler_class(action):

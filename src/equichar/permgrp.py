@@ -46,11 +46,7 @@ too: each K > 1 there has a normal subgroup of prime index, so the z
 above can be taken to normalize H (Neubüser's method for solvable
 groups).  The lattice and its conjugacy classes, which share their
 Subgroup objects, are memoised on the group, per subgroup mask; callers
-always get a fresh list.  A subgroup H <= E is normal in E with E/H
-elementary abelian for p exactly when H holds x^p for every x in E and the
-commutators that _commutator_mask lists; _power_preimages turns the first
-condition into a mask, so the sections E/H that the paper's Euler class
-formula sums over are tested by masks, without a normalizer.
+always get a fresh list.
 """
 
 import re
@@ -614,22 +610,16 @@ def _lattice(g):
 
 class _Lattice:
     """The subgroups and the conjugacy classes of a subgroup of group,
-    which share their Subgroup objects, with the lookups that the Euler
-    class routes read, each built on first use: the class of a subgroup by
-    its mask, and the sections E/H over a given H that are elementary
-    abelian."""
+    which share their Subgroup objects, with the class of a subgroup by
+    its mask, looked up in a map built on first use."""
 
-    __slots__ = ("group", "subgroups", "classes", "_class_of", "_holding",
-                 "_powers", "_commutators")
+    __slots__ = ("group", "subgroups", "classes", "_class_of")
 
     def __init__(self, group, subgroups, classes):
         self.group = group
         self.subgroups = subgroups
         self.classes = classes
         self._class_of = None
-        self._holding = None
-        self._powers = {}
-        self._commutators = {}
 
     def class_of(self, mask):
         """The SubgroupClass of the subgroup with this mask."""
@@ -637,48 +627,6 @@ class _Lattice:
             self._class_of = {s.mask: c for c in self.classes
                               for s in c.members}
         return self._class_of[mask]
-
-    def sections(self, mask, p):
-        """The subgroups E with H normal in E and E/H elementary abelian
-        for p, E = H included, in lattice order, for H given by its mask.
-
-        E over H qualifies exactly when H holds every x^p with x in E and
-        the commutators of E's _commutator_mask, which together generate
-        E^p[E, E].  The subgroups over H are the AND, over the elements x
-        of H, of holding[x], the bitset of the subgroups that hold x; the
-        x with x^p in H are the OR of _power_preimages over them.
-        """
-        subs = self.subgroups
-        holding = self._holding
-        if holding is None:
-            holding = self._holding = {}
-            for i, e in enumerate(subs):
-                bit = 1 << i
-                for x in _bits(e.mask):
-                    holding[x] = holding.get(x, 0) | bit
-        preimages = self._powers.get(p)
-        if preimages is None:
-            preimages = self._powers[p] = _power_preimages(self.group, p)
-        above = (1 << len(subs)) - 1
-        roots = 0
-        for x in _bits(mask):
-            above &= holding[x]
-            roots |= preimages[x]
-        commutators = self._commutators
-        out = []
-        for i in _bits(above):
-            e = subs[i]
-            m = e.mask
-            if m != mask:
-                if m & ~roots:
-                    continue
-                c = commutators.get(m)
-                if c is None:
-                    c = commutators[m] = _commutator_mask(e)
-                if c & ~mask:
-                    continue
-            out.append(e)
-        return out
 
 
 def _cyclic_extension(group, top):
@@ -861,18 +809,6 @@ def _commutator_mask(e):
         for g, gi in gens:
             mask |= 1 << mul[left[gi]][row[g]]
     return mask
-
-
-def _power_preimages(group, p):
-    """For each element number y, the mask of the elements x with x^p = y."""
-    mul = group._tables()[0]
-    masks = [0] * group.order
-    for x, row in enumerate(mul):
-        y = x
-        for _ in range(p - 1):
-            y = row[y]
-        masks[y] |= 1 << x
-    return masks
 
 
 def normalizer(g, h):

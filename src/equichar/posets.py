@@ -233,11 +233,13 @@ def weyl_poset_check(g, h):
     subgroup poset of the Weyl group N_g(h)/h, in reduced homology.
 
     By the correspondence theorem that poset is the interval of subgroups
-    K with h < K <= N_g(h), so it is read from the lattice of N_g(h).
+    K with h < K <= N_g(h), read from g's lattice by the mask of N_g(h);
+    no lattice of N_g(h) is built.
     """
     require_p_group(g)
     above = poset_strictly_above(g, h)
-    weyl = poset_strictly_above(normalizer(g, h), h)
+    nmask = normalizer(g, h).mask
+    weyl = _inclusion_poset([k for k in above.elements if not k.mask & ~nmask])
     ha = above.reduced_homology()
     hw = weyl.reduced_homology()
     cmp = PosetComparison(len(above), len(weyl), ha, hw,

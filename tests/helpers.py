@@ -549,6 +549,47 @@ def orbit_count_euler_class(action):
     return counts
 
 
+@functools.cache
+def _section_floor(group, emask, p):
+    """Mask of the commutators and the p-th powers of the subgroup emask
+    of group: a subgroup H <= E holds it exactly when H is normal in E
+    and E/H is elementary abelian for p."""
+    mul = group._tables()[0]
+    powers = 0
+    for x in permgrp._bits(emask):
+        y = x
+        for _ in range(p - 1):
+            y = mul[y][x]
+        powers |= 1 << y
+    return permgrp._commutator_mask(permgrp.Subgroup._of(group, emask)) | powers
+
+
+def elementary_sections(k, h, p):
+    """The subgroups E of k, in lattice order, with h normal in E and E/h
+    elementary abelian for p, E = h included; E >= h is tested by mask."""
+    group, hmask = k.group, h.mask
+    return [e for e in all_subgroups(k) if not hmask & ~e.mask
+            and not _section_floor(group, e.mask, p) & ~hmask]
+
+
+def weyl_sum(k, h, chi):
+    """The coefficient of the class of h in the Euler class, by the
+    paper's weighted sum for the p-group k: |h| |(h)| / |k| times the sum,
+    over the E of elementary_sections with E/h of rank n, of
+    (-1)^n p^(n choose 2) chi(class of E); chi takes a SubgroupClass."""
+    p = permgrp.require_p_group(k)
+    lattice = permgrp._lattice(k)
+    cls = lattice.class_of(h.mask)
+    if cls.size * h.order == k.order:  # h = N_k(h), so E = h alone
+        return Fraction(chi(cls))
+    rank = {p ** n: n for n in range(k.order.bit_length())}
+    total = 0
+    for e in elementary_sections(k, h, p):
+        n = rank[e.order // h.order]
+        total += (-1) ** n * p ** (n * (n - 1) // 2) * chi(lattice.class_of(e.mask))
+    return Fraction(total * h.order * cls.size, k.order)
+
+
 # ------------------------------------------------------------ poset oracles
 
 

@@ -1,5 +1,6 @@
 """Equivariant Euler classes, the vanishing identity, and the acyclicity check."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,7 @@ import helpers
 from equichar import (EulerClass, GroupAction, InputError, Permutation,
                       PreconditionError, acyclicity_condition, all_subgroups,
                       conjugacy_classes_of_subgroups, double_along,
-                      elementary_abelian_classes, euler, euler_class,
+                      elementary_abelian_classes, euler_class,
                       euler_class_coefficient, euler_class_cyclic,
                       find_full_subcomplex_isomorphic, free_coefficient,
                       group_from_generators, permgrp, simp,
@@ -62,6 +63,46 @@ def test_free_coefficient_missing_class():
     g = helpers.cyclic(2)
     with pytest.raises(InputError):
         free_coefficient(g, {by_order(g, 1)[0]: 1})
+
+
+def test_free_coefficient_names_the_first_missing_class():
+    # the table misses both classes of non-central reflections; the error
+    # names the representative of the first class in class order
+    g = helpers.d8()
+    classes = elementary_abelian_classes(g)
+    table = {cls.members[-1]: 1 for cls in classes[:1] + classes[3:]}
+    with pytest.raises(InputError, match="^chi table is missing the class "
+                       "of ⟨\\(2 4\\)⟩$"):
+        free_coefficient(g, table)
+
+
+def test_free_coefficient_and_vanishing_identity_equal_the_weyl_sum():
+    # the by-class sum against the paper's sum over single subgroups at
+    # h = 1, on seeded chi tables keyed by any member of each class
+    trivial = group_from_generators(("1",), [])
+    groups = dict(helpers.pgroup_corpus(), trivial=trivial)
+    for name, g in groups.items():
+        h = g.trivial_subgroup()
+        classes = elementary_abelian_classes(g)
+        rng = random.Random(name)
+        for _ in range(5):
+            values = {cls: rng.randint(-9, 9) for cls in classes}
+            table = {rng.choice(cls.members): v for cls, v in values.items()}
+            assert free_coefficient(g, table) \
+                == helpers.weyl_sum(g, h, values.__getitem__), name
+        if g is not trivial:
+            assert vanishing_identity(g) \
+                == helpers.weyl_sum(g, h, lambda cls: 1), name
+
+
+def test_euler_class_keeps_fractions_as_given():
+    g = helpers.cyclic(2)
+    trivial, whole = by_order(g, 1)[0], by_order(g, 2)[0]
+    half = Fraction(1, 2)
+    cls = EulerClass({trivial: half, whole: 3})
+    assert cls.coefficients[trivial] is half
+    assert type(cls.coefficients[whole]) is Fraction
+    assert cls.coefficients[whole] == 3
 
 
 def test_free_coefficient_needs_p_group():
@@ -205,7 +246,7 @@ def weyl_route(act):
     """The Euler class of a p-group action by the paper's weighted sum."""
     k = act.group
     chi = fixed_chi(act)
-    return EulerClass({c.rep: euler._weyl_sum(k, c.rep, chi)
+    return EulerClass({c.rep: helpers.weyl_sum(k, c.rep, chi)
                        for c in conjugacy_classes_of_subgroups(k)})
 
 
@@ -341,7 +382,7 @@ def test_euler_class_of_groups_that_are_not_p_groups():
 
 
 def test_weyl_sum_equals_the_count_on_p_groups():
-    # the paper's formula, kept behind free_coefficient, against the count
+    # the paper's formula, the tests' oracle, against the count
     # class for class
     cases = list(oracle_actions())
     x = helpers.cross_polytope(4)

@@ -237,7 +237,7 @@ def test_lattice_memo_returns_fresh_lists():
 
 
 def test_sections_are_the_elementary_abelian_quotients():
-    # the E that the Euler class sums read for h are those with h normal
+    # the E that the oracle's Weyl sum reads for h are those with h normal
     # in E and E/h elementary abelian, checked on the quotient built from
     # cosets; the Heisenberg group of order 27 has exponent 3, so there
     # the commutators decide
@@ -247,11 +247,10 @@ def test_sections_are_the_elementary_abelian_quotients():
              (heisenberg, 3)]
     for g, p in cases:
         subs = all_subgroups(g)
-        lattice = permgrp._lattice(g)
         for h in subs:
             expected = [e for e in subs if h <= e and is_normal(e, h)
                         and is_elementary_abelian(helpers.coset_quotient(e, h), p)]
-            assert lattice.sections(h.mask, p) == expected, (g, p, h)
+            assert helpers.elementary_sections(g, h, p) == expected, (g, p, h)
 
 
 def test_subgroup_lattice_equals_lattice_of_as_group():

@@ -9,7 +9,7 @@ from equichar import (FinitePoset, HomologyGroup, InputError,
                       elementary_abelian_euler_formula, homology_tables_equal,
                       normalizer, poset_strictly_above, prime_power_base,
                       quillen_thevenaz_check, subgroup_poset, weyl_poset_check)
-from equichar.posets import FILTERS
+from equichar.posets import FILTERS, PosetComparison, WeylPosetReport
 
 
 def chain_poset(n):
@@ -168,6 +168,24 @@ def test_weyl_poset_check_extremes():
     trivial = [h for h in all_subgroups(g) if h.order == 1][0]
     rep = weyl_poset_check(g, trivial)
     assert rep.comparison.left_size == rep.comparison.right_size == 9
+
+
+def test_weyl_poset_check_equals_the_normalizer_lattice_route():
+    # the Weyl interval read from g's lattice by the normalizer's mask
+    # against the poset above h in the lattice of N(h) itself; a full
+    # check builds no lattice but g's own
+    for name, g in helpers.pgroup_corpus().items():
+        classes = conjugacy_classes_of_subgroups(g)
+        reports = [weyl_poset_check(g, cls.rep) for cls in classes]
+        assert list(g._lattices) == [g.mask], name
+        for cls, rep in zip(classes, reports):
+            above = poset_strictly_above(g, cls.rep)
+            weyl = poset_strictly_above(normalizer(g, cls.rep), cls.rep)
+            ha = above.reduced_homology()
+            hw = weyl.reduced_homology()
+            assert rep == WeylPosetReport(cls.rep, PosetComparison(
+                len(above), len(weyl), ha, hw,
+                homology_tables_equal(ha, hw))), name
 
 
 def test_weyl_interval_matches_coset_quotient():

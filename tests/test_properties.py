@@ -14,7 +14,7 @@ from equichar import (FinitePoset, InputError, cli,  # noqa: E402
                       IntegerMatrix, Permutation,
                       SimplicialComplex, all_subgroups, augment, cohomology,
                       conjugacy_classes_of_subgroups,
-                      duality, euler, euler_class, euler_class_cyclic,
+                      duality, euler_class, euler_class_cyclic,
                       exactlin,
                       group_from_generators, homology, homology_mod_p,
                       normalizer, smith_normal_form)
@@ -247,7 +247,7 @@ def test_weyl_route_is_supported_on_stabilizer_classes(act):
         fixed = act.fixed_subcomplex(c.rep)
         chi[c.rep] = 1 - fixed.euler_characteristic()
     for c in conjugacy_classes_of_subgroups(k):
-        if euler._weyl_sum(k, c.rep, lambda e: chi[e.rep]):
+        if helpers.weyl_sum(k, c.rep, lambda e: chi[e.rep]):
             assert c.rep.order == k.order or any(
                 frozenset(h.key) in stabilizers for h in c.members)
 
