@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, PreconditionError, ResourceLimitError
@@ -365,7 +366,7 @@ def cmd_double(args):
     if len(image.vertices) == len(host.vertices):
         raise PreconditionError("pattern covers the whole host; the swap is "
                                 "trivial")
-    doubled, action = double_along(host, image)
+    doubled, action = double_along(host, image.vertices)
     gen = action.group.generators[0]
     doc = {"command": "double", "ok": True,
            "embedding": {k: embedding.mapping[k] for k in sorted(embedding.mapping)},
@@ -386,7 +387,7 @@ def cmd_double(args):
 
 def _maximal_simplices(x):
     """Simplices that are no other simplex's codimension-1 face."""
-    faces = {s[:i] + s[i + 1:] for s in x.simplices for i in range(len(s))}
+    faces = {f for s in x.simplices for f in combinations(s, len(s) - 1)}
     return [list(s) for s in sorted(x.simplices - faces)]
 
 

@@ -9,6 +9,8 @@ reduced link cohomology in degree k - dim(simplex) - 2; for a duality
 group everything lands in a single k.
 """
 
+from itertools import combinations
+
 from ._record import _Record
 from .errors import InputError, PreconditionError
 from .exactlin import HomologyGroup, _universal_coefficients
@@ -50,16 +52,15 @@ def _link_table(x):
             cofaces = {}  # tail c -> proper cofaces of (v,) + c
             for t in stars[v]:
                 i = t.index(v) + 1
-                tails = [()]
-                for w in t[i:]:
-                    tails += [c + (w,) for c in tails]
-                if i == 1:  # t itself has least vertex v: not its own coface
-                    cofaces.setdefault(tails.pop(), [])
-                for c in tails:
-                    if c in cofaces:
-                        cofaces[c].append(t)
-                    else:
-                        cofaces[c] = [t]
+                rest = t[i:]
+                if i == 1:  # t = (v,) + rest is not its own coface
+                    cofaces.setdefault(rest, [])
+                for k in range(len(rest) + (i > 1)):
+                    for c in combinations(rest, k):
+                        if c in cofaces:
+                            cofaces[c].append(t)
+                        else:
+                            cofaces[c] = [t]
             for c in sorted(cofaces):
                 s = (v,) + c
                 table[s] = _link_homology(x, s, cofaces[c])

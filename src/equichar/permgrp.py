@@ -142,16 +142,17 @@ class Permutation:
         return Permutation._of(self.points, tuple(inv))
 
     def __pow__(self, n):
+        """Square and multiply on the keys, with no factor of the identity."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = Permutation.identity(self.points)
-        base = self
+        out, base = None, self.key
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else _compose(out, base)
             n >>= 1
-        return out
+            if n:
+                base = _compose(base, base)
+        return Permutation._of(self.points, out or tuple(range(len(base))))
 
     @property
     def is_identity(self):
@@ -909,10 +910,7 @@ def elementary_abelian_rank(h, p):
 
 def require_p_group(k):
     """Return the prime p with |k| a power of p (None for the trivial group)."""
-    return _prime_of_order(len(k.elements))
-
-
-def _prime_of_order(n):
+    n = len(k.elements)
     p = prime_power_base(n)
     if p is None and n > 1:
         raise PreconditionError("group of order %d is not a p-group" % n)

@@ -5,18 +5,21 @@ nilpotent subgroups, nontrivial elementary abelian subgroups, and proper
 nontrivial subgroups.  Euler characteristics are augmented (the empty
 chain counts with sign -1).
 
+The reduced Euler characteristic of the order complex is mu(0, 1), the
+Moebius value of the poset with a least 0 and a greatest 1 adjoined (P.
+Hall, "The Eulerian functions of a group", 1936).
+
 A poset with a greatest or a least element is conically contractible
 (Quillen, "Homotopy properties of the poset of nontrivial p-subgroups of a
 group", Adv. Math. 1978): its order complex is a cone with that element as
 apex.  Its reduced homology is zero in every degree from -1 up to the
 dimension of the order complex, which is one less than the number of
-elements in a longest chain, and its reduced Euler characteristic is 0;
-neither is computed from the chains.  Every "nontrivial" poset, the
-"nilpotent" poset of a nilpotent group and every nonempty poset of the
-subgroups above h is such a cone.
+elements in a longest chain.  One pass over the elements finds mu(0, 1),
+the longest chain and whether the poset is a cone; no chain is listed.
+Every "nontrivial" poset, the "nilpotent" poset of a nilpotent group and
+every nonempty poset of the subgroups above h is such a cone.
 """
 
-from collections import Counter
 from math import comb
 
 from ._record import _Record
@@ -25,7 +28,7 @@ from .exactlin import HomologyGroup
 from .permgrp import (all_subgroups, is_elementary_abelian,
                       is_elementary_abelian_any, is_nilpotent, normalizer,
                       require_p_group)
-from .simp import _adjacency, _cliques, complex_of_chains
+from .simp import complex_of_chains
 
 FILTERS = ("nontrivial", "nilpotent", "elementary-abelian", "proper-nontrivial")
 
@@ -107,46 +110,42 @@ class FinitePoset:
 
     def chain_counts(self):
         """c[k] = number of chains with k + 1 elements, k >= 0: the f-vector
-        of the order complex, counted without building it."""
-        sizes = Counter(map(len, _cliques(_adjacency(range(len(self)), self.lt))))
-        return tuple(sizes[k] for k in range(1, len(sizes) + 1))
+        of the order complex, built on the element indices."""
+        return complex_of_chains(range(len(self)), self.lt).f_vector()
 
     def augmented_euler(self):
-        """-1 + sum over k of (-1)^k (number of k-chains); 0 for a cone."""
-        if self._cone_length() is not None:
-            return 0
-        total = -1
-        for k, c in enumerate(self.chain_counts()):
-            total += (-1) ** k * c
-        return total
+        """-1 + sum over k of (-1)^k (number of k-chains), as mu(0, 1)."""
+        return self._mobius_pass()[0]
 
     def reduced_homology(self):
         """{degree: HomologyGroup} of the order complex, degrees -1 up to
         its dimension; all zero for a cone, whose chains are not built."""
-        length = self._cone_length()
+        length = self._mobius_pass()[1]
         if length is None:
             return self.order_complex().reduced_homology()
         return {d: HomologyGroup() for d in range(-1, length)}
 
-    def _cone_length(self):
-        """The number of elements in a longest chain when the poset has a
-        greatest or a least element, else None.
+    def _mobius_pass(self):
+        """(mu(0, 1), cone length): the augmented Euler characteristic, and
+        the number of elements in a longest chain if some element lies
+        above or below all the others, else None.
 
-        Chain lengths come from a pass over the elements in order of how
-        many lie below them, which is a linear extension of the order.
+        Over the elements in order of how many lie below them, a linear
+        extension, Hall's recursion gives mu(0, x) = -1 - sum of mu(0, y)
+        over y < x, and mu(0, 1) = -1 - sum of mu(0, x) over all x.  A
+        finite poset with just one minimal element has it least.
         """
         n = len(self.elements)
         below = [[] for _ in range(n)]
-        above = [0] * n
         for i, j in self.lt:
             below[j].append(i)
-            above[i] += 1
-        if n - 1 not in above and all(len(b) < n - 1 for b in below):
-            return None
+        mu = [0] * n
         length = [0] * n
         for j in sorted(range(n), key=lambda j: len(below[j])):
+            mu[j] = -1 - sum(map(mu.__getitem__, below[j]))
             length[j] = 1 + max(map(length.__getitem__, below[j]), default=0)
-        return max(length)
+        cone = length.count(1) == 1 or any(len(b) == n - 1 for b in below)
+        return -1 - sum(mu), max(length) if cone else None
 
 
 def subgroup_poset(g, which, p=None):

@@ -535,7 +535,7 @@ def _signed_counts_by_mask(simplices, stabilizers):
 class Embedding:
     """An isomorphism from a pattern complex onto a full subcomplex of a host."""
 
-    __slots__ = ("pattern", "host", "mapping")
+    __slots__ = ("pattern", "host", "mapping", "_image")
 
     def __init__(self, pattern, host, mapping):
         if set(mapping) != set(pattern.vertices):
@@ -548,9 +548,10 @@ class Embedding:
         self.pattern = pattern
         self.host = host
         self.mapping = dict(mapping)
+        self._image = image
 
     def image_complex(self):
-        return self.host.full_subcomplex(self.mapping.values())
+        return self._image
 
     def __repr__(self):
         return "Embedding(%r)" % (self.mapping,)

@@ -608,6 +608,13 @@ def count_chains(n, lt_pairs):
     return counts
 
 
+def chain_sum_euler(n, lt_pairs):
+    """Reduced Euler characteristic of the order complex as the chain sum
+    -1 + sum over k of (-1)^(k-1) (number of k-element chains)."""
+    counts = count_chains(n, lt_pairs)
+    return -1 + sum((-1) ** (k - 1) * c for k, c in counts.items())
+
+
 def mobius_euler(n, lt_pairs):
     """Reduced Euler characteristic of the order complex via the Mobius
     function of the poset with a bottom and top adjoined: chi-tilde equals

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from equichar import cli, permgrp
+from equichar import SimplicialComplex, cli, permgrp
 from equichar.cli import main
 from equichar.posets import FILTERS
 
@@ -368,6 +368,20 @@ def test_double_pipeline_round_trip(capsys, tmp_path):
     assert "duality group: yes" in out
     assert out.count("OBSTRUCTED") == 1
     assert "obstruction found" in out
+
+
+def test_double_checks_the_image_once(capsys, monkeypatch):
+    # the search, the Embedding and the fixed-subcomplex comparison scan;
+    # image_complex and double_along reuse the image the search checked
+    calls = []
+    full = SimplicialComplex.full_subcomplex
+    monkeypatch.setattr(SimplicialComplex, "full_subcomplex",
+                        lambda self, sub: calls.append(1) or full(self, sub))
+    monkeypatch.chdir(DATA.parent)
+    argv = README_SAMPLES[[a[0] for a in README_SAMPLES].index("double")]
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out)["fixed_equals_pattern_image"]
+    assert len(calls) <= 3
 
 
 def test_double_without_match(capsys):

@@ -78,6 +78,18 @@ def test_powers_inverse_order():
     assert perm("(1 2)(3 4)").order() == 2
 
 
+def test_powers_equal_repeated_products_over_s4():
+    # square and multiply against the n-fold product, inverses for n < 0
+    for x in helpers.s4().elements:
+        identity = Permutation.identity(x.points)
+        assert x ** 0 == identity and (x ** 0).points == x.points
+        for n in range(-4, 10):
+            want = identity
+            for _ in range(abs(n)):
+                want = want * (x if n > 0 else x.inverse())
+            assert x ** n == want, (x, n)
+
+
 def test_cycles_start_at_their_least_position():
     images = (0, 2, 3, 1, 4, 6, 5)
     assert list(permgrp._cycles(images)) == [[1, 2, 3], [5, 6]]

@@ -261,8 +261,39 @@ def test_cone_rule_equals_the_order_complex_route():
         want = s.order_complex().reduced_homology()
         assert list(s.reduced_homology().items()) == list(want.items()), name
         assert s.augmented_euler() == helpers.mobius_euler(len(s), s.lt), name
-        cones += s._cone_length() is not None
+        cones += s._mobius_pass()[1] is not None
     assert 0 < cones < len(posets)
+
+
+def test_augmented_euler_equals_the_chain_route():
+    for name, s in list(corpus_posets()) + list(hand_built_posets().items()):
+        assert s.augmented_euler() == helpers.chain_sum_euler(len(s), s.lt), name
+
+
+def test_chain_counts_equal_the_chain_oracle():
+    for name, s in corpus_posets():
+        counts = helpers.count_chains(len(s), s.lt)
+        assert s.chain_counts() == tuple(counts[k] for k in sorted(counts)), name
+
+
+def test_chain_counts_do_not_sort_the_labels():
+    # chains are listed on the element indices, so labels need not sort
+    p = FinitePoset([0, 1], {(0, 1)}, labels=(1, "a"))
+    assert (p.chain_counts(), p.augmented_euler()) == ((2, 1), 0)
+
+
+def test_augmented_euler_lists_no_chains(monkeypatch):
+    # Hall's recursion answers for cones and non-cones alike
+    posets = list(corpus_posets())
+    want = [s.augmented_euler() for _, s in posets]
+
+    def refuse(self):
+        raise AssertionError("chains listed for an Euler value")
+
+    monkeypatch.setattr(FinitePoset, "order_complex", refuse)
+    monkeypatch.setattr(FinitePoset, "chain_counts", refuse)
+    assert [s.augmented_euler() for _, s in posets] == want
+    assert any(s._mobius_pass()[1] is None for _, s in posets)
 
 
 def test_inclusion_posets_pass_the_public_validator():
@@ -274,11 +305,11 @@ def test_inclusion_posets_pass_the_public_validator():
 
 def test_hand_built_cones():
     posets = hand_built_posets()
-    assert posets["top only"]._cone_length() == 3
-    assert posets["bottom only"]._cone_length() == 3
+    assert posets["top only"]._mobius_pass() == (0, 3)
+    assert posets["bottom only"]._mobius_pass() == (0, 3)
     assert posets["one element"].reduced_homology() == {
         -1: HomologyGroup(), 0: HomologyGroup()}
-    assert posets["no element"]._cone_length() is None
+    assert posets["no element"]._mobius_pass() == (-1, None)
 
 
 def test_cones_build_no_chains(monkeypatch):

@@ -288,6 +288,29 @@ def test_poset_validator_equals_the_triple_loop(relation):
         assert strict
 
 
+@st.composite
+def strict_orders(draw):
+    """The transitive closure of a random DAG on at most 7 elements, its
+    edges running from lower to higher index."""
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lt = set(draw(st.lists(st.sampled_from(pairs), unique=True))
+             if pairs else ())
+    for j in range(n):  # close j's downsets, lowest j first
+        for i in range(j):
+            if (i, j) in lt:
+                lt |= {(k, j) for k in range(i) if (k, i) in lt}
+    return FinitePoset(range(n), lt)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(strict_orders())
+def test_augmented_euler_equals_the_chain_sum_on_strict_orders(p):
+    counts = helpers.count_chains(len(p), p.lt)
+    assert p.augmented_euler() == helpers.chain_sum_euler(len(p), p.lt)
+    assert p.chain_counts() == tuple(counts[k] for k in sorted(counts))
+
+
 # strings with the characters JSON escapes, beside any other
 json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud7ff\U0001f600')
                     | st.characters(), max_size=8)
