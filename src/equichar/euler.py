@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .exactlin import _exponent
-from .permgrp import (Subgroup, _bits, _conjugates, _inner_mask, _lattice,
-                      conjugacy_classes_of_subgroups, is_cyclic,
-                      is_elementary_abelian, is_elementary_abelian_any,
-                      require_p_group)
+from .permgrp import (Subgroup, _bits, _conjugates, _conjugations,
+                      _inner_mask, _lattice, conjugacy_classes_of_subgroups,
+                      is_cyclic, is_elementary_abelian,
+                      is_elementary_abelian_any, require_p_group)
 from .posets import elementary_abelian_euler_formula
 
 
@@ -109,7 +109,7 @@ def vanishing_identity(k):
     This is free_coefficient with every chi value set to 1, which must
     vanish whenever k is a nontrivial p-group.
     """
-    if len(k.elements) == 1:
+    if k.order == 1:
         raise PreconditionError("identity holds only for nontrivial groups")
     return _elementary_abelian_sum(k, lambda cls: 1)
 
@@ -149,9 +149,8 @@ def euler_class_coefficient(action, h):
     if hmask in (1, k.mask):
         orbit = [hmask]
     else:
-        mul, inv = k._tables()
-        orbit = _conjugates(mul, inv, hmask, _bits(hmask),
-                            [k._index[g.key] for g in k.generators], set())
+        conjugations = _conjugations(k, k._generator_numbers())
+        orbit = _conjugates(conjugations, hmask, _bits(hmask), {})
     counts = action._signed_counts()
     total = (hmask == k.mask) - sum(counts.get(m, 0) for m in orbit)
     return Fraction(total * h.order, k.order)

@@ -20,33 +20,37 @@ group is closed from its generators, paired tuples for the graph of a
 homomorphism, and element numbers, through table rows, for every subgroup
 generated inside a group.
 
-A subgroup is an int bitmask over element numbers (bit i set when element
-i belongs to it); a FiniteGroup is its own whole subgroup, with ``group``
+A subgroup is an int bitmask over element numbers (bit i set when element i
+belongs to it); a FiniteGroup is its own whole subgroup, with ``group``
 itself and ``mask`` covering every element, so every function below takes
 either.  Conjugation, normalizers, centralizers, commutation tests and the
-joins of subgroups are table lookups.  The subgroup lattice comes from cyclic
-extension (Neubüser 1960; Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 2005): every subgroup is a join of cyclic subgroups of
-prime-power order, so joining one member H of each known conjugacy class
-with such cyclic subgroups <x> reaches all of them.  Two rules skip the
-joins that cannot find a new subgroup.  The power rule joins <x> of order
-p^k with H only when x^p lies in H.  The cover rule skips every <x> inside
-a join J of prime index over H, since such a J is a minimal overgroup of H
-and each of them would give J again.  Neither loses a subgroup: each K > 1
-is a minimal overgroup of one of its maximal subgroups M, so a conjugate
-of K is <H, z> for the processed representative H of M's class and any z
-of that conjugate outside H.  One such z has prime-power order and z^p in
-H: take the last of the p-th powers of a prime-power element outside H
-that still lies outside H (_cyclic_extension gives the details).  A join
-with an x that normalizes H is the union of p cosets of H, translated on
-the multiplication table with no closure.  In a solvable group (every
-group whose order has at most two prime divisors, or whose derived series
-ends in 1) the joins with an x outside the normalizer of H are skipped
-too: each K > 1 there has a normal subgroup of prime index, so the z
-above can be taken to normalize H (Neubüser's method for solvable
-groups).  The lattice and its conjugacy classes, which share their
-Subgroup objects, are memoised on the group, per subgroup mask; callers
-always get a fresh list.
+joins of subgroups are table lookups; conjugation by x maps each element
+number y to that of x^-1 y x, read off the column of x and the row of
+x^-1.  The subgroup lattice comes from cyclic extension (Neubüser 1960;
+Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005):
+every subgroup is a join of cyclic subgroups of prime-power order, so
+joining one member H of each known conjugacy class with such cyclic
+subgroups <x> reaches all of them.  Two rules skip the joins that cannot
+find a new subgroup.  The power rule joins <x> of order p^k with H only when
+x^p lies in H.  The cover rule skips every <x> inside a join J of prime
+index over H, since such a J is a minimal overgroup of H and each of them
+would give J again.  Neither loses a subgroup: each K > 1 is a minimal
+overgroup of one of its maximal subgroups M, so a conjugate of K is <H, z>
+for the processed representative H of M's class and any z of that conjugate
+outside H.  One such z has prime-power order and z^p in H: take the last of
+the p-th powers of a prime-power element outside H that still lies outside
+H (_cyclic_extension gives the details).  A join with an x that normalizes H
+is the union of p cosets of H, translated on the multiplication table with
+no closure.  In a solvable group (every group whose order has at most two
+prime divisors, or whose derived series ends in 1) the joins with an x
+outside the normalizer of H are skipped too: each K > 1 there has a normal
+subgroup of prime index, so the z above can be taken to normalize H
+(Neubüser's method for solvable groups).  The lattice stays on element
+numbers from the sweep to the output: each subgroup the sweep finds keeps
+the sorted element numbers it was listed by, and each conjugate is encoded
+into its mask in one pass and listed only when it is new.  The lattice and
+its conjugacy classes, which share their Subgroup objects, are memoised on
+the group, per subgroup mask; callers always get a fresh list.
 """
 
 import re
@@ -254,12 +258,14 @@ def _mask(numbers):
 
 
 def _bits(mask):
-    """Element numbers in a mask, ascending."""
+    """Element numbers in a mask, ascending.  They are read from the top
+    bit down, so each step works on an int no longer than the bits left."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -377,6 +383,13 @@ class FiniteGroup:
     def mask(self):
         return (1 << len(self.elements)) - 1
 
+    def _element_numbers(self):
+        return range(len(self.elements))
+
+    def _generator_numbers(self):
+        index = self._index
+        return [index[g.key] for g in self.generators]
+
     @property
     def order(self):
         return len(self.elements)
@@ -449,10 +462,16 @@ def homomorphism_images(group, points, generator_images):
 
 
 class Subgroup:
-    """A subgroup of a FiniteGroup: a mask over its element numbers, plus
-    the sorted element tuple and the tuple of their keys."""
+    """A subgroup of a FiniteGroup: a mask over its element numbers.
 
-    __slots__ = ("group", "mask", "elements", "key", "_generators")
+    The ascending element numbers, the sorted element tuple and the tuple
+    of their keys are decoded from the mask on first use and kept; the
+    subgroup lattice hands over the numbers it listed, so its subgroups
+    never decode them.
+    """
+
+    __slots__ = ("group", "mask", "_numbers", "_elements", "_key",
+                 "_generators")
 
     def __init__(self, group, elements):
         mask = group._mask_of(elements, "subgroup element lies outside the group")
@@ -465,25 +484,47 @@ class Subgroup:
         except ResourceLimitError:
             raise InputError("subgroup elements are not closed under "
                              "products") from None
-        self._fill(group, mask)
+        self._fill(group, mask, None)
         self._generators = generators
 
     @classmethod
-    def _of(cls, group, mask):
+    def _of(cls, group, mask, numbers=None):
+        """The subgroup of group with this mask; numbers, when given, lists
+        the mask's element numbers ascending."""
         h = object.__new__(cls)
-        h._fill(group, mask)
+        h._fill(group, mask, numbers)
         return h
 
-    def _fill(self, group, mask):
+    def _fill(self, group, mask, numbers):
         self.group = group
         self.mask = mask
-        self.elements = tuple(map(group.elements.__getitem__, _bits(mask)))
-        self.key = tuple(g.key for g in self.elements)
+        self._numbers = numbers
+        self._elements = None
+        self._key = None
         self._generators = None
+
+    def _element_numbers(self):
+        """The element numbers of the subgroup, ascending."""
+        if self._numbers is None:
+            self._numbers = _bits(self.mask)
+        return self._numbers
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = tuple(map(self.group.elements.__getitem__,
+                                       self._element_numbers()))
+        return self._elements
+
+    @property
+    def key(self):
+        if self._key is None:
+            self._key = tuple(g.key for g in self.elements)
+        return self._key
 
     @property
     def order(self):
-        return len(self.elements)
+        return self.mask.bit_count()
 
     @property
     def is_trivial(self):
@@ -502,6 +543,8 @@ class Subgroup:
         return all(x in other for x in self.elements)
 
     def __lt__(self, other):
+        if self.group is other.group:
+            return self.mask != other.mask and not self.mask & ~other.mask
         return self.order < other.order and self <= other
 
     def __eq__(self, other):
@@ -557,11 +600,25 @@ def _inner_mask(g, h):
     return mask
 
 
-def _conjugate(mul, inv, hs, x):
-    """The element numbers of x^-1 H x, for H listed by element numbers hs,
-    in the order of hs."""
-    row = mul[inv[x]]
-    return [row[mul[y][x]] for y in hs]
+def _conjugation(mul, inv, x, numbers):
+    """The element numbers x^-1 y x, for y over the element numbers in
+    numbers and in their order, as an iterator that reads the column of x
+    and the row of x^-1 without a Python-level loop."""
+    return map(mul[inv[x]].__getitem__,
+               map(itemgetter(x), map(mul.__getitem__, numbers)))
+
+
+def _conjugations(group, conjugators):
+    """For each element number x in conjugators, the pair (images, bits) of
+    conjugation by x: images[y] numbers x^-1 y x, and bits[y] is the mask
+    1 << images[y] of that one element."""
+    mul, inv = group._tables()
+    bit = [1 << y for y in range(len(mul))]
+    pairs = []
+    for x in conjugators:
+        images = list(_conjugation(mul, inv, x, range(len(mul))))
+        pairs.append((images, list(map(bit.__getitem__, images))))
+    return pairs
 
 
 class SubgroupClass:
@@ -604,7 +661,8 @@ def _lattice(g):
     group = g.group
     memo = group._lattices.get(g.mask)
     if memo is None:
-        memo = _Lattice(group, *_cyclic_extension(group, g.mask))
+        memo = _Lattice(group, *_cyclic_extension(group, g.mask,
+                                                  g._generator_numbers()))
         group._lattices[g.mask] = memo
     return memo
 
@@ -630,8 +688,9 @@ class _Lattice:
         return self._class_of[mask]
 
 
-def _cyclic_extension(group, top):
-    """(subgroups, classes) of the subgroup top, by cyclic extension.
+def _cyclic_extension(group, top, conjugators):
+    """(subgroups, classes) of the subgroup top, which the element numbers
+    conjugators generate, by cyclic extension.
 
     Every subgroup is generated by its elements of prime-power order, so
     it is a join of cyclic subgroups of prime-power order.  Starting from
@@ -672,33 +731,37 @@ def _cyclic_extension(group, top):
       normalizes H, and <H, z> = K^g is a coset union.
     """
     mul, inv = group._tables()
-    orders = group._element_orders()
-    bases = {n: prime_power_base(n) for n in set(orders)}
     bound = top.bit_count()
-    conjugators = _generating_numbers(group, top)
+    conjugations = _conjugations(group, conjugators)
     solvable = _is_solvable(group, top)
+    bases = {}
     cyclic = {}
     for x in _bits(top)[1:]:
-        p = bases[orders[x]]
-        if p is None:
-            continue
         row = mul[x]
         mask = 1
         y = x
         while y:
             mask |= 1 << y
             y = row[y]
+        # the walk has listed <x>, so its length is the order of x
+        order = mask.bit_count()
+        if order not in bases:
+            bases[order] = prime_power_base(order)
+        p = bases[order]
+        if p is None:
+            continue
         # y is the identity again, and p more steps reach x^p
         for _ in range(p):
             y = row[y]
         cyclic.setdefault(mask, (x, y, p))
-    seen = set()
-    orbits = [_conjugates(mul, inv, 1, [0], conjugators, seen)]
+    # seen maps each subgroup found to its ascending element numbers
+    seen = {}
+    orbits = [_conjugates(conjugations, 1, [0], seen)]
     frontier = []
     for mask, (x, _, _) in cyclic.items():
         if mask not in seen:
             hs = _bits(mask)
-            orbits.append(_conjugates(mul, inv, mask, hs, conjugators, seen))
+            orbits.append(_conjugates(conjugations, mask, hs, seen))
             frontier.append((mask, (x,), hs))
     # each frontier entry lists its elements, so none is decoded again
     while frontier:
@@ -707,22 +770,24 @@ def _cyclic_extension(group, top):
             covered = h
             order = len(hs)
             gen_rows = [mul[g] for g in gens]
+            inside = set(hs)
             for x, xp, p in cyclic.values():
-                if covered >> x & 1 or not h >> xp & 1:
+                if xp not in inside or covered >> x & 1:
                     continue
                 # x normalizes H when it conjugates each generator into H
                 row = mul[inv[x]]
                 normal = True
                 for gen_row in gen_rows:
-                    if not h >> row[gen_row[x]] & 1:
+                    if row[gen_row[x]] not in inside:
                         normal = False
                         break
                 if normal:
                     joined = h
                     elements = hs
                     coset = hs
+                    column = itemgetter(x)
                     for _ in range(p - 1):
-                        coset = [mul[y][x] for y in coset]
+                        coset = list(map(column, map(mul.__getitem__, coset)))
                         joined |= _mask(coset)
                         elements = elements + coset
                     covered |= joined
@@ -736,15 +801,33 @@ def _cyclic_extension(group, top):
                 if joined not in seen:
                     if elements is None:
                         elements = _bits(joined)
-                    orbits.append(_conjugates(mul, inv, joined, elements,
-                                              conjugators, seen))
+                    else:
+                        elements = sorted(elements)
+                    orbits.append(_conjugates(conjugations, joined, elements,
+                                              seen))
                     fresh.append((joined, gens + (x,), elements))
         frontier = fresh
-    by_mask = {mask: Subgroup._of(group, mask) for mask in seen}
-    subs = sorted(by_mask.values(), key=lambda s: (s.order, s.key))
-    classes = sorted((_subgroup_class(by_mask, orbit) for orbit in orbits),
-                     key=lambda c: (c.rep.order, c.rep.key))
-    return tuple(subs), tuple(classes)
+    by_mask = {mask: Subgroup._of(group, mask, seen[mask])
+               for mask in _lattice_sorted(seen, seen)}
+    by_rep = {}
+    for orbit in orbits:
+        # the members of a class have one order
+        members = sorted(orbit, key=seen.__getitem__)
+        by_rep[members[0]] = members
+    classes = tuple(SubgroupClass(by_mask[rep],
+                                  map(by_mask.__getitem__, by_rep[rep]))
+                    for rep in _lattice_sorted(by_rep, seen))
+    return tuple(by_mask.values()), classes
+
+
+def _lattice_sorted(masks, seen):
+    """The subgroup masks sorted by (order, key), from the ascending element
+    numbers that seen maps each to: elements are numbered in key order, so
+    the numbers compare as the keys do, and a stable sort by order keeps
+    that order among subgroups of one order."""
+    masks = sorted(masks, key=seen.__getitem__)
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 def _is_solvable(group, top):
@@ -767,27 +850,22 @@ def _is_solvable(group, top):
     return True
 
 
-def _subgroup_class(by_mask, orbit):
-    """The SubgroupClass of the masks in orbit, members read from by_mask."""
-    members = sorted(map(by_mask.__getitem__, orbit), key=lambda s: s.key)
-    return SubgroupClass(members[0], members)
-
-
-def _conjugates(mul, inv, mask, elements, conjugators, seen):
-    """Orbit of the subgroup mask, whose element numbers elements lists in
-    any order, under conjugation by the group that the numbered
-    conjugators generate, mask first; each member joins seen."""
+def _conjugates(conjugations, mask, numbers, seen):
+    """Orbit of the subgroup mask, whose ascending element numbers numbers
+    lists, under the group generated by the conjugations (the pairs of
+    _conjugations), mask first; each member joins seen, the dict of masks
+    to ascending element numbers.  A conjugate's mask is the sum of the
+    bits of its elements, which are distinct, so the sum is their OR; its
+    elements are listed only when the mask is new."""
     orbit = [mask]
-    seen.add(mask)
-    listed = [elements]
-    for hs in listed:
-        for x in conjugators:
-            ks = _conjugate(mul, inv, hs, x)
-            k = _mask(ks)
-            if k not in seen:
-                seen.add(k)
-                orbit.append(k)
-                listed.append(ks)
+    seen[mask] = numbers
+    for k in orbit:
+        hs = seen[k]
+        for images, bits in conjugations:
+            c = sum(map(bits.__getitem__, hs))
+            if c not in seen:
+                seen[c] = sorted(map(images.__getitem__, hs))
+                orbit.append(c)
     return orbit
 
 
@@ -804,7 +882,7 @@ def _commutator_mask(e):
     mul, inv = e.group._tables()
     gens = [(g, inv[g]) for g in e._generator_numbers()]
     mask = 0
-    for x in _bits(e.mask):
+    for x in e._element_numbers():
         row = mul[x]
         left = mul[inv[x]]
         for g, gi in gens:
@@ -814,12 +892,12 @@ def _commutator_mask(e):
 
 def normalizer(g, h):
     """N_g(h) = {x in g : h^x = h}, as a Subgroup of g's parent group."""
-    hmask = _inner_mask(g, h)
+    hs = _bits(_inner_mask(g, h))
     mul, inv = g.group._tables()
-    hs = _bits(hmask)
+    inside = set(hs)
     mask = 0
-    for x in _bits(g.mask):
-        if _mask(_conjugate(mul, inv, hs, x)) == hmask:
+    for x in g._element_numbers():
+        if inside.issuperset(_conjugation(mul, inv, x, hs)):
             mask |= 1 << x
     return Subgroup._of(g.group, mask)
 
@@ -829,7 +907,7 @@ def centralizer(g, h):
     hs = _bits(_inner_mask(g, h))
     mul = g.group._tables()[0]
     mask = 0
-    for x in _bits(g.mask):
+    for x in g._element_numbers():
         row = mul[x]
         if all(row[y] == mul[y][x] for y in hs):
             mask |= 1 << x
@@ -838,32 +916,32 @@ def centralizer(g, h):
 
 def is_normal(n, h):
     """Whether h is normal in n (both must sit in a common parent)."""
-    hmask = _inner_mask(n, h)
+    hs = _bits(_inner_mask(n, h))
     mul, inv = n.group._tables()
-    hs = _bits(hmask)
-    return all(_mask(_conjugate(mul, inv, hs, x)) == hmask
-               for x in _bits(n.mask))
+    inside = set(hs)
+    return all(inside.issuperset(_conjugation(mul, inv, x, hs))
+               for x in n._element_numbers())
 
 
 def is_p_group(h, p):
     _require_prime(p)
-    n = len(h.elements)
+    n = h.order
     return p ** _exponent(n, p) == n
 
 
 def _orders(h):
     orders = h.group._element_orders()
-    return [orders[x] for x in _bits(h.mask)]
+    return list(map(orders.__getitem__, h._element_numbers()))
 
 
 def is_cyclic(h):
-    n = len(h.elements)
+    n = h.order
     return n in _orders(h)
 
 
 def is_abelian(h):
     mul = h.group._tables()[0]
-    xs = _bits(h.mask)
+    xs = h._element_numbers()
     return all(mul[x][y] == mul[y][x] for i, x in enumerate(xs) for y in xs[i + 1:])
 
 
@@ -872,7 +950,7 @@ def is_nilpotent(h):
     when each of its Sylow subgroups is normal, i.e. when for every prime p
     dividing |h| the elements of p-power order number exactly |h|_p (they
     number more as soon as two Sylow p-subgroups differ)."""
-    factors = _factor(len(h.elements))
+    factors = _factor(h.order)
     if len(factors) < 2:
         return True
     orders = _orders(h)
@@ -895,7 +973,7 @@ def is_elementary_abelian_any(h):
     """Nontrivial abelian with squarefree exponent: a direct product of
     prime-order cyclic groups, possibly over different primes.  Within a
     p-group this is the usual notion of elementary abelian subgroup."""
-    if len(h.elements) == 1:
+    if h.order == 1:
         return False
     if any(e > 1 for e in _factor(lcm(*_orders(h))).values()):
         return False
@@ -905,12 +983,12 @@ def is_elementary_abelian_any(h):
 def elementary_abelian_rank(h, p):
     if not is_elementary_abelian(h, p):
         raise InputError("group is not elementary abelian for p=%d" % p)
-    return _exponent(len(h.elements), p)
+    return _exponent(h.order, p)
 
 
 def require_p_group(k):
     """Return the prime p with |k| a power of p (None for the trivial group)."""
-    n = len(k.elements)
+    n = k.order
     p = prime_power_base(n)
     if p is None and n > 1:
         raise PreconditionError("group of order %d is not a p-group" % n)

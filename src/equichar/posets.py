@@ -20,7 +20,9 @@ Every "nontrivial" poset, the "nilpotent" poset of a nilpotent group and
 every nonempty poset of the subgroups above h is such a cone.
 """
 
+from functools import reduce
 from math import comb
+from operator import and_
 
 from ._record import _Record
 from .errors import InputError
@@ -171,14 +173,33 @@ def subgroup_poset(g, which, p=None):
 
 
 def _inclusion_poset(subs):
-    """Inclusion poset of subgroups of one group, compared by mask: in
-    (order, key) order, a smaller subgroup can only come first."""
-    subs = tuple(sorted(subs, key=lambda s: (s.order, s.key)))
+    """Inclusion poset of subgroups of one group, its elements and labels
+    in the order of subs; every caller keeps the order of all_subgroups,
+    by (order, key), so the labels follow it.
+
+    containing[e] has bit j when subs[j] holds the element number e, so the
+    subgroups that hold subs[i] are the AND of containing[e] over the
+    elements e of subs[i], subs[i] itself among them; the others are read
+    off that mask from its top bit down, straight into pairs, as a list
+    per subgroup from permgrp._bits costs more on the small posets.
+    """
+    subs = tuple(subs)
     labels = tuple("H%d" % i for i in range(len(subs)))
-    masks = [s.mask for s in subs]
-    pairs = frozenset((i, j) for j, mj in enumerate(masks) for i in range(j)
-                      if not masks[i] & ~mj)
-    return FinitePoset._of(subs, pairs, labels)
+    numbers = [s._element_numbers() for s in subs]
+    containing = [0] * (subs[0].group.order if subs else 0)
+    bit = 1
+    for hs in numbers:
+        for e in hs:
+            containing[e] |= bit
+        bit <<= 1
+    pairs = []
+    for i, hs in enumerate(numbers):
+        above = reduce(and_, map(containing.__getitem__, hs)) ^ 1 << i
+        while above:
+            j = above.bit_length() - 1
+            pairs.append((i, j))
+            above ^= 1 << j
+    return FinitePoset._of(subs, frozenset(pairs), labels)
 
 
 def poset_strictly_above(g, h):

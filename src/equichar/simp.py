@@ -533,7 +533,12 @@ def _signed_counts_by_mask(simplices, stabilizers):
 
 
 class Embedding:
-    """An isomorphism from a pattern complex onto a full subcomplex of a host."""
+    """An isomorphism from a pattern complex onto a full subcomplex of a host.
+
+    The constructor checks the map; the search, which has compared the
+    relabeled pattern with the image already, builds its result through
+    the trusted _of instead.
+    """
 
     __slots__ = ("pattern", "host", "mapping", "_image")
 
@@ -545,6 +550,18 @@ class Embedding:
         image = host.full_subcomplex(mapping.values())
         if pattern.relabel(mapping) != image:
             raise InputError("image is not a full copy of the pattern")
+        self._fill(pattern, host, mapping, image)
+
+    @classmethod
+    def _of(cls, pattern, host, mapping, image):
+        """The embedding of pattern into host by mapping, whose image, the
+        full subcomplex of host on the mapped vertices, equals the pattern
+        relabeled by mapping."""
+        e = object.__new__(cls)
+        e._fill(pattern, host, mapping, image)
+        return e
+
+    def _fill(self, pattern, host, mapping, image):
         self.pattern = pattern
         self.host = host
         self.mapping = dict(mapping)
@@ -578,11 +595,10 @@ def find_full_subcomplex_isomorphic(host, pattern):
     used = set()
 
     def place(k):
+        """The image of the first full copy extending assign, or None."""
         if k == len(pverts):
-            image = {assign[v] for v in pverts}
-            if pattern.relabel(assign) == host.full_subcomplex(image):
-                return True
-            return False
+            image = host.full_subcomplex({assign[v] for v in pverts})
+            return image if pattern.relabel(assign) == image else None
         p = pverts[k]
         for hv in hverts:
             if hv in used or len(hadj[hv]) < len(padj[p]):
@@ -596,12 +612,14 @@ def find_full_subcomplex_isomorphic(host, pattern):
                 continue
             assign[p] = hv
             used.add(hv)
-            if place(k + 1):
-                return True
+            image = place(k + 1)
+            if image is not None:
+                return image
             del assign[p]
             used.discard(hv)
-        return False
+        return None
 
-    if place(0):
-        return Embedding(pattern, host, assign)
-    return None
+    image = place(0)
+    if image is None:
+        return None
+    return Embedding._of(pattern, host, assign, image)

@@ -163,6 +163,20 @@ def pgroup_corpus():
     }
 
 
+def sylow_b4():
+    """The order-128 Sylow 2-subgroup of B4 on the vertices of the
+    4-cross-polytope."""
+    return group_on(cross_polytope(4), "(1 5)", "(1 2 3 4)(5 6 7 8)",
+                    "(1 3)(5 7)")
+
+
+def sylow_b5():
+    """The order-256 Sylow 2-subgroup of B5 on the vertices of the
+    5-cross-polytope: 3,455 subgroups in 978 classes."""
+    return group_on(cross_polytope(5), "(1 6)", "(1 2)(6 7)", "(3 4)(8 9)",
+                    "(1 3)(2 4)(6 8)(7 9)", "(5 10)")
+
+
 # the p-groups and groups of orders 6 to 384; the last six have three
 # prime divisors, so only their derived series decides their solvability
 def group_corpus():
@@ -613,6 +627,16 @@ def chain_sum_euler(n, lt_pairs):
     -1 + sum over k of (-1)^(k-1) (number of k-element chains)."""
     counts = count_chains(n, lt_pairs)
     return -1 + sum((-1) ** (k - 1) * c for k, c in counts.items())
+
+
+def inclusion_pairs_by_scan(subs):
+    """The pairs (i, j) with subs[i] a proper subgroup of subs[j], all
+    subgroups of one group, by comparing the masks of every two of them in
+    any order: the pair scan that inclusion posets were built by."""
+    masks = [s.mask for s in subs]
+    return frozenset((i, j) for j, mj in enumerate(masks)
+                     for i, mi in enumerate(masks)
+                     if i != j and not mi & ~mj)
 
 
 def mobius_euler(n, lt_pairs):

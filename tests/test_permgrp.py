@@ -397,6 +397,63 @@ def test_subgroup_from_elements_must_be_a_subgroup():
         assert again == k and again.generating_set() == k.generating_set()
 
 
+def lazy_record_groups():
+    return dict(helpers.pgroup_corpus(), S4=helpers.s4(),
+                S3xS3=helpers.s3xs3(), **{"order 128": helpers.sylow_b4(),
+                                          "order 256": helpers.sylow_b5()})
+
+
+def test_lattice_records_decode_like_their_masks():
+    # the lattice hands its element numbers to the records, which decode
+    # elements and keys only on first use; each must equal an eager
+    # decode of the mask
+    for name, g in lazy_record_groups().items():
+        subs = all_subgroups(g)
+        classes = conjugacy_classes_of_subgroups(g)
+        members = [h for c in classes for h in c.members]
+        assert {h.mask for h in members} == {h.mask for h in subs}, name
+        for h in subs + members:
+            numbers = [i for i in range(g.order) if h.mask >> i & 1]
+            assert permgrp._bits(h.mask) == numbers, name
+            elements = tuple(g.elements[i] for i in numbers)
+            assert h.order == len(numbers), name
+            assert h.elements == elements, name
+            assert h.key == tuple(x.key for x in elements), name
+
+
+def test_lattice_order_is_order_then_key():
+    # the sweep sorts by (order, element numbers); elements are numbered
+    # in key order, so that is the order of (order, key)
+    for name, g in lazy_record_groups().items():
+        subs = all_subgroups(g)
+        assert ([h.mask for h in subs] == [h.mask for h in sorted(
+            subs, key=lambda h: (h.order, h.key))]), name
+        classes = conjugacy_classes_of_subgroups(g)
+        assert ([c.rep.mask for c in classes] == [c.rep.mask for c in sorted(
+            classes, key=lambda c: (c.rep.order, c.rep.key))]), name
+        for c in classes:
+            assert c.rep is c.members[0], name
+            assert ([h.mask for h in c.members] == [h.mask for h in sorted(
+                c.members, key=lambda h: (h.order, h.key))]), name
+
+
+def test_public_subgroup_checks_then_decodes_lazily():
+    g = helpers.d8()
+    r = perm("(1 2 3 4)")
+    for elements, text in (
+            ([g.identity, perm("(1 2)")],
+             "subgroup element lies outside the group"),
+            ([r ** 2], "subgroup must contain the identity"),
+            ([g.identity, r], "subgroup elements are not closed under "
+                              "products")):
+        with pytest.raises(InputError, match="^%s$" % text):
+            Subgroup(g, elements)
+    h = Subgroup(g, [r ** 3, r, g.identity, r ** 2])
+    assert h.order == 4 and h.elements == tuple(sorted(h.elements))
+    assert h.key == tuple(x.key for x in h.elements)
+    assert h in all_subgroups(g) and h.describe() == "⟨(1 2 3 4)⟩"
+
+
 def test_generating_set_regenerates():
     g = helpers.d8()
     for h in all_subgroups(g):

@@ -9,7 +9,8 @@ from equichar import (FinitePoset, HomologyGroup, InputError,
                       elementary_abelian_euler_formula, homology_tables_equal,
                       normalizer, poset_strictly_above, prime_power_base,
                       quillen_thevenaz_check, subgroup_poset, weyl_poset_check)
-from equichar.posets import FILTERS, PosetComparison, WeylPosetReport
+from equichar.posets import (FILTERS, PosetComparison, WeylPosetReport,
+                             _inclusion_poset)
 
 
 def chain_poset(n):
@@ -301,6 +302,29 @@ def test_inclusion_posets_pass_the_public_validator():
     # FinitePoset._of; the public constructor accepts each of them
     for name, s in corpus_posets():
         assert FinitePoset(s.elements, s.lt, s.labels).lt == s.lt, name
+
+
+def test_inclusion_posets_equal_the_pair_scan():
+    # the containment bitsets against the scan of every two masks
+    groups = dict(helpers.pgroup_corpus(), S4=helpers.s4(),
+                  S3xS3=helpers.s3xs3())
+    for name, g in groups.items():
+        posets = [_inclusion_poset(all_subgroups(g))]
+        posets += [subgroup_poset(g, which) for which in FILTERS]
+        posets += [poset_strictly_above(g, c.rep)
+                   for c in conjugacy_classes_of_subgroups(g)]
+        for s in posets:
+            assert s.lt == helpers.inclusion_pairs_by_scan(s.elements), name
+
+
+def test_inclusion_posets_keep_the_order_they_are_given():
+    # lattice order is a precondition that the callers keep, not a sort:
+    # the labels follow the subgroups as listed, and so do the pairs
+    subs = all_subgroups(helpers.s4())
+    s = _inclusion_poset(reversed(subs))
+    assert s.elements == tuple(reversed(subs))
+    assert s.lt == helpers.inclusion_pairs_by_scan(s.elements)
+    assert s.augmented_euler() == _inclusion_poset(subs).augmented_euler()
 
 
 def test_hand_built_cones():
