@@ -274,8 +274,7 @@ def duality_obstruction_scan(action):
             continue
         report = reports.get(verts)
         if report is None:
-            report = reports[verts] = cohen_macaulay(
-                action.complex.full_subcomplex(verts))
+            report = reports[verts] = cohen_macaulay(action.fixed_subcomplex(h))
         note = "" if report.is_cm else "fixed complex is not Cohen-Macaulay"
         out.append(ClassObstruction(h, verts, report, not report.is_cm, note))
     return ObstructionReport(tuple(out))

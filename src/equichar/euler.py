@@ -3,18 +3,18 @@
 The ambient group is the semidirect product of a finite group K with the
 right-angled Artin group on L; its classifying-space Euler characteristic
 decomposes over conjugacy classes of subgroups of K with exact rational
-coefficients.  Three routes compute them, and they share no fixed-set code:
+coefficients.  Three routes compute them; the independent checks are
+tests/helpers.orbit_count_euler_class and helpers.weyl_sum:
 
 - euler_class and euler_class_coefficient count simplices by stabilizer
   class (K. S. Brown, "Complete Euler characteristics and fixed-point
-  theory", JPAA 1982), from the signed counts that the action keeps per
-  stabilizer mask.  This holds for every finite K.
+  theory", JPAA 1982): signed sums of the action's lists of simplices
+  per stabilizer mask.  This holds for every finite K.
 - The paper's weighted sum holds for p-groups only.  At H = 1 it runs
   over the classes of elementary abelian subgroups, behind
-  free_coefficient and vanishing_identity; the tests check its general
-  form against the count.
-- euler_class_cyclic telescopes a cyclic p-group's class from the built
-  fixed complexes of its subgroup tower.
+  free_coefficient and vanishing_identity, on the caller's chi values.
+- euler_class_cyclic telescopes a cyclic p-group's class from the fixed
+  complexes of its subgroup tower, unions of those same lists.
 """
 
 from fractions import Fraction
@@ -134,7 +134,7 @@ def euler_class_coefficient(action, h):
     """Coefficient of the class of h; any member of the class may be passed.
 
     It is |h| / |K| times the signed count of the simplices whose
-    stabilizer is conjugate to h (see euler_class), read from the counts
+    stabilizer is conjugate to h (see euler_class), read from the lists
     of the masks in the conjugacy orbit of h's mask, so no subgroup
     lattice is built; the trivial and the whole subgroup are their own
     orbits, so for them no multiplication table is built either.
@@ -151,8 +151,9 @@ def euler_class_coefficient(action, h):
     else:
         conjugations = _conjugations(k, k._generator_numbers())
         orbit = _conjugates(conjugations, hmask, _bits(hmask), {})
-    counts = action._signed_counts()
-    total = (hmask == k.mask) - sum(counts.get(m, 0) for m in orbit)
+    table = action._by_mask()
+    total = (hmask == k.mask) - sum(1 if len(s) % 2 else -1
+                                    for m in orbit for s in table.get(m, ()))
     return Fraction(total * h.order, k.order)
 
 
@@ -164,16 +165,17 @@ def euler_class(action):
     empty simplex included with stabilizer K: each K-orbit of simplices
     with stabilizer conjugate to H has |K : H| members.  An admissible
     action fixes a simplex setwise only pointwise, so K_s is the AND of
-    the stabilizer masks of its vertices; the action keeps the sum per
-    mask, and each mask is mapped to its class once.
+    the stabilizer masks of its vertices; the action lists the simplices
+    per mask, and each mask is mapped to its class once.
     """
     action.require_admissible()
     k = action.group
     lattice = _lattice(k)
     totals = dict.fromkeys(lattice.classes, 0)
     totals[lattice.class_of(k.mask)] = 1
-    for m, c in action._signed_counts().items():
-        totals[lattice.class_of(m)] -= c
+    for m, simplices in action._by_mask().items():
+        totals[lattice.class_of(m)] -= sum(1 if len(s) % 2 else -1
+                                           for s in simplices)
     return EulerClass({cls.rep: Fraction(t * cls.rep.order, k.order)
                        for cls, t in totals.items()})
 
@@ -190,9 +192,8 @@ def euler_class_cyclic(action):
     p = require_p_group(k)
     if not is_cyclic(k):
         raise PreconditionError("group of order %d is not cyclic" % k.order)
-    if p is None:
-        fixed = action.fixed_subcomplex(k.whole())
-        return EulerClass({k.whole(): Fraction(1 - fixed.euler_characteristic())})
+    if p is None:  # the trivial group fixes all of L
+        return EulerClass({k.whole(): 1 - action.complex.euler_characteristic()})
     x = min((g for g in k.elements if g.order() == k.order), key=lambda g: g.key)
     n = _exponent(k.order, p)
     towers = [k.subgroup_generated([x ** (p ** i)]) for i in range(n + 1)]

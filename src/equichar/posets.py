@@ -203,9 +203,10 @@ def _inclusion_poset(subs):
 
 
 def poset_strictly_above(g, h):
-    """Poset of subgroups K with h < K <= g."""
-    subs = [k for k in all_subgroups(g) if h < k]
-    return _inclusion_poset(subs)
+    """Poset of subgroups K with h < K <= g; h may be g or a list of elements."""
+    hmask = g.group._mask_of(h, "h lies outside the group")
+    return _inclusion_poset([k for k in all_subgroups(g)
+                             if k.mask != hmask and not hmask & ~k.mask])
 
 
 def elementary_abelian_euler_formula(p, n):

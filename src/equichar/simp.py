@@ -400,9 +400,10 @@ class GroupAction:
     simplices to simplices.
 
     Each vertex keeps its stabilizer as a bitmask over the group's element
-    numbers, the encoding of Subgroup.mask.  A subgroup fixes a vertex iff
-    its mask lies inside the vertex's, and it fixes a simplex pointwise iff
-    its mask lies inside the AND of the masks of the simplex's vertices.
+    numbers, the encoding of Subgroup.mask, and a simplex's is the AND of
+    its vertices'.  A subgroup fixes a simplex pointwise iff its mask lies
+    inside the simplex's; the Euler counts and the fixed complexes read one
+    table of the simplices per mask, built on first use.
     """
 
     def __init__(self, complex, group, generator_images=None):
@@ -437,7 +438,7 @@ class GroupAction:
                 masks[i] |= bit
         self._stabilizers = dict(zip(verts, masks))
         self._admissible = None
-        self._counts = None  # built by _signed_counts()
+        self._table = None  # built by _by_mask()
 
     def image(self, g):
         if g not in self.group:
@@ -503,33 +504,31 @@ class GroupAction:
         return tuple(v for v, m in self._stabilizers.items() if not mask & ~m)
 
     def fixed_subcomplex(self, h):
-        """Full subcomplex on the vertices fixed by every element of h."""
+        """Full subcomplex on the vertices h fixes: the lists of the masks
+        that contain h's, or the complex itself when h fixes every vertex."""
         self.require_admissible()
-        return self.complex.full_subcomplex(self.fixed_vertices(h))
+        mask = self.group._mask_of(h, _OUTSIDE)
+        simplices = [s for m, listed in self._by_mask().items()
+                     if not mask & ~m for s in listed]
+        if len(simplices) == len(self.complex.simplices):
+            return self.complex
+        return SimplicialComplex._of((s[0] for s in simplices if len(s) == 1),
+                                     simplices)
 
-    def _signed_counts(self):
-        """{stabilizer mask: signed count} of _signed_counts_by_mask over
-        the complex, built on the first call."""
-        if self._counts is None:
-            self._counts = _signed_counts_by_mask(self.complex.simplices,
-                                                  self._stabilizers)
-        return self._counts
+    def _by_mask(self):
+        """{stabilizer mask: the simplices with that mask}, a simplex's mask
+        being the AND of its vertices'; built on the first call."""
+        if self._table is None:
+            stabilizer = self._stabilizers.__getitem__
+            table = self._table = {}
+            for s in self.complex.simplices:
+                table.setdefault(reduce(and_, map(stabilizer, s)), []).append(s)
+        return self._table
 
     def vertex_stabilizer(self, v):
+        if v not in self._stabilizers:
+            raise InputError("no vertex %r" % (v,))
         return Subgroup._of(self.group, self._stabilizers[v])
-
-
-def _signed_counts_by_mask(simplices, stabilizers):
-    """{mask: sum of (-1)^dim s over the simplices s with that stabilizer
-    mask}, the mask of a simplex being the AND of its vertices'.  A
-    subgroup fixes a simplex pointwise iff its mask lies inside the
-    simplex's, so chi(L^H) is the sum of the counts over the masks that
-    contain H's."""
-    counts = {}
-    for s in simplices:
-        m = reduce(and_, map(stabilizers.__getitem__, s))
-        counts[m] = counts.get(m, 0) + (1 if len(s) % 2 else -1)
-    return counts
 
 
 class Embedding:

@@ -525,6 +525,19 @@ def admissibility_scan(action):
     return None
 
 
+def full_subcomplex_fixed(action):
+    """h -> L^h by the full-subcomplex route: the full subcomplex of L on
+    the vertices h fixes, built once per fixed vertex set."""
+    built = {}
+
+    def fixed(h):
+        verts = action.fixed_vertices(h)
+        if verts not in built:
+            built[verts] = action.complex.full_subcomplex(verts)
+        return built[verts]
+    return fixed
+
+
 def orbit_count_euler_class(action):
     """{class representative key: signed orbit count} for an action of any
     finite group.

@@ -145,17 +145,18 @@ def test_scan_checks_each_distinct_fixed_complex_once(monkeypatch):
     def counting_link_homology(x, s, cofaces):
         log.append((x, s))
         return link_homology(x, s, cofaces)
-    built = []  # the vertex sets of the full subcomplexes the scan builds
-    full_subcomplex = SimplicialComplex.full_subcomplex
+    built = []  # the vertex sets of the fixed complexes the scan builds
+    fixed_subcomplex = GroupAction.fixed_subcomplex
 
-    def counting_full_subcomplex(x, vertices):
-        built.append(tuple(vertices))
-        return full_subcomplex(x, vertices)
+    def counting_fixed_subcomplex(action, h):
+        fixed = fixed_subcomplex(action, h)
+        built.append(fixed.vertices)
+        return fixed
     monkeypatch.setattr(duality, "_link_homology", counting_link_homology)
-    monkeypatch.setattr(SimplicialComplex, "full_subcomplex",
-                        counting_full_subcomplex)
+    monkeypatch.setattr(GroupAction, "fixed_subcomplex",
+                        counting_fixed_subcomplex)
     scan = duality_obstruction_scan(act)
-    monkeypatch.setattr(SimplicialComplex, "full_subcomplex", full_subcomplex)
+    monkeypatch.setattr(GroupAction, "fixed_subcomplex", fixed_subcomplex)
     # one fixed complex per distinct nonempty fixed vertex set
     assert len(built) == len(set(built)) == 7
     fixed = [act.fixed_subcomplex(c.subgroup) for c in scan.classes]

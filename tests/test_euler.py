@@ -14,7 +14,7 @@ from equichar import (EulerClass, GroupAction, InputError, Permutation,
                       elementary_abelian_classes, euler_class,
                       euler_class_coefficient, euler_class_cyclic,
                       find_full_subcomplex_isomorphic, free_coefficient,
-                      group_from_generators, permgrp, simp,
+                      group_from_generators, permgrp,
                       vanishing_identity)
 
 
@@ -274,13 +274,24 @@ def test_euler_class_of_the_order_128_action():
     assert elapsed < 2.0
 
 
+def count_table_builds(monkeypatch):
+    """A list that gains an entry each time an action builds its table of
+    simplices by stabilizer mask."""
+    builds = []
+    by_mask = GroupAction._by_mask
+
+    def counting(action):
+        if action._table is None:
+            builds.append(action)
+        return by_mask(action)
+    monkeypatch.setattr(GroupAction, "_by_mask", counting)
+    return builds
+
+
 def test_euler_class_reads_each_fixed_complex_once(monkeypatch):
-    # chi(L^E) comes from simplex counts grouped by stabilizer mask, built
+    # chi(L^E) comes from the simplices grouped by stabilizer mask, built
     # once per action; no fixed complex is built
-    grouped, fixed = [], []
-    count = simp._signed_counts_by_mask
-    monkeypatch.setattr(simp, "_signed_counts_by_mask",
-                        lambda *args: grouped.append(1) or count(*args))
+    grouped, fixed = count_table_builds(monkeypatch), []
     build = GroupAction.fixed_subcomplex
     monkeypatch.setattr(GroupAction, "fixed_subcomplex",
                         lambda self, h: fixed.append(h) or build(self, h))
@@ -291,7 +302,7 @@ def test_euler_class_reads_each_fixed_complex_once(monkeypatch):
     assert {h: euler_class_coefficient(act, h) for h in cls.coefficients} \
         == cls.coefficients
     assert euler_class(act) == cls
-    assert len(grouped) == 1 and fixed == []
+    assert grouped == [act] and fixed == []
 
 
 def class_member_actions():
@@ -314,14 +325,16 @@ def class_member_actions():
 def test_every_class_member_gives_the_class_coefficient(monkeypatch):
     # a single coefficient sums the counts over h's conjugacy orbit, so any
     # member of a class gives its coefficient; neither function takes a
-    # normalizer, and the counts are grouped by stabilizer once per action
-    normalizers, grouped = [], []
+    # normalizer or builds a fixed complex, and the simplices are grouped
+    # by stabilizer once per action
+    normalizers, fixed = [], []
     normalizer = permgrp.normalizer
     monkeypatch.setattr(permgrp, "normalizer",
                         lambda *args: normalizers.append(1) or normalizer(*args))
-    count = simp._signed_counts_by_mask
-    monkeypatch.setattr(simp, "_signed_counts_by_mask",
-                        lambda *args: grouped.append(1) or count(*args))
+    build = GroupAction.fixed_subcomplex
+    monkeypatch.setattr(GroupAction, "fixed_subcomplex",
+                        lambda self, h: fixed.append(h) or build(self, h))
+    grouped = count_table_builds(monkeypatch)
     for name, act in class_member_actions():
         del grouped[:]
         cls = euler_class(act)
@@ -330,7 +343,7 @@ def test_every_class_member_gives_the_class_coefficient(monkeypatch):
             expected = cls.coefficients[c.rep]
             for h in c.members:
                 assert euler_class_coefficient(act, h) == expected, name
-        assert normalizers == [] and grouped == [1], name
+        assert normalizers == [] and fixed == [] and grouped == [act], name
 
 
 def test_euler_class_of_the_order_256_action():

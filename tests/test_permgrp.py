@@ -397,6 +397,19 @@ def test_subgroup_from_elements_must_be_a_subgroup():
         assert again == k and again.generating_set() == k.generating_set()
 
 
+def test_subgroup_order_across_two_group_objects():
+    # two builds of D8 are two group objects on one point set; their
+    # subgroups compare by elements
+    a, b = helpers.d8(), helpers.d8()
+    assert a is not b
+    for h in all_subgroups(a):
+        for k in all_subgroups(b):
+            assert (h < k) == (h.order < k.order
+                               and set(h.elements) <= set(k.elements))
+    assert a.trivial_subgroup() < b.whole()
+    assert not b.whole() < a.whole()
+
+
 def lazy_record_groups():
     return dict(helpers.pgroup_corpus(), S4=helpers.s4(),
                 S3xS3=helpers.s3xs3(), **{"order 128": helpers.sylow_b4(),

@@ -7,8 +7,9 @@ from equichar import (FinitePoset, HomologyGroup, InputError,
                       PreconditionError, all_subgroups, centralizer,
                       conjugacy_classes_of_subgroups,
                       elementary_abelian_euler_formula, homology_tables_equal,
-                      normalizer, poset_strictly_above, prime_power_base,
-                      quillen_thevenaz_check, subgroup_poset, weyl_poset_check)
+                      is_cyclic, normalizer, poset_strictly_above,
+                      prime_power_base, quillen_thevenaz_check,
+                      subgroup_poset, weyl_poset_check)
 from equichar.posets import (FILTERS, PosetComparison, WeylPosetReport,
                              _inclusion_poset)
 
@@ -151,6 +152,29 @@ def test_poset_strictly_above():
     above = poset_strictly_above(g, z)
     assert len(above) == 4
     assert above.augmented_euler() == 0
+
+
+def test_poset_strictly_above_takes_the_group_and_element_lists():
+    # h is read through the group's one mask conversion, as for normalizer:
+    # g itself is its whole subgroup, and a list of elements is its set
+    g = helpers.d8()
+    assert (weyl_poset_check(g, g).comparison
+            == weyl_poset_check(g, g.whole()).comparison)
+    assert len(poset_strictly_above(g, g)) == 0
+    for h in all_subgroups(g):
+        above = poset_strictly_above(g, h)
+        listed = poset_strictly_above(g, list(h.elements))
+        assert (listed.elements, listed.lt) == (above.elements, above.lt)
+        assert (weyl_poset_check(g, list(h.elements)).comparison
+                == weyl_poset_check(g, h).comparison)
+    # an h inside g's group but outside g has nothing above it in g
+    c4 = [k for k in all_subgroups(g) if is_cyclic(k) and k.order == 4][0]
+    reflection = [k for k in all_subgroups(g)
+                  if k.order == 2 and not k <= c4][0]
+    assert len(poset_strictly_above(c4, reflection)) == 0
+    # an element outside g's group is an InputError
+    with pytest.raises(InputError, match="^h lies outside the group$"):
+        poset_strictly_above(g, helpers.s3().elements)
 
 
 def test_weyl_poset_check_all_subgroups():

@@ -15,7 +15,7 @@ from equichar import (ChainComplexZ, FinitePoset, GroupAction,
                       augment, complex_of_chains,
                       conjugacy_classes_of_subgroups, double_along,
                       find_full_subcomplex_isomorphic, group_from_generators,
-                      simp)
+                      normalizer, simp)
 from equichar.cli import load_complex, load_group
 from equichar.permgrp import homomorphism_images
 
@@ -495,6 +495,9 @@ def test_vertex_stabilizer():
     act = GroupAction(star, helpers.group_on(star, "(1 2 3 4)", "(1 3)"))
     assert act.vertex_stabilizer("5").order == 8
     assert act.vertex_stabilizer("1").order == 2
+    # an undeclared vertex is an InputError, as SimplicialComplex.degree's
+    with pytest.raises(InputError, match=r"^no vertex '9'$"):
+        act.vertex_stabilizer("9")
 
 
 def corpus_actions():
@@ -545,9 +548,9 @@ def test_admissibility_equals_the_scan():
 
 
 def test_fixed_sets_equal_permutation_calls():
-    # fixed vertices, stabilizers and chi(L^E) read from the stabilizer
-    # masks (the signed counts of the masks holding E's), against
-    # Permutation calls and the built fixed complexes
+    # fixed vertices, stabilizers and fixed complexes read from the
+    # stabilizer masks (the table's lists of the masks holding E's), against
+    # Permutation calls and the full subcomplexes on the vertices they fix
     checked = 0
     for name, act in (*corpus_actions(), *subdivided_actions()):
         imgs = {g: act.image(g) for g in act.group.elements}
@@ -560,11 +563,73 @@ def test_fixed_sets_equal_permutation_calls():
             assert act.fixed_vertices(e) == fixed, name
             assert act.fixed_vertices(list(e.elements)) == fixed, name
             if act.is_admissible():
-                fixed = act.fixed_subcomplex(e)
-                assert sum(c for m, c in act._signed_counts().items()
-                           if not e.mask & ~m) == fixed.euler_characteristic(), name
+                full = act.complex.full_subcomplex(fixed)
+                assert act.fixed_subcomplex(e) == full, name
+                signed = sum((-1) ** (len(s) - 1)
+                             for m, group in act._by_mask().items()
+                             if not e.mask & ~m for s in group)
+                assert signed == full.euler_characteristic(), name
                 checked += 1
     assert checked > 250  # 277 subgroups of admissible actions
+
+
+def test_fixed_subcomplexes_equal_the_full_subcomplex_route():
+    # the table's union of lists against the full subcomplex on the fixed
+    # vertices, for every class: on the admissible corpus actions, and for
+    # the order-256 Sylow 2-subgroup of B5 on bary(5-cross-polytope),
+    # whose 978 classes fix 32 distinct vertex sets
+    x = helpers.cross_polytope(5)
+    sylow = ("B5 Sylow", helpers.subdivided_action(x, helpers.sylow_b5()))
+    checked = 0
+    for name, act in (*corpus_actions(), *subdivided_actions(), sylow):
+        if not act.is_admissible():
+            continue
+        oracle = helpers.full_subcomplex_fixed(act)
+        for c in conjugacy_classes_of_subgroups(act.group):
+            assert act.fixed_subcomplex(c.rep) == oracle(c.rep), name
+            checked += 1
+        assert act.fixed_subcomplex(act.group.trivial_subgroup()) is act.complex
+    assert checked > 1000
+
+
+def _two_reflections():
+    """The subgroups <(1 3)> and <(2 4)> of D8, neither inside the other."""
+    g = helpers.d8()
+    return [g.subgroup_generated([Permutation.from_cycles(g.points, c)])
+            for c in ("(1 3)", "(2 4)")]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Permutation(["1", "2"], {"1": "1"}),
+     "permutation domain does not match point set"),
+    (lambda: Permutation(["1", "2"], {"1": "1", "2": "1"}),
+     "permutation is not a bijection"),
+    (lambda: Permutation.from_cycles(["1", "2"], "(1 2)")
+     * Permutation.from_cycles(["1", "2", "3"], "(1 2)"),
+     "permutations act on different point sets"),
+    (lambda: normalizer(*_two_reflections()),
+     "not a subgroup of the ambient group"),
+    (lambda: helpers.star5().degree("9"), "no vertex '9'"),
+    (lambda: helpers.two_edges().relabel({"1": "a", "2": "a", "3": "b",
+                                          "4": "c"}),
+     "relabeling must be injective"),
+    (lambda: GroupAction(helpers.two_edges(), helpers.s3()),
+     "group points differ from complex vertices; supply generator images"),
+    (lambda: simp.Embedding(helpers.two_edges(), helpers.star5(),
+                            {"1": "1", "2": "5"}),
+     "mapping must cover the pattern vertices"),
+    (lambda: simp.Embedding(helpers.two_edges(), helpers.star5(),
+                            {"1": "1", "2": "5", "3": "1", "4": "5"}),
+     "mapping must be injective"),
+    (lambda: simp.Embedding(helpers.two_edges(), helpers.star5(),
+                            {"1": "1", "2": "5", "3": "2", "4": "3"}),
+     "image is not a full copy of the pattern"),
+    (lambda: double_along(helpers.two_edges(), helpers.star5()),
+     "subcomplex vertices do not lie in the complex"),
+])
+def test_input_errors_name_the_fault(call, message):
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_find_pattern_in_barycentric_sphere():
