@@ -10,9 +10,10 @@ index maps keys to numbers, and only FiniteGroup._mask_of turns a subgroup
 or the elements given by a caller into a mask of numbers; on first use a
 group also builds a multiplication table and an inverse table over the
 numbers and keeps them on the instance, so a group that is only asked for
-its order never pays for a table.  Only the generators' rows of that table
-take tuple products; every other row is read off the row of a generator
-and a row already filled.
+its order never pays for a table.  The generators' rows of that table are
+the products the closure computed, kept as element numbers, so the table
+composes no tuple; every other row is read off the row of a generator and
+a row already filled.
 
 One closure routine, _close_under_products, discovers group elements, in
 whichever encoding its product function works on: int image tuples when a
@@ -104,24 +105,27 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, points, text):
-        """Parse disjoint cycle notation like "(1 2)(3 4)"; "()" is the identity."""
+        """Parse disjoint cycle notation like "(1 2)(3 4)"; "()" is the identity.
+
+        The key is written straight from the cycles: every named point is
+        known and none is repeated, so the cycles make a bijection."""
         points = _sorted_points(points)
-        cycles = _cycle_names(text)
-        if not cycles:
-            return cls.identity(points)
-        mapping = {p: p for p in points}
-        seen = set()
-        for names in cycles:
+        pos = {p: i for i, p in enumerate(points)}
+        key = list(range(len(points)))
+        seen = bytearray(len(points))
+        for names in _cycle_names(text):
+            cycle = []
             for name in names:
-                if name not in mapping:
+                i = pos.get(name)
+                if i is None:
                     raise InputError("unknown point %r in %r" % (name, text))
-                if name in seen:
+                if seen[i]:
                     raise InputError("point %r repeated; cycles must be disjoint" % name)
-                seen.add(name)
-            for a, b in zip(names, names[1:]):
-                mapping[a] = b
-            mapping[names[-1]] = names[0]
-        return cls(points, mapping)
+                seen[i] = 1
+                cycle.append(i)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                key[a] = b
+        return cls._of(points, tuple(key))
 
     @property
     def mapping(self):
@@ -307,11 +311,32 @@ class FiniteGroup:
             if not g.is_identity:
                 gens.append(g)
         self.generators = tuple(gens)
-        keys = sorted(_close_under_products([g.key for g in gens], _compose,
-                                            max_order, [tuple(range(len(pts)))]))
+        # products[g] lists the pairs (r, g * r) the closure computes, one
+        # for every element r but the identity; they become g's table row.
+        # The closure also takes each new element times its base, the
+        # identity alone, which needs no product
+        identity = tuple(range(len(pts)))
+        products = {g.key: [] for g in gens}
+
+        def times(a, b):
+            if b is identity:
+                return a
+            t = _compose(a, b)
+            products[a].append((b, t))
+            return t
+
+        keys = sorted(_close_under_products(list(products), times, max_order,
+                                            [identity]))
         self.elements = tuple(Permutation._of(pts, t) for t in keys)
         self.identity = self.elements[0]
-        self._index = {t: i for i, t in enumerate(keys)}
+        self._index = index = {t: i for i, t in enumerate(keys)}
+        self._gen_rows = []
+        for g in gens:
+            row = [0] * len(keys)
+            row[0] = index[g.key]
+            for r, t in products[g.key]:
+                row[index[r]] = index[t]
+            self._gen_rows.append(row)
         self._mul = None
         self._inv = None
         self._orders = None
@@ -322,19 +347,17 @@ class FiniteGroup:
     def _tables(self):
         """(mul, inv): mul[a][b] numbers elements[a] * elements[b].
 
-        Only the generators' rows take tuple products.  Every other row is
+        The generators' rows are the products the closure computed, kept as
+        element numbers, so no tuple is composed here.  Every other row is
         the row of a product e = a * r of a generator a and an element r
         whose row is known: e * b = a * (r * b).  Every element is already
         numbered, so this walk from the identity only picks an order in
         which to fill the rows.
         """
         if self._mul is None:
-            index = self._index
-            keys = list(index)
-            gen_rows = [[index[_compose(g.key, b)] for b in keys]
-                        for g in self.generators]
-            mul = [None] * len(keys)
-            mul[0] = list(range(len(keys)))
+            gen_rows = self._gen_rows
+            mul = [None] * len(self.elements)
+            mul[0] = list(range(len(self.elements)))
             filled = [0]
             for r in filled:
                 row_r = mul[r]

@@ -18,6 +18,18 @@ elements in a longest chain.  One pass over the elements finds mu(0, 1),
 the longest chain and whether the poset is a cone; no chain is listed.
 Every "nontrivial" poset, the "nilpotent" poset of a nilpotent group and
 every nonempty poset of the subgroups above h is such a cone.
+
+Any other poset gives way to its core.  A beat point is an element whose
+elements above have a least one, or whose elements below a greatest one;
+the rest of the poset is a strong deformation retract of the whole, and
+removing beat points one at a time until none is left gives the core,
+unique up to isomorphism (R. E. Stong, "Finite topological spaces", Trans.
+AMS 1966; J. A. Barmak, Algebraic Topology of Finite Topological Spaces
+and Applications, LNM 2032, 2011).  So the core's order complex has the
+reduced homology over Z of the whole one, torsion included, with zeros in
+the degrees above its own dimension, and only its chains are listed.  The
+elementary abelian poset of a p-group is conically contractible, but
+rarely a cone; its core is one element, and no chain is listed at all.
 """
 
 from functools import reduce
@@ -27,7 +39,7 @@ from operator import and_
 from ._record import _Record
 from .errors import InputError
 from .exactlin import HomologyGroup
-from .permgrp import (all_subgroups, is_elementary_abelian,
+from .permgrp import (Subgroup, _bits, all_subgroups, is_elementary_abelian,
                       is_elementary_abelian_any, is_nilpotent, normalizer,
                       require_p_group)
 from .simp import complex_of_chains
@@ -121,16 +133,28 @@ class FinitePoset:
 
     def reduced_homology(self):
         """{degree: HomologyGroup} of the order complex, degrees -1 up to
-        its dimension; all zero for a cone, whose chains are not built."""
-        length = self._mobius_pass()[1]
-        if length is None:
-            return self.order_complex().reduced_homology()
-        return {d: HomologyGroup() for d in range(-1, length)}
+        its dimension, one less than the number of elements in a longest
+        chain.
+
+        A cone is all zero, and no chain is built.  Any other poset gives
+        way to its core (_core), a strong deformation retract of it, so the
+        two order complexes have the same homology over Z, torsion
+        included: a one-element core is all zero, and otherwise only the
+        core's chains are listed, on its element indices.
+        """
+        _, longest, cone = self._mobius_pass()
+        table = {}
+        if not cone:
+            size, pairs = self._core()
+            if size != 1:
+                table = complex_of_chains(range(size), pairs).reduced_homology()
+        return {d: table[d] if d in table else HomologyGroup()
+                for d in range(-1, longest)}
 
     def _mobius_pass(self):
-        """(mu(0, 1), cone length): the augmented Euler characteristic, and
-        the number of elements in a longest chain if some element lies
-        above or below all the others, else None.
+        """(mu(0, 1), longest, cone): the augmented Euler characteristic,
+        the number of elements in a longest chain, and whether some element
+        lies above or below all the others.
 
         Over the elements in order of how many lie below them, a linear
         extension, Hall's recursion gives mu(0, x) = -1 - sum of mu(0, y)
@@ -147,7 +171,54 @@ class FinitePoset:
             mu[j] = -1 - sum(map(mu.__getitem__, below[j]))
             length[j] = 1 + max(map(length.__getitem__, below[j]), default=0)
         cone = length.count(1) == 1 or any(len(b) == n - 1 for b in below)
-        return -1 - sum(mu), max(length) if cone else None
+        return -1 - sum(mu), max(length, default=0), cone
+
+    def _core(self):
+        """(size, pairs): the core, what is left once beat points are
+        removed one at a time until none is left, as its number of elements
+        and the strict pairs on its indices 0 .. size - 1 (Stong 1966).
+
+        x is a beat point when the elements above it have a least one, or
+        the elements below it a greatest one.  The elements are renumbered
+        along a linear extension, by how many lie below each, and up[x] and
+        down[x] hold the bits of the elements above and below x, so the
+        lowest bit of the live part u of up[x] is minimal in u: it is least
+        exactly when the rest of u is the live part of its own up[].  The
+        same holds for the highest bit below x.
+        """
+        n = len(self.elements)
+        below = [0] * n
+        for i, j in self.lt:
+            below[j] += 1
+        rank = [0] * n
+        for r, j in enumerate(sorted(range(n), key=below.__getitem__)):
+            rank[j] = r
+        up = [0] * n
+        down = [0] * n
+        for i, j in self.lt:
+            i, j = rank[i], rank[j]
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        alive = (1 << n) - 1
+        removed = True
+        while removed:
+            removed = False
+            for x in range(n):
+                if not alive >> x & 1:
+                    continue
+                u = up[x] & alive
+                least = u & -u
+                d = down[x] & alive
+                greatest = d.bit_length() - 1
+                if (u and u ^ least == up[least.bit_length() - 1] & alive
+                        or d and d ^ 1 << greatest == down[greatest] & alive):
+                    alive ^= 1 << x
+                    removed = True
+        core = _bits(alive)
+        index = {x: i for i, x in enumerate(core)}
+        pairs = [(index[x], index[y]) for x in core
+                 for y in _bits(up[x] & alive)]
+        return len(core), pairs
 
 
 def subgroup_poset(g, which, p=None):
@@ -255,9 +326,12 @@ def weyl_poset_check(g, h):
 
     By the correspondence theorem that poset is the interval of subgroups
     K with h < K <= N_g(h), read from g's lattice by the mask of N_g(h);
-    no lattice of N_g(h) is built.
+    no lattice of N_g(h) is built.  h may be g or a list of elements, as
+    for poset_strictly_above; the report holds it as a Subgroup of g's
+    group.
     """
     require_p_group(g)
+    h = Subgroup._of(g.group, g.group._mask_of(h, "h lies outside the group"))
     above = poset_strictly_above(g, h)
     nmask = normalizer(g, h).mask
     weyl = _inclusion_poset([k for k in above.elements if not k.mask & ~nmask])

@@ -642,6 +642,25 @@ def chain_sum_euler(n, lt_pairs):
     return -1 + sum((-1) ** (k - 1) * c for k, c in counts.items())
 
 
+def order_complex_homology(s):
+    """Reduced homology of the order complex of the whole poset s, its
+    chains listed by DFS over the raw relation, on the element indices:
+    the route FinitePoset.reduced_homology took for every poset that is not
+    a cone before it cut such posets to their core."""
+    n = len(s)
+    above = {i: [j for j in range(n) if (i, j) in s.lt] for i in range(n)}
+    chains = []
+
+    def extend(chain):
+        chains.append(tuple(sorted(chain)))
+        for j in above[chain[-1]]:
+            extend(chain + (j,))
+
+    for i in range(n):
+        extend((i,))
+    return SimplicialComplex(range(n), chains).reduced_homology()
+
+
 def inclusion_pairs_by_scan(subs):
     """The pairs (i, j) with subs[i] a proper subgroup of subs[j], all
     subgroups of one group, by comparing the masks of every two of them in

@@ -4,7 +4,7 @@ import pytest
 
 import helpers
 from equichar import (FinitePoset, HomologyGroup, InputError,
-                      PreconditionError, all_subgroups, centralizer,
+                      PreconditionError, Subgroup, all_subgroups, centralizer,
                       conjugacy_classes_of_subgroups,
                       elementary_abelian_euler_formula, homology_tables_equal,
                       is_cyclic, normalizer, poset_strictly_above,
@@ -177,6 +177,20 @@ def test_poset_strictly_above_takes_the_group_and_element_lists():
         poset_strictly_above(g, helpers.s3().elements)
 
 
+def test_weyl_poset_check_reports_a_subgroup():
+    # h is read through the group's one mask conversion, and the report
+    # holds the subgroup of that mask, whatever form h came in
+    g = helpers.d8()
+    rep = weyl_poset_check(g, g)
+    assert isinstance(rep.subgroup, Subgroup)
+    assert rep.subgroup.group is g and rep.subgroup == g.whole()
+    assert rep.subgroup.describe() == g.whole().describe()
+    assert (weyl_poset_check(g, [g.identity])
+            == weyl_poset_check(g, g.trivial_subgroup()))
+    for h in all_subgroups(g):
+        assert weyl_poset_check(g, list(h.elements)) == weyl_poset_check(g, h)
+
+
 def test_weyl_poset_check_all_subgroups():
     for g in (helpers.d8(), helpers.elem_ab(2, 3), helpers.c4xc2()):
         for h in all_subgroups(g):
@@ -286,7 +300,7 @@ def test_cone_rule_equals_the_order_complex_route():
         want = s.order_complex().reduced_homology()
         assert list(s.reduced_homology().items()) == list(want.items()), name
         assert s.augmented_euler() == helpers.mobius_euler(len(s), s.lt), name
-        cones += s._mobius_pass()[1] is not None
+        cones += s._mobius_pass()[2]
     assert 0 < cones < len(posets)
 
 
@@ -305,6 +319,9 @@ def test_chain_counts_do_not_sort_the_labels():
     # chains are listed on the element indices, so labels need not sort
     p = FinitePoset([0, 1], {(0, 1)}, labels=(1, "a"))
     assert (p.chain_counts(), p.augmented_euler()) == ((2, 1), 0)
+    # and so are the chains of a core
+    q = FinitePoset([0, 1, 2], set(), labels=(1, "a", "b"))
+    assert q.reduced_homology() == {-1: HomologyGroup(), 0: HomologyGroup(2)}
 
 
 def test_augmented_euler_lists_no_chains(monkeypatch):
@@ -318,7 +335,7 @@ def test_augmented_euler_lists_no_chains(monkeypatch):
     monkeypatch.setattr(FinitePoset, "order_complex", refuse)
     monkeypatch.setattr(FinitePoset, "chain_counts", refuse)
     assert [s.augmented_euler() for _, s in posets] == want
-    assert any(s._mobius_pass()[1] is None for _, s in posets)
+    assert not all(s._mobius_pass()[2] for _, s in posets)
 
 
 def test_inclusion_posets_pass_the_public_validator():
@@ -353,11 +370,11 @@ def test_inclusion_posets_keep_the_order_they_are_given():
 
 def test_hand_built_cones():
     posets = hand_built_posets()
-    assert posets["top only"]._mobius_pass() == (0, 3)
-    assert posets["bottom only"]._mobius_pass() == (0, 3)
+    assert posets["top only"]._mobius_pass() == (0, 3, True)
+    assert posets["bottom only"]._mobius_pass() == (0, 3, True)
     assert posets["one element"].reduced_homology() == {
         -1: HomologyGroup(), 0: HomologyGroup()}
-    assert posets["no element"]._mobius_pass() == (-1, None)
+    assert posets["no element"]._mobius_pass() == (-1, 0, False)
 
 
 def test_cones_build_no_chains(monkeypatch):
@@ -376,6 +393,91 @@ def test_cones_build_no_chains(monkeypatch):
         for c in conjugacy_classes_of_subgroups(g):
             if c.rep.order < g.order:
                 assert weyl_poset_check(g, c.rep).comparison.equal, name
+
+
+# ------------------------------------------------------------ core posets
+
+
+def group_corpus_posets():
+    """The four filter posets and every Weyl interval, the subgroups K with
+    h < K <= N(h) for each class representative h, of each group in the
+    corpus but B4, whose nontrivial poset has 3.8 million chains."""
+    for name, g in helpers.group_corpus().items():
+        if name == "B4":
+            continue
+        for which in FILTERS:
+            yield name + "/" + which, subgroup_poset(g, which)
+        for c in conjugacy_classes_of_subgroups(g):
+            yield name + "/weyl", poset_strictly_above(normalizer(g, c.rep), c.rep)
+
+
+def rp2_face_poset(beat=False):
+    """The face poset of the 6-vertex RP^2, with no beat point: each vertex
+    lies in five edges, each edge in two triangles and above two vertices,
+    each triangle above three edges.  With beat, one element more lies
+    below the vertex 1 alone, a beat point whose removal leaves the rest."""
+    faces = sorted(helpers.rp2_triangulation().simplices)
+    lt = {(i, j) for i, a in enumerate(faces) for j, b in enumerate(faces)
+          if set(a) < set(b)}
+    labels = ["".join(f) for f in faces]
+    if beat:
+        lt |= {(len(faces), j) for j, b in enumerate(faces) if "1" in b}
+        faces.append("beat")
+        labels.append("b")
+    return FinitePoset(faces, lt, labels)
+
+
+def test_reduced_homology_equals_the_order_complex_oracle():
+    posets = list(group_corpus_posets()) + list(hand_built_posets().items())
+    posets += [("rp2", rp2_face_poset()), ("rp2+beat", rp2_face_poset(True))]
+    for name, s in posets:
+        want = helpers.order_complex_homology(s)
+        assert list(s.reduced_homology().items()) == list(want.items()), name
+
+
+def test_the_core_keeps_torsion():
+    rp2 = rp2_face_poset()
+    beat = rp2_face_poset(beat=True)
+    assert (len(rp2), rp2._core()[0]) == (31, 31)
+    assert (len(beat), beat._core()[0]) == (32, 31)
+    assert not beat._mobius_pass()[2]
+    for s in (rp2, beat):
+        h = s.reduced_homology()
+        assert h[1] == HomologyGroup(0, (2,))
+        assert homology_tables_equal(h, {1: HomologyGroup(0, (2,))})
+    # the beat point adds a degree to the whole order complex, not to the
+    # core's, so the table is padded with zeros up to it
+    assert list(beat.reduced_homology()) == [-1, 0, 1, 2, 3]
+    assert list(rp2.reduced_homology()) == [-1, 0, 1, 2]
+
+
+def test_quillen_checks_list_no_chains_of_the_whole_poset(monkeypatch):
+    # S4's posets are no cones and their homology is not zero; D8xC2's
+    # elementary abelian poset is no cone, and its core is one point
+    def refuse(self):
+        raise AssertionError("chains listed for the whole poset")
+
+    monkeypatch.setattr(FinitePoset, "order_complex", refuse)
+    monkeypatch.setattr(FinitePoset, "chain_counts", refuse)
+    s4 = quillen_thevenaz_check(helpers.s4())
+    assert (s4.equal, s4.left_size, s4.right_size) == (True, 23, 17)
+    assert s4.left_homology[0] == HomologyGroup(4)
+    d8xc2 = quillen_thevenaz_check(helpers.d8xc2())
+    assert (d8xc2.equal, d8xc2.left_size, d8xc2.right_size) == (True, 34, 26)
+    assert homology_tables_equal(d8xc2.right_homology, {})
+
+
+def test_elementary_abelian_posets_of_p_groups_have_a_one_point_core():
+    # A_p(P) is conically contractible (Quillen 1978), and a finite poset
+    # is contractible exactly when its core is a point (Stong 1966)
+    p_groups = 0
+    for name, g in helpers.group_corpus().items():
+        if prime_power_base(g.order) is None:
+            continue
+        p_groups += 1
+        a = subgroup_poset(g, "elementary-abelian")
+        assert a._core()[0] == 1, name
+    assert p_groups == 13
 
 
 # ------------------------------------------------- Brown and Quillen on A_p(G)

@@ -312,6 +312,57 @@ def test_augmented_euler_equals_the_chain_sum_on_strict_orders(p):
     assert p.chain_counts() == tuple(counts[k] for k in sorted(counts))
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(strict_orders(), st.randoms(use_true_random=False))
+def test_reduced_homology_equals_the_order_complex_oracle_on_strict_orders(
+        p, rng):
+    # renumbered, so the element indices need not be a linear extension
+    n = len(p)
+    new = list(range(n))
+    rng.shuffle(new)
+    q = FinitePoset(range(n), {(new[i], new[j]) for i, j in p.lt})
+    for s in (p, q):
+        want = helpers.order_complex_homology(s)
+        assert list(s.reduced_homology().items()) == list(want.items())
+
+
+@st.composite
+def cycle_notations(draw):
+    """Named points, a random {point: image} bijection of them, and its
+    cycle notation: the cycles in any order, each begun at any of its
+    points, with spaces, commas or tabs between names and nothing,
+    spaces or newlines between cycles."""
+    points = draw(st.lists(st.text("abz019_.", min_size=1, max_size=3),
+                           min_size=1, max_size=8, unique=True))
+    mapping = dict(zip(points, draw(st.permutations(points))))
+    cycles, seen = [], set()
+    for p in points:
+        if p in seen or mapping[p] == p:
+            continue
+        cycle = [p]
+        while mapping[cycle[-1]] != p:
+            cycle.append(mapping[cycle[-1]])
+        seen.update(cycle)
+        k = draw(st.integers(0, len(cycle) - 1))
+        cycles.append(cycle[k:] + cycle[:k])
+    sep = draw(st.sampled_from([" ", ", ", "\t", "  "]))
+    gap = draw(st.sampled_from(["", " ", "\n"]))
+    text = gap.join("(" + sep.join(c) + ")"
+                    for c in draw(st.permutations(cycles)))
+    return points, mapping, text
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(cycle_notations())
+def test_from_cycles_equals_the_mapping_constructor(case):
+    points, mapping, text = case
+    parsed = Permutation.from_cycles(points, text)
+    built = Permutation(points, mapping)
+    assert parsed == built
+    assert parsed.mapping == built.mapping == mapping
+    assert (parsed.key, str(parsed)) == (built.key, str(built))
+
+
 # strings with the characters JSON escapes, beside any other
 json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud7ff\U0001f600')
                     | st.characters(), max_size=8)
