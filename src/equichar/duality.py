@@ -16,7 +16,7 @@ from .errors import InputError, PreconditionError
 from .exactlin import HomologyGroup, _universal_coefficients
 from .permgrp import (Permutation, conjugacy_classes_of_subgroups,
                       group_from_generators)
-from .simp import GroupAction, SimplicialComplex
+from .simp import GroupAction, SimplicialComplex, _merges
 
 
 class CMReport(_Record):
@@ -98,26 +98,9 @@ def _link_homology(x, s, cofaces):
     if not edges:
         return {-1: HomologyGroup(), 0: HomologyGroup(points - 1)}
     sset = set(s)
-    parent = {}  # union-find forest on the link's vertices; roots are absent
-    merges = 0
-    for t in edges:
-        a, b = (_root(parent, v) for v in t if v not in sset)
-        if a != b:
-            parent[a] = b
-            merges += 1
-    c = points - merges
+    c = points - _merges([v for v in t if v not in sset] for t in edges)
     return {-1: HomologyGroup(), 0: HomologyGroup(c - 1),
             1: HomologyGroup(len(edges) - points + c)}
-
-
-def _root(parent, v):
-    """The root of v's tree, with the path to it compressed."""
-    r = v
-    while r in parent:
-        r = parent[r]
-    while v != r:
-        parent[v], v = r, parent[v]
-    return r
 
 
 def cohen_macaulay(x):

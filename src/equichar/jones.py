@@ -13,13 +13,20 @@ sums become degenerate and the construction genuinely fails.
 from math import gcd
 
 from ._record import _Record
-from .errors import ConsistencyError, InputError, PreconditionError
+from .errors import (ConsistencyError, InputError, PreconditionError,
+                     ResourceLimitError)
 from .exactlin import ChainComplexZ, IntegerMatrix, augment, homology
+from .permgrp import DEFAULT_ORDER_BOUND
 
 
 def _require_order(p):
+    """p is an int from 2 up to the order bound every group gets; checked
+    before any of the p cells of an orbit is made."""
     if type(p) is not int or p < 2:
         raise InputError("group order p must be at least 2")
+    if p > DEFAULT_ORDER_BOUND:
+        raise ResourceLimitError("group order p=%d exceeds max_order=%d"
+                                 % (p, DEFAULT_ORDER_BOUND))
 
 
 def moore_complex(m, q):

@@ -79,6 +79,31 @@ def _cliques(adj):
                 stack.append((s, rest))
 
 
+def _root(parent, v):
+    """The root of v's tree in the union-find forest parent, whose roots
+    are absent from it, with the path to it compressed."""
+    r = v
+    while r in parent:
+        r = parent[r]
+    while v != r:
+        parent[v], v = r, parent[v]
+    return r
+
+
+def _merges(edges):
+    """The number of union-find merges over the (a, b) edges: the number of
+    vertices they touch less the number of components they form."""
+    parent = {}
+    merges = 0
+    for a, b in edges:
+        a = _root(parent, a)
+        b = _root(parent, b)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
+
+
 class SimplicialComplex:
     """A finite simplicial complex on string vertices.
 
@@ -275,27 +300,31 @@ class SimplicialComplex:
         return SimplicialComplex._of(sub, simplices)
 
     def chain_complex(self):
-        """Simplicial chain complex, cells labelled "a|b|..."."""
+        """Simplicial chain complex, cells labelled "a|b|...", in sorted
+        order in every degree."""
         cells, boundary = self._chains(reduced=False)
+        for group in cells.values():
+            group.sort()  # in place, so the boundary builder reads it sorted
         return ChainComplexZ({d: len(group) for d, group in cells.items()},
                              {d: boundary(d) for d in cells if d > 0},
                              labels={d: tuple("|".join(s) for s in group)
                                      for d, group in cells.items()})
 
     def _chains(self, reduced):
-        """(cells, boundary): cells[d] lists the d-simplices, sorted, and
+        """(cells, boundary): cells[d] lists the d-simplices in the order
+        of the simplex set, which no homology depends on, and
         boundary(d, cleared=()) is the one boundary builder, the matrix of
-        the map out of degree d with the columns in cleared left empty.
-        When reduced, the empty simplex is the single (-1)-cell, so the
-        boundary formula writes the augmentation out of degree 0."""
+        the map out of degree d with the columns in cleared left empty.  It
+        reads cells[d] and cells[d - 1] when called, so a caller that wants
+        sorted cells sorts the lists in place first.  When reduced, the
+        empty simplex is the single (-1)-cell, so the boundary formula
+        writes the augmentation out of degree 0."""
         lo = -1 if reduced else 0
         cells = {d: [] for d in range(lo, self.dim + 1)}
         if reduced:
             cells[-1].append(())
         for s in self.simplices:
             cells[len(s) - 1].append(s)
-        for group in cells.values():
-            group.sort()
 
         def boundary(d, cleared=()):
             faces = cells[d - 1]
@@ -317,13 +346,28 @@ class SimplicialComplex:
 
     def _reduced(self, p=None):
         """Reduced homology over Z, or over GF(p), through the homology
-        driver: each boundary is built after the one above it is reduced,
-        without the columns that reduction cleared; its fresh rows hold only
-        +-1, nonzero mod every prime, so the eliminator takes them as built."""
+        driver: each boundary out of degree 2 or more is built after the one
+        above it is reduced, without the columns that reduction cleared; its
+        fresh rows hold only +-1, nonzero mod every prime, so the eliminator
+        takes them as built.
+
+        The two bottom degrees are answered in closed form, as ranks of
+        saturated images.  The edges left uncleared span the image of d_1,
+        whose rank is the number of union-find merges over them (a spanning
+        forest of the 1-skeleton); a graph's incidence matrix is totally
+        unimodular, so the image is saturated.  The augmentation has rank 1
+        when there is a vertex, and its image is all of Z."""
         cells, boundary = self._chains(reduced=True)
+
+        def supply(d, cleared):
+            if d > 1:
+                return boundary(d, cleared).entries
+            if d == 1:
+                return _merges(e for j, e in enumerate(cells[1])
+                               if j not in cleared)
+            return 1 if d == 0 and cells[0] else None
         return _homology({d: len(group) for d, group in cells.items()},
-                         lambda d, cleared: boundary(d, cleared).entries if d >= 0 else None,
-                         p)
+                         supply, p)
 
     def reduced_homology(self):
         """{degree: HomologyGroup} of the augmented chain complex."""

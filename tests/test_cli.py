@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,17 @@ def test_jones_verify(capsys):
     code, _, err = run(capsys, "jones-verify", "--m", 1, "--q", 2, "--p", 2)
     assert code == 3
     assert "gcd" in err
+
+
+def test_jones_verify_bounds_the_group_order(capsys):
+    # the p cells of an orbit are never made: refused at once, exit 2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jones-verify", "--m", 1, "--q", 2,
+                         "--p", 1000000007)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("input error: group order p=1000000007 exceeds "
+                   "max_order=20000\n")
 
 
 def test_jones_verify_composite_q_skips_mod_column(capsys):

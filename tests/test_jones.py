@@ -9,7 +9,8 @@ import helpers
 from equichar import exactlin
 from equichar import (ChainComplexZ, ConsistencyError, EquivariantComplex,
                       HomologyGroup, InputError, IntegerMatrix,
-                      PreconditionError, cyclic_extension, fixed_part,
+                      PreconditionError, ResourceLimitError,
+                      cyclic_extension, fixed_part,
                       homology, homology_mod_p, moore_complex,
                       reduced_homology_of, rp2_complex, verify_acyclic)
 
@@ -188,6 +189,22 @@ def test_window_boundary_does_not_walk_the_windows():
     assert ext.complex.boundary(3).entries == [
         {0: 1, 1: 1}, {0: -500000001, 1: -500000000},
         {0: -500000000, 1: -500000001}]
+
+
+def test_group_order_bounded_before_any_cell_is_made():
+    # a free orbit holds p cells, so p gets the order bound of every
+    # group, and the refusal comes before the first cell is made
+    orbits = {0: (("fixed", "pt"),), 1: (("fixed", "c"),),
+              2: (("fixed", "l"),)}
+    message = "^group order p=20001 exceeds max_order=20000$"
+    for call in (lambda: cyclic_extension(1, 2, 20001),
+                 lambda: EquivariantComplex(moore_complex(1, 2), 20001, orbits)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=message):
+            call()
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(PreconditionError):
+        cyclic_extension(1, 2, 20000)  # p at the bound passes the check
 
 
 def test_extension_preconditions():

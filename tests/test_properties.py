@@ -186,6 +186,38 @@ def test_homology_equals_the_route_without_clearing(x):
         assert x.reduced_homology_mod_p(p) == helpers.mod_p_without_clearing(augmented, p)
 
 
+@st.composite
+def facet_complexes(draw):
+    """A complex closed from up to six random facets of one to four
+    vertices on at most eight: flag or not, with isolated vertices,
+    several components, 0-dimensional and empty complexes among them."""
+    n = draw(st.integers(0, 8))
+    verts = [str(i) for i in range(n)]
+    facets = draw(st.lists(st.lists(st.sampled_from(verts), min_size=1,
+                                    max_size=min(n, 4), unique=True),
+                           max_size=6)) if n else []
+    return SimplicialComplex.from_maximal_simplices(verts, facets)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(facet_complexes(), st.randoms(use_true_random=False))
+def test_reduced_homology_of_facet_complexes_without_clearing(x, rng):
+    # the bottom two degrees are counted in closed form (union-find, the
+    # augmentation's rank 1), the others reduced; both against every full
+    # boundary of the augmented chain complex, for two vertex namings
+    augmented = augment(x.chain_complex())
+    h = helpers.homology_without_clearing(augmented)
+    tables = (h, helpers.dual_by_universal_coefficients(h),
+              helpers.mod_p_without_clearing(augmented, 2),
+              helpers.mod_p_without_clearing(augmented, 3))
+    names = ["w%d" % i for i in range(len(x.vertices))]
+    rng.shuffle(names)
+    for y in (x, x.relabel(dict(zip(x.vertices, names)))):
+        assert (y.reduced_homology(), y.reduced_cohomology(),
+                y.reduced_homology_mod_p(2),
+                y.reduced_homology_mod_p(3)) == tables
+
+
 # p-groups on the points 1 .. 6, as generator cycles
 P_GROUPS = (("(1 2)",), ("(1 2)(3 4)",), ("(1 2)", "(3 4)"), ("(1 2 3 4)",),
             ("(1 2 3 4)", "(1 3)"), ("(1 2)(3 4)", "(5 6)"), ("(1 2 3)",),

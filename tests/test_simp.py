@@ -13,7 +13,7 @@ from equichar import (ChainComplexZ, FinitePoset, GroupAction,
                       HomologyGroup, InputError, Permutation,
                       PreconditionError, SimplicialComplex, all_subgroups,
                       augment, complex_of_chains,
-                      conjugacy_classes_of_subgroups, double_along,
+                      conjugacy_classes_of_subgroups, double_along, exactlin,
                       find_full_subcomplex_isomorphic, group_from_generators,
                       normalizer, simp)
 from equichar.cli import load_complex, load_group
@@ -196,6 +196,8 @@ def test_reduced_chains_equal_augmented_chain_complex():
         assert chains.labels == {d: tuple("|".join(s) for s in x.simplices_of_dim(d))
                                  for d in chains.degrees()}
         cells, boundary = x._chains(reduced=True)
+        for group in cells.values():
+            group.sort()  # _chains keeps the set order; chain_complex sorts
         augmented = augment(chains)
         assert {d: len(group) for d, group in cells.items()} == augmented.ranks
         assert {d: boundary(d) for d in cells if d >= 0} == augmented.boundaries
@@ -206,6 +208,39 @@ def test_reduced_chains_equal_augmented_chain_complex():
                 assert [{j: v for j, v in row.items() if j not in cleared}
                         for row in augmented.boundaries[d].entries] == \
                     boundary(d, cleared).entries
+
+
+def test_reduced_homology_of_rp2_circle_and_point(monkeypatch):
+    # H~_1 = Z + Z/2: the Z/2 is the residue of d_2, the only boundary the
+    # eliminator sees; H~_0 = Z^2: d_1's rank is 10 vertices less 3
+    # components, the 7 merges of the union-find
+    rp2 = helpers.rp2_triangulation()
+    verts = [*rp2.vertices, "c1", "c2", "c3", "pt"]
+    x = SimplicialComplex.from_maximal_simplices(
+        verts, [*rp2.simplices, ("c1", "c2"), ("c1", "c3"), ("c2", "c3")])
+    received = []
+    merges = []
+    eliminate, count_merges = exactlin._eliminate, simp._merges
+
+    def counting_eliminate(rows, p=None):
+        received.append(sum(map(len, rows)))
+        return eliminate(rows, p)
+
+    def counting_merges(edges):
+        merges.append(count_merges(edges))
+        return merges[-1]
+
+    monkeypatch.setattr(simp, "_merges", counting_merges)
+    monkeypatch.setattr(exactlin, "_eliminate", counting_eliminate)
+    assert x.reduced_homology() == {
+        -1: HomologyGroup(), 0: HomologyGroup(2), 1: HomologyGroup(1, (2,)),
+        2: HomologyGroup()}
+    assert (received, merges) == ([30], [7])
+    assert x.reduced_cohomology() == {
+        -1: HomologyGroup(), 0: HomologyGroup(2), 1: HomologyGroup(1),
+        2: HomologyGroup(0, (2,))}
+    assert x.reduced_homology_mod_p(2) == {-1: 0, 0: 2, 1: 2, 2: 1}
+    assert x.reduced_homology_mod_p(3) == {-1: 0, 0: 2, 1: 1, 2: 0}
 
 
 def test_reduced_homology_against_oracle():
