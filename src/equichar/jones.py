@@ -18,6 +18,11 @@ from .errors import (ConsistencyError, InputError, PreconditionError,
 from .exactlin import ChainComplexZ, IntegerMatrix, augment, homology
 from .permgrp import DEFAULT_ORDER_BOUND
 
+# the window boundary of cyclic_extension has p * min(q, p) entries off its
+# first row, and its time and memory grow with them: a million, p = 1000
+# with q > p, took 0.7 s CPU and 118 MB peak (CPython 3.11, 2-core x86 VM)
+MAX_WINDOW_ENTRIES = 10 ** 6
+
 
 def _require_order(p):
     """p is an int from 2 up to the order bound every group gets; checked
@@ -182,9 +187,16 @@ def cyclic_extension(m, q, p):
 
     Requires gcd(p, q) = 1.  The acyclicity of the result is verified and
     reported, not asserted; a failing check returns the offending homology.
+    Like p, the p * min(q, p) entries of the window boundary are bounded
+    before any of them is made.
     """
     _require_order(p)
     base = moore_complex(m, q)
+    entries = p * min(q, p)
+    if entries > MAX_WINDOW_ENTRIES:
+        raise ResourceLimitError("window boundary of %d entries exceeds "
+                                 "max_window_entries=%d"
+                                 % (entries, MAX_WINDOW_ENTRIES))
     if gcd(p, q) != 1:
         raise PreconditionError("gcd(p, q) must be 1, got gcd(%d, %d) = %d"
                                 % (p, q, gcd(p, q)))

@@ -50,16 +50,20 @@ FILTERS = ("nontrivial", "nilpotent", "elementary-abelian", "proper-nontrivial")
 class FinitePoset:
     """A finite strict poset over opaque elements with string labels.
 
-    lt holds the pairs (i, j) of element indices with element i below
-    element j.  The constructor validates them as a strict order and the
-    labels as distinct, one per element; the library builds inclusion
-    posets, which are strict orders by construction, through the trusted
-    _of instead.
+    The order has one encoding: _up[i] is the bitmask of the indices of the
+    elements above element i, and lt derives from it the pairs (i, j) with
+    element i below element j.  The constructor validates the pairs it is
+    given as a strict order and the labels as distinct, one per element,
+    and keeps the up-sets its checks build; the library builds inclusion
+    posets, which are strict orders by construction, from their up-sets
+    through the trusted _of instead.
     """
 
-    __slots__ = ("elements", "labels", "lt")
+    __slots__ = ("elements", "labels", "_up")
 
     def __init__(self, elements, lt_pairs, labels=None):
+        """Transitivity is read from the up-sets: i < j < k forces i < k
+        iff _up[j] lies inside _up[i] for every pair (i, j)."""
         try:
             elements = tuple(elements)
             if labels is None:
@@ -71,35 +75,15 @@ class FinitePoset:
             lt = frozenset(lt_pairs)
         except TypeError:
             raise InputError("relation pairs must be (i, j) tuples") from None
-        self._fill(elements, lt, labels)
-        self._validate()
-
-    @classmethod
-    def _of(cls, elements, lt, labels):
-        """The poset of the element tuple, the frozenset lt of a strict
-        order on their indices and the tuple of their distinct labels."""
-        p = object.__new__(cls)
-        p._fill(elements, lt, labels)
-        return p
-
-    def _fill(self, elements, lt, labels):
-        self.elements = elements
-        self.lt = lt
-        self.labels = labels
-
-    def _validate(self):
-        """Transitivity is read from bitmasks: above[i] has bit j for each
-        pair (i, j), and i < j < k forces i < k iff above[j] lies inside
-        above[i] for every pair (i, j)."""
-        n = len(self.elements)
+        n = len(elements)
         try:
-            distinct = len(set(self.labels))
+            distinct = len(set(labels))
         except TypeError:
             raise InputError("labels must be hashable") from None
-        if len(self.labels) != n or distinct != n:
+        if len(labels) != n or distinct != n:
             raise InputError("labels must be distinct and match the elements")
-        above = [0] * n
-        for pair in self.lt:
+        up = [0] * n
+        for pair in lt:
             if type(pair) is not tuple or len(pair) != 2:
                 raise InputError("relation pairs must be (i, j) tuples")
             i, j = pair
@@ -108,12 +92,27 @@ class FinitePoset:
                 raise InputError("relation index out of range")
             if i == j:
                 raise InputError("strict order must be irreflexive")
-            if (j, i) in self.lt:
+            if (j, i) in lt:
                 raise InputError("strict order must be antisymmetric")
-            above[i] |= 1 << j
-        for i, j in self.lt:
-            if above[j] & ~above[i]:
+            up[i] |= 1 << j
+        for i, j in lt:
+            if up[j] & ~up[i]:
                 raise InputError("strict order must be transitive")
+        self.elements, self.labels, self._up = elements, labels, up
+
+    @classmethod
+    def _of(cls, elements, up, labels):
+        """The poset of the element tuple, the up-sets of a strict order on
+        their indices and the tuple of their distinct labels."""
+        p = object.__new__(cls)
+        p.elements, p.labels, p._up = elements, labels, up
+        return p
+
+    @property
+    def lt(self):
+        """The pairs (i, j) of element indices with element i below j."""
+        return frozenset((i, j) for i, u in enumerate(self._up)
+                         for j in _bits(u))
 
     def __len__(self):
         return len(self.elements)
@@ -156,21 +155,22 @@ class FinitePoset:
         the number of elements in a longest chain, and whether some element
         lies above or below all the others.
 
-        Over the elements in order of how many lie below them, a linear
-        extension, Hall's recursion gives mu(0, x) = -1 - sum of mu(0, y)
-        over y < x, and mu(0, 1) = -1 - sum of mu(0, x) over all x.  A
-        finite poset with just one minimal element has it least.
+        The order complex of the opposite poset is the same, so Hall's
+        recursion may run downwards, over the elements in order of how
+        many lie above them, fewest first: mu(x, 1) = -1 - sum of mu(y, 1)
+        over the y in the up-set of x, and mu(0, 1) = -1 - sum of mu(x, 1)
+        over all x.  A finite poset with just one maximal element has it
+        greatest.
         """
-        n = len(self.elements)
-        below = [[] for _ in range(n)]
-        for i, j in self.lt:
-            below[j].append(i)
+        up = self._up
+        n = len(up)
         mu = [0] * n
         length = [0] * n
-        for j in sorted(range(n), key=lambda j: len(below[j])):
-            mu[j] = -1 - sum(map(mu.__getitem__, below[j]))
-            length[j] = 1 + max(map(length.__getitem__, below[j]), default=0)
-        cone = length.count(1) == 1 or any(len(b) == n - 1 for b in below)
+        for x in sorted(range(n), key=lambda x: up[x].bit_count()):
+            above = _bits(up[x])
+            mu[x] = -1 - sum(map(mu.__getitem__, above))
+            length[x] = 1 + max(map(length.__getitem__, above), default=0)
+        cone = length.count(1) == 1 or any(u.bit_count() == n - 1 for u in up)
         return -1 - sum(mu), max(length, default=0), cone
 
     def _core(self):
@@ -179,26 +179,25 @@ class FinitePoset:
         and the strict pairs on its indices 0 .. size - 1 (Stong 1966).
 
         x is a beat point when the elements above it have a least one, or
-        the elements below it a greatest one.  The elements are renumbered
-        along a linear extension, by how many lie below each, and up[x] and
-        down[x] hold the bits of the elements above and below x, so the
-        lowest bit of the live part u of up[x] is minimal in u: it is least
-        exactly when the rest of u is the live part of its own up[].  The
-        same holds for the highest bit below x.
+        the elements below it a greatest one.  When the index order is a
+        linear extension, as an inclusion poset's is, the lowest bit of the
+        live part u of the up-set of x is minimal in u, so it is least
+        exactly when the rest of u is the live part of its own up-set; any
+        other poset is first renumbered by how many elements lie above
+        each, most first, since x < y leaves fewer above y.  The same holds
+        for the highest bit of down[x], the elements below x read off the
+        up-sets.
         """
-        n = len(self.elements)
-        below = [0] * n
-        for i, j in self.lt:
-            below[j] += 1
-        rank = [0] * n
-        for r, j in enumerate(sorted(range(n), key=below.__getitem__)):
-            rank[j] = r
-        up = [0] * n
+        up = self._up
+        n = len(up)
+        if any(u & (2 << x) - 1 for x, u in enumerate(up)):
+            order = sorted(range(n), key=lambda x: -up[x].bit_count())
+            rank = {x: r for r, x in enumerate(order)}
+            up = [sum(1 << rank[y] for y in _bits(up[x])) for x in order]
         down = [0] * n
-        for i, j in self.lt:
-            i, j = rank[i], rank[j]
-            up[i] |= 1 << j
-            down[j] |= 1 << i
+        for x, u in enumerate(up):
+            for y in _bits(u):
+                down[y] |= 1 << x
         alive = (1 << n) - 1
         removed = True
         while removed:
@@ -246,13 +245,12 @@ def subgroup_poset(g, which, p=None):
 def _inclusion_poset(subs):
     """Inclusion poset of subgroups of one group, its elements and labels
     in the order of subs; every caller keeps the order of all_subgroups,
-    by (order, key), so the labels follow it.
+    by (order, key), so the labels follow it and the index order is a
+    linear extension.
 
     containing[e] has bit j when subs[j] holds the element number e, so the
     subgroups that hold subs[i] are the AND of containing[e] over the
-    elements e of subs[i], subs[i] itself among them; the others are read
-    off that mask from its top bit down, straight into pairs, as a list
-    per subgroup from permgrp._bits costs more on the small posets.
+    elements e of subs[i]: the up-set of subs[i], with its own bit cleared.
     """
     subs = tuple(subs)
     labels = tuple("H%d" % i for i in range(len(subs)))
@@ -263,14 +261,9 @@ def _inclusion_poset(subs):
         for e in hs:
             containing[e] |= bit
         bit <<= 1
-    pairs = []
-    for i, hs in enumerate(numbers):
-        above = reduce(and_, map(containing.__getitem__, hs)) ^ 1 << i
-        while above:
-            j = above.bit_length() - 1
-            pairs.append((i, j))
-            above ^= 1 << j
-    return FinitePoset._of(subs, frozenset(pairs), labels)
+    up = [reduce(and_, map(containing.__getitem__, hs)) ^ 1 << i
+          for i, hs in enumerate(numbers)]
+    return FinitePoset._of(subs, up, labels)
 
 
 def poset_strictly_above(g, h):

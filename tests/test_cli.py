@@ -127,6 +127,17 @@ def test_jones_verify_bounds_the_group_order(capsys):
                    "max_order=20000\n")
 
 
+def test_jones_verify_bounds_the_window(capsys):
+    # the window boundary is never made: refused at once, exit 2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jones-verify", "--m", 1, "--q", 2001,
+                         "--p", 2000)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("input error: window boundary of 4000000 entries exceeds "
+                   "max_window_entries=1000000\n")
+
+
 def test_jones_verify_composite_q_skips_mod_column(capsys):
     code, out, _ = run(capsys, "--json", "jones-verify",
                        "--m", 1, "--q", 4, "--p", 3)

@@ -207,6 +207,16 @@ def test_group_order_bounded_before_any_cell_is_made():
         cyclic_extension(1, 2, 20000)  # p at the bound passes the check
 
 
+def test_window_entries_bounded_before_the_window_is_made():
+    # p = q - 1 = 2000 asks for 4,000,000 window entries, which took
+    # seconds and over 500 MB; p = 1000 with q > p is at the bound
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^window boundary of "
+                       "4000000 entries exceeds max_window_entries=1000000$"):
+        cyclic_extension(1, 2001, 2000)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_extension_preconditions():
     with pytest.raises(PreconditionError):
         cyclic_extension(1, 2, 2)

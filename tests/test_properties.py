@@ -352,10 +352,13 @@ def test_reduced_homology_equals_the_order_complex_oracle_on_strict_orders(
     n = len(p)
     new = list(range(n))
     rng.shuffle(new)
-    q = FinitePoset(range(n), {(new[i], new[j]) for i, j in p.lt})
-    for s in (p, q):
+    relabelled = {(new[i], new[j]) for i, j in p.lt}
+    q = FinitePoset(range(n), relabelled)
+    for s, lt in ((p, p.lt), (q, relabelled)):
         want = helpers.order_complex_homology(s)
         assert list(s.reduced_homology().items()) == list(want.items())
+        # the pairs given are the pairs read back off the up-sets
+        assert FinitePoset(range(n), lt).lt == frozenset(lt)
 
 
 @st.composite
